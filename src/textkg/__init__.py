@@ -3,6 +3,9 @@ knowledge graph: corpus ingestion, token batching, triplet extraction,
 entity linking, a deduplicated triple store, a Turtle-subset ontology
 toolchain with a repair loop, quality scoring, and graph exports."""
 
+# set before the submodule imports: transport reads it for its User-Agent
+__version__ = "0.1.0"
+
 from .chunking import TokenBatch, chunk, whitespace_tokenize
 from .corpus import Article, corpus_report, filter_by_date, load_corpus, write_corpus
 from .errors import ConfigError, ConfigMismatchError, TextkgError
@@ -45,8 +48,6 @@ from .rdf import (
     serialize_turtle,
     validate_owl,
 )
-
-__version__ = "0.1.0"
 
 __all__ = [
     "Article",

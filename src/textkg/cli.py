@@ -280,7 +280,12 @@ def _cmd_link(args) -> int:
         else None
     )
     linked, table = canonicalize(
-        triplets, client, cache, match=config.linking.match, on_error=config.linking.on_error
+        triplets,
+        client,
+        cache,
+        match=config.linking.match,
+        on_error=config.linking.on_error,
+        workers=config.workers,
     )
     if cache is not None and config.linking.cache_path:
         cache.save(config.resolve(config.linking.cache_path))

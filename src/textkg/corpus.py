@@ -15,8 +15,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from urllib.parse import urlparse
 
-import requests
-
+from . import transport
 from .errors import TextkgError
 
 logger = logging.getLogger(__name__)
@@ -199,17 +198,22 @@ def fetch_articles(
     }
     headers = {"X-Api-Key": api_key} if api_key else {}
     try:
-        response = requests.get(base_url, params=params, headers=headers, timeout=timeout)
-        response.raise_for_status()
-        payload = response.json()
-    except requests.RequestException as exc:
+        response = transport.request("GET", base_url, params=params, headers=headers, timeout=timeout)
+    except transport.TransportError as exc:
         raise FetchError(f"fetch failed: {exc}") from exc
+    if response.status >= 400:
+        raise FetchError(f"fetch failed: HTTP {response.status}")
+    try:
+        payload = json.loads(response.body)
     except ValueError as exc:
         raise FetchError(f"non-JSON response: {exc}") from exc
+    records = payload.get("articles", []) if isinstance(payload, dict) else None
+    if not isinstance(records, list):
+        raise FetchError("unexpected response shape: no 'articles' list")
 
     articles: list[Article] = []
     seen: set[str] = set()
-    for index, item in enumerate(payload.get("articles", [])):
+    for index, item in enumerate(records):
         if not isinstance(item, dict):
             continue
         published_raw = str(item.get("publishedAt") or "")[:10]

@@ -21,8 +21,7 @@ from dataclasses import dataclass, field
 from pathlib import Path
 from typing import Callable
 
-import requests
-
+from . import transport
 from .chunking import Tokenizer, chunk, whitespace_tokenize
 from .corpus import Article
 from .errors import ConfigError, TextkgError
@@ -317,37 +316,52 @@ class RateLimiter:
             _sleep(wait)
 
 
+def _retry_after_seconds(response: transport.Response) -> int:
+    """Integer Retry-After of a 429/503 reply, else 0 (HTTP dates are ignored)."""
+    value = (response.headers.get("Retry-After") or "").strip()
+    if response.status in (429, 503) and value.isascii() and value.isdigit():
+        return int(value)
+    return 0
+
+
 def _post_with_retry(
     config: BackendConfig, payload: dict, headers: dict, limiter: RateLimiter | None
-) -> requests.Response:
+) -> transport.Response:
     last_error: BackendError | None = None
+    retry_after = 0
     for attempt in range(config.max_retries + 1):
         if attempt:
-            _sleep(RETRY_BACKOFF_SECONDS * 2 ** (attempt - 1))
+            _sleep(max(RETRY_BACKOFF_SECONDS * 2 ** (attempt - 1), retry_after))
         if limiter is not None:
             limiter.acquire()
+        retry_after = 0
         try:
-            response = requests.post(
-                config.endpoint, json=payload, headers=headers, timeout=config.request_timeout
+            response = transport.request(
+                "POST",
+                config.endpoint,
+                json_body=payload,
+                headers=headers,
+                timeout=config.request_timeout,
             )
-        except requests.Timeout:
+        except transport.TransportTimeoutError:
             last_error = RequestTimeoutError(
                 f"{config.backend_id}: no response within {config.request_timeout}s"
             )
             logger.warning("attempt %d timed out (%s)", attempt + 1, config.backend_id)
             continue
-        except requests.RequestException as exc:
+        except transport.TransportError as exc:
             last_error = HttpError(None, _excerpt(str(exc), 200))
             logger.warning("attempt %d failed (%s): %s", attempt + 1, config.backend_id, exc)
             continue
-        if response.status_code == 429 or response.status_code >= 500:
-            last_error = HttpError(response.status_code, _excerpt(response.text, 200))
+        if response.status == 429 or response.status >= 500:
+            last_error = HttpError(response.status, _excerpt(response.text, 200))
+            retry_after = _retry_after_seconds(response)
             logger.warning(
-                "attempt %d got HTTP %d (%s)", attempt + 1, response.status_code, config.backend_id
+                "attempt %d got HTTP %d (%s)", attempt + 1, response.status, config.backend_id
             )
             continue
-        if response.status_code >= 400:
-            raise HttpError(response.status_code, _excerpt(response.text, 200))
+        if response.status >= 400:
+            raise HttpError(response.status, _excerpt(response.text, 200))
         return response
     assert last_error is not None
     raise last_error
@@ -392,7 +406,7 @@ def generate(
 
     response = _post_with_retry(config, payload, headers, limiter)
     try:
-        data = response.json()
+        data = json.loads(response.body)
         if config.kind == "seq2seq_tokens":
             if isinstance(data, list):
                 data = data[0]
@@ -400,7 +414,7 @@ def generate(
         return str(data["choices"][0]["message"]["content"])
     except (ValueError, LookupError, TypeError) as exc:
         raise HttpError(
-            response.status_code, f"unexpected response shape: {_excerpt(response.text, 160)}"
+            response.status, f"unexpected response shape: {_excerpt(response.text, 160)}"
         ) from exc
 
 

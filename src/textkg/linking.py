@@ -10,11 +10,11 @@ from __future__ import annotations
 import json
 import logging
 import time
-from dataclasses import dataclass, field
+from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from dataclasses import dataclass
 from pathlib import Path
 
-import requests
-
+from . import transport
 from .errors import TextkgError
 from .extraction import Triplet
 
@@ -79,11 +79,27 @@ class LinkCache:
 
     @classmethod
     def load(cls, path: str | Path, ttl_seconds: float = DEFAULT_TTL_SECONDS) -> LinkCache:
+        """Read a cache file; a missing file is an empty cache.
+
+        Raises TextkgError naming the file when it cannot be read, is not
+        UTF-8 JSON, or is not an object of {"iri", "label", "fetched_at"}
+        entries.
+        """
         path = Path(path)
         if not path.exists():
             return cls(ttl_seconds=ttl_seconds)
-        with path.open(encoding="utf-8") as handle:
-            return cls(entries=json.load(handle), ttl_seconds=ttl_seconds)
+        try:
+            entries = json.loads(path.read_bytes().decode("utf-8"))
+        except (OSError, ValueError) as exc:
+            raise TextkgError(f"link cache {path} is unreadable: {exc}") from exc
+        if not isinstance(entries, dict) or not all(
+            isinstance(entry, dict) and isinstance(entry.get("fetched_at"), (int, float))
+            for entry in entries.values()
+        ):
+            raise TextkgError(
+                f"link cache {path} must be a JSON object of entries with a numeric fetched_at"
+            )
+        return cls(entries=entries, ttl_seconds=ttl_seconds)
 
     def save(self, path: str | Path) -> None:
         with Path(path).open("w", encoding="utf-8") as handle:
@@ -103,13 +119,15 @@ class LookupClient:
     def lookup(self, query: str) -> list[dict]:
         params = {self.query_param: query, "maxResults": str(self.max_results)}
         try:
-            response = requests.get(
-                self.base_url, params=params, headers={"Accept": "application/json"}, timeout=self.timeout
+            response = transport.request(
+                "GET", self.base_url, params=params, headers={"Accept": "application/json"}, timeout=self.timeout
             )
-            response.raise_for_status()
-            payload = response.json()
-        except requests.RequestException as exc:
+        except transport.TransportError as exc:
             raise LookupUnavailableError(f"lookup failed: {exc}") from exc
+        if response.status >= 400:
+            raise LookupUnavailableError(f"lookup failed: HTTP {response.status}")
+        try:
+            payload = json.loads(response.body)
         except ValueError as exc:
             raise LookupUnavailableError(f"non-JSON lookup response: {exc}") from exc
         return _ranked_results(payload)
@@ -220,6 +238,7 @@ def canonicalize(
     match: str = "exact",
     on_error: str = "fallback",
     now: float | None = None,
+    workers: int = 1,
 ) -> tuple[list[Triplet], dict[str, LinkedEntity]]:
     """Rewrite subjects and objects to canonical labels; return the entity table.
 
@@ -228,17 +247,39 @@ def canonicalize(
     Predicates are normalized only. No triple is dropped or duplicated, and
     the operation is idempotent. With no client the rewrite degrades to pure
     normalization.
+
+    Each distinct normalized surface is resolved once, on up to ``workers``
+    threads; the result does not depend on ``workers``. The first lookup
+    that raises (an outage under on_error="abort") cancels the lookups not
+    yet started.
     """
-    resolved: dict[str, LinkedEntity] = {}
+    keys = [(normalize_surface(t.subject), normalize_surface(t.object)) for t in triplets]
+    surfaces: dict[str, str] = {}  # normalized -> first surface seen, subject before object
+    for triplet, (subject_key, object_key) in zip(triplets, keys):
+        surfaces.setdefault(subject_key, triplet.subject)
+        surfaces.setdefault(object_key, triplet.object)
+
+    def resolve(surface: str) -> LinkedEntity:
+        return link_entity(surface, client, cache, match=match, on_error=on_error, now=now)
+
+    if workers > 1:
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            futures = [pool.submit(resolve, surface) for surface in surfaces.values()]
+            done, _ = wait(futures, return_when=FIRST_EXCEPTION)
+            if any(future.exception() is not None for future in done):
+                pool.shutdown(cancel_futures=True)
+            # pending lookups queue behind started ones, so a failed future
+            # comes before any cancelled one and .result() raises it first
+            entities = [future.result() for future in futures]
+    else:
+        entities = [resolve(surface) for surface in surfaces.values()]
+    resolved = dict(zip(surfaces, entities))
+
     iri_labels: dict[str, str] = {}
     table: dict[str, LinkedEntity] = {}
 
-    def canonical_label(surface: str) -> str:
-        normalized = normalize_surface(surface)
-        entity = resolved.get(normalized)
-        if entity is None:
-            entity = link_entity(surface, client, cache, match=match, on_error=on_error, now=now)
-            resolved[normalized] = entity
+    def canonical_label(key: str) -> str:
+        entity = resolved[key]
         if entity.canonical_iri is not None:
             # first label seen for an IRI wins, so co-linked mentions agree
             label = iri_labels.setdefault(entity.canonical_iri, entity.label)
@@ -249,11 +290,11 @@ def canonicalize(
 
     rewritten = [
         Triplet(
-            canonical_label(t.subject),
+            canonical_label(subject_key),
             normalize_surface(t.predicate),
-            canonical_label(t.object),
+            canonical_label(object_key),
             t.provenance,
         )
-        for t in triplets
+        for t, (subject_key, object_key) in zip(triplets, keys)
     ]
     return rewritten, table

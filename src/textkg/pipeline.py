@@ -485,6 +485,7 @@ def _run_triples_stages(
             cache,
             match=config.linking.match,
             on_error=config.linking.on_error,
+            workers=config.workers,
         )
         if cache is not None and config.linking.cache_path:
             cache.save(config.resolve(config.linking.cache_path))

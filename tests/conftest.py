@@ -1,8 +1,13 @@
 from __future__ import annotations
 
 import datetime as dt
+import json
 import shutil
+import threading
+import time
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
+from urllib.parse import parse_qs, urlsplit
 
 import pytest
 
@@ -36,3 +41,96 @@ def article() -> Article:
 
 def make_triplet(subject: str, predicate: str, obj: str, article_id: str = "a1") -> Triplet:
     return Triplet(subject, predicate, obj, Provenance(article_id, 0, "test-backend"))
+
+
+class RecordingHandler(BaseHTTPRequestHandler):
+    """Records every request and answers from server.script.
+
+    Script entries are (status, body[, headers[, delay_seconds]]); an empty
+    script answers 200 "{}".
+    """
+
+    def _handle(self):
+        length = int(self.headers.get("Content-Length", 0))
+        body = self.rfile.read(length)
+        try:
+            parsed = json.loads(body) if body else None
+        except ValueError:
+            parsed = None
+        url = urlsplit(self.path)
+        self.server.requests.append(
+            {
+                "method": self.command,
+                "path": url.path,
+                "params": parse_qs(url.query),
+                "headers": dict(self.headers),
+                "body": body,
+                "json": parsed,
+            }
+        )
+        status, payload, *extra = self.server.script.pop(0) if self.server.script else (200, "{}")
+        headers = extra[0] if extra else {}
+        if len(extra) > 1:
+            time.sleep(extra[1])
+        data = payload.encode("utf-8")
+        self.send_response(status)
+        self.send_header("Content-Type", "application/json")
+        self.send_header("Content-Length", str(len(data)))
+        for name, value in headers.items():
+            self.send_header(name, value)
+        self.end_headers()
+        self.wfile.write(data)
+
+    do_GET = do_POST = _handle
+
+    def log_message(self, *args):
+        pass
+
+
+@pytest.fixture()
+def server():
+    """Loopback HTTP server with a scripted RecordingHandler; url ends in /v1."""
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), RecordingHandler)
+    httpd.requests = []
+    httpd.script = []
+    thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
+    thread.start()
+    httpd.url = f"http://127.0.0.1:{httpd.server_port}/v1"
+    yield httpd
+    httpd.shutdown()
+    httpd.server_close()
+    thread.join(timeout=5)
+    assert not thread.is_alive()
+
+
+NEWS_PAYLOAD = json.dumps(
+    {
+        "articles": [
+            {
+                "url": "https://greenreport.example/soluna",
+                "title": "Soluna soaks up excess energy",
+                "content": "Soluna announced a plan in Kentucky.",
+                "publishedAt": "2023-02-20T08:00:00Z",
+                "source": {"name": "greenreport"},
+            },
+            {
+                "url": "https://greenreport.example/soluna",
+                "title": "duplicate url, dropped",
+                "content": "x",
+                "publishedAt": "2023-02-21T08:00:00Z",
+            },
+            {
+                "url": "https://cafejournal.example/starbucks",
+                "title": "No usable date",
+                "content": "x",
+                "publishedAt": "soonish",
+            },
+            {
+                "title": "No url either",
+                "description": "Body taken from the description field.",
+                "publishedAt": "2023-02-22",
+                "source": {"name": "wire"},
+            },
+        ]
+    }
+)

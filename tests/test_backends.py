@@ -2,13 +2,11 @@ from __future__ import annotations
 
 import datetime as dt
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 
 import pytest
-import requests
 
 import textkg.extraction as extraction
+from textkg import transport
 from textkg.corpus import Article
 from textkg.errors import ConfigError
 from textkg.extraction import (
@@ -23,40 +21,6 @@ from textkg.extraction import (
     generate,
     request_fingerprint,
 )
-
-
-class RecordingHandler(BaseHTTPRequestHandler):
-    """Scripted responses: pop (status, body) tuples from server.script."""
-
-    def do_POST(self):
-        length = int(self.headers.get("Content-Length", 0))
-        body = self.rfile.read(length)
-        self.server.requests.append(
-            {"path": self.path, "headers": dict(self.headers), "json": json.loads(body)}
-        )
-        status, payload = self.server.script.pop(0) if self.server.script else (200, "{}")
-        data = payload.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def server():
-    httpd = ThreadingHTTPServer(("127.0.0.1", 0), RecordingHandler)
-    httpd.requests = []
-    httpd.script = []
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    httpd.url = f"http://127.0.0.1:{httpd.server_port}/v1"
-    yield httpd
-    httpd.shutdown()
-    thread.join(timeout=5)
 
 
 @pytest.fixture()
@@ -112,6 +76,23 @@ class TestChatBackend:
         # exponential backoff: 0.5, then 1.0
         assert fast_sleep == [0.5, 1.0]
 
+    def test_retry_after_honoured_on_429_and_503(self, server, fast_sleep):
+        server.script = [
+            (429, "slow down", {"Retry-After": "7"}),
+            (503, "busy", {"Retry-After": "0"}),
+            (500, "boom", {"Retry-After": "9"}),
+            (200, CHAT_OK),
+        ]
+        assert generate(chat_config(server.url, max_retries=3), "p") == "A | b | C"
+        # max(backoff, Retry-After); a 500's Retry-After is not a 429/503's
+        assert fast_sleep == [7, 1.0, 2.0]
+
+    @pytest.mark.parametrize("value", ["-3", "1.5", "soon", "Wed, 21 Oct 2026 07:28:00 GMT"])
+    def test_unusable_retry_after_falls_back_to_backoff(self, server, fast_sleep, value):
+        server.script = [(429, "slow down", {"Retry-After": value}), (200, CHAT_OK)]
+        generate(chat_config(server.url), "p")
+        assert fast_sleep == [0.5]
+
     def test_gives_up_after_max_retries(self, server, fast_sleep):
         server.script = [(500, "boom")] * 3
         with pytest.raises(HttpError) as exc_info:
@@ -130,11 +111,11 @@ class TestChatBackend:
     def test_timeout_retried_then_surfaces(self, monkeypatch, fast_sleep):
         calls = []
 
-        def fake_post(*args, **kwargs):
+        def fake_request(*args, **kwargs):
             calls.append(kwargs)
-            raise requests.Timeout("too slow")
+            raise transport.TransportTimeoutError("too slow")
 
-        monkeypatch.setattr(extraction.requests, "post", fake_post)
+        monkeypatch.setattr(transport, "request", fake_request)
         with pytest.raises(extraction.RequestTimeoutError):
             generate(chat_config("http://unused.invalid", max_retries=1), "p")
         assert len(calls) == 2

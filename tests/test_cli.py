@@ -4,10 +4,7 @@
 from __future__ import annotations
 
 import json
-import threading
-from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
 from pathlib import Path
-from urllib.parse import parse_qs, urlparse
 
 import pytest
 
@@ -16,7 +13,7 @@ from textkg.cli import main
 from textkg.corpus import load_corpus
 from textkg.kgstore import load_kb
 
-from .conftest import DATA_DIR, GOLDEN_DIR
+from .conftest import DATA_DIR, GOLDEN_DIR, NEWS_PAYLOAD
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -352,6 +349,15 @@ class TestPipelineCommand:
         assert code == 1
         assert "stage 'corpus' failed" in stderr
 
+    def test_corrupt_link_cache_exits_1_without_traceback(self, capsys, data_copy):
+        (data_copy / "link_cache.json").write_bytes(b"\xff\xfe not a cache")
+        code, _, stderr = run(
+            capsys, "pipeline", "--config", str(data_copy / "pipeline_triples.json")
+        )
+        assert code == 1
+        assert stderr.startswith("error: stage 'link' failed: link cache")
+        assert "Traceback" not in stderr
+
     def test_config_error_exit_code(self, capsys, data_copy):
         config = data_copy / "pipeline_triples.json"
         data = json.loads(config.read_text())
@@ -362,70 +368,6 @@ class TestPipelineCommand:
         assert stderr.startswith("config error:")
 
 
-class NewsHandler(BaseHTTPRequestHandler):
-    def do_GET(self):
-        parsed = urlparse(self.path)
-        self.server.requests.append(
-            {"params": parse_qs(parsed.query), "headers": dict(self.headers)}
-        )
-        status, payload = self.server.script.pop(0) if self.server.script else (200, "{}")
-        data = payload.encode("utf-8")
-        self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
-        self.end_headers()
-        self.wfile.write(data)
-
-    def log_message(self, *args):
-        pass
-
-
-@pytest.fixture()
-def news_server():
-    httpd = ThreadingHTTPServer(("127.0.0.1", 0), NewsHandler)
-    httpd.requests = []
-    httpd.script = []
-    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
-    thread.start()
-    httpd.url = f"http://127.0.0.1:{httpd.server_port}/v2/everything"
-    yield httpd
-    httpd.shutdown()
-    thread.join(timeout=5)
-
-
-NEWS_PAYLOAD = json.dumps(
-    {
-        "articles": [
-            {
-                "url": "https://greenreport.example/soluna",
-                "title": "Soluna soaks up excess energy",
-                "content": "Soluna announced a plan in Kentucky.",
-                "publishedAt": "2023-02-20T08:00:00Z",
-                "source": {"name": "greenreport"},
-            },
-            {
-                "url": "https://greenreport.example/soluna",
-                "title": "duplicate url, dropped",
-                "content": "x",
-                "publishedAt": "2023-02-21T08:00:00Z",
-            },
-            {
-                "url": "https://cafejournal.example/starbucks",
-                "title": "No usable date",
-                "content": "x",
-                "publishedAt": "soonish",
-            },
-            {
-                "title": "No url either",
-                "description": "Body taken from the description field.",
-                "publishedAt": "2023-02-22",
-                "source": {"name": "wire"},
-            },
-        ]
-    }
-)
-
-
 class TestFetch:
     def fetch_args(self, url: str, out: Path) -> list[str]:
         return [
@@ -433,15 +375,15 @@ class TestFetch:
             "--from", "2023-02-01", "--to", "2023-03-01", "-o", str(out),
         ]
 
-    def test_writes_corpus_and_passes_query(self, capsys, news_server, tmp_path, monkeypatch):
+    def test_writes_corpus_and_passes_query(self, capsys, server, tmp_path, monkeypatch):
         monkeypatch.delenv("TEXTKG_NEWS_API_KEY", raising=False)
-        news_server.script.append((200, NEWS_PAYLOAD))
+        server.script.append((200, NEWS_PAYLOAD))
         out = tmp_path / "corpus.jsonl"
-        code, stdout, _ = run(capsys, *self.fetch_args(news_server.url, out))
+        code, stdout, _ = run(capsys, *self.fetch_args(server.url, out))
         assert code == 0
         assert "wrote 2 articles" in stdout
 
-        request = news_server.requests[0]
+        request = server.requests[0]
         assert request["params"]["q"] == ["sustainability"]
         assert request["params"]["from"] == ["2023-02-01"]
         assert request["params"]["to"] == ["2023-03-01"]
@@ -457,16 +399,16 @@ class TestFetch:
         assert articles[1].source_domain == "wire"
         assert articles[1].body == "Body taken from the description field."
 
-    def test_api_key_from_environment_only(self, capsys, news_server, tmp_path, monkeypatch):
+    def test_api_key_from_environment_only(self, capsys, server, tmp_path, monkeypatch):
         monkeypatch.setenv("TEXTKG_NEWS_API_KEY", "sekrit")
-        news_server.script.append((200, NEWS_PAYLOAD))
-        code, _, _ = run(capsys, *self.fetch_args(news_server.url, tmp_path / "c.jsonl"))
+        server.script.append((200, NEWS_PAYLOAD))
+        code, _, _ = run(capsys, *self.fetch_args(server.url, tmp_path / "c.jsonl"))
         assert code == 0
-        assert news_server.requests[0]["headers"]["X-Api-Key"] == "sekrit"
+        assert server.requests[0]["headers"]["X-Api-Key"] == "sekrit"
 
-    def test_http_error_is_stage_failure(self, capsys, news_server, tmp_path, monkeypatch):
+    def test_http_error_is_stage_failure(self, capsys, server, tmp_path, monkeypatch):
         monkeypatch.delenv("TEXTKG_NEWS_API_KEY", raising=False)
-        news_server.script.append((500, "{}"))
-        code, _, stderr = run(capsys, *self.fetch_args(news_server.url, tmp_path / "c.jsonl"))
+        server.script.append((500, "{}"))
+        code, _, stderr = run(capsys, *self.fetch_args(server.url, tmp_path / "c.jsonl"))
         assert code == 1
         assert stderr.startswith("error: fetch failed")

@@ -9,14 +9,18 @@ import pytest
 from textkg.corpus import (
     Article,
     DuplicateIdError,
+    FetchError,
     InvalidRangeError,
     MalformedRecordError,
     article_to_dict,
     corpus_report,
+    fetch_articles,
     filter_by_date,
     load_corpus,
     write_corpus,
 )
+
+from .conftest import NEWS_PAYLOAD
 
 GOOD_RECORD = {
     "id": "a1",
@@ -151,3 +155,66 @@ def test_filter_by_date_inclusive():
 def test_filter_by_date_rejects_inverted_range():
     with pytest.raises(InvalidRangeError):
         filter_by_date([], dt.date(2023, 3, 9), dt.date(2023, 3, 1))
+
+
+def fetch(server, **overrides):
+    kwargs = dict(
+        query="green bonds",
+        date_from=dt.date(2023, 2, 1),
+        date_to=dt.date(2023, 3, 1),
+        timeout=5,
+    )
+    kwargs.update(overrides)
+    return fetch_articles(server.url, **kwargs)
+
+
+class TestFetchArticles:
+    def test_query_parameters_and_api_key(self, server):
+        server.script = [(200, "{}")]
+        assert fetch(server, language="de", page_size=20, api_key="sekrit") == []
+        request = server.requests[0]
+        assert request["method"] == "GET"
+        assert request["params"] == {
+            "q": ["green bonds"],
+            "from": ["2023-02-01"],
+            "to": ["2023-03-01"],
+            "language": ["de"],
+            "pageSize": ["20"],
+        }
+        assert request["headers"]["X-Api-Key"] == "sekrit"
+
+    def test_no_api_key_header_without_key(self, server):
+        fetch(server)
+        assert "X-Api-Key" not in server.requests[0]["headers"]
+
+    def test_dedups_urls_and_skips_bad_dates(self, server, caplog):
+        server.script = [(200, NEWS_PAYLOAD)]
+        articles = fetch(server)
+        assert [a.id for a in articles] == ["https://greenreport.example/soluna", "article-0003"]
+        assert articles[0].published_at == dt.date(2023, 2, 20)
+        assert articles[0].title == "Soluna soaks up excess energy"
+        assert articles[1].source_domain == "wire"
+        assert "skipping fetched record 2: bad publishedAt" in caplog.text
+
+    @pytest.mark.parametrize(
+        "status, body, message",
+        [
+            (500, "{}", "HTTP 500"),
+            (200, "<html>not json</html>", "non-JSON"),
+            (200, "[]", "unexpected response shape"),
+            (200, '{"articles": 3}', "unexpected response shape"),
+        ],
+    )
+    def test_bad_responses_raise_fetch_error(self, server, status, body, message):
+        server.script = [(status, body)]
+        with pytest.raises(FetchError, match=message):
+            fetch(server)
+
+    def test_non_http_endpoint_raises_fetch_error(self):
+        with pytest.raises(FetchError, match="fetch failed"):
+            fetch_articles(
+                "file:///etc/passwd",
+                query="x",
+                date_from=dt.date(2023, 1, 1),
+                date_to=dt.date(2023, 1, 2),
+            )

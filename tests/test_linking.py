@@ -1,9 +1,15 @@
 from __future__ import annotations
 
 import json
+import random
+import sys
+import threading
+import time
+from collections import Counter
 
 import pytest
 
+from textkg.errors import TextkgError
 from textkg.extraction import Triplet
 from textkg.linking import (
     FileLookupClient,
@@ -16,7 +22,7 @@ from textkg.linking import (
     normalize_surface,
 )
 
-from .conftest import DATA_DIR
+from .conftest import DATA_DIR, GOLDEN_DIR
 
 SOLUNA_IRI = "http://dbpedia.org/resource/Soluna"
 
@@ -172,12 +178,12 @@ class TestLookupClientParsing:
         assert _ranked_results({"results": None}) == []
 
     def test_http_errors_become_unavailable(self, monkeypatch):
-        import requests as requests_module
+        from textkg import transport
 
         def boom(*args, **kwargs):
-            raise requests_module.ConnectionError("refused")
+            raise transport.TransportError("refused")
 
-        monkeypatch.setattr("textkg.linking.requests.get", boom)
+        monkeypatch.setattr(transport, "request", boom)
         client = LookupClient("http://lookup.invalid/api")
         with pytest.raises(LookupUnavailableError):
             client.lookup("soluna")
@@ -262,3 +268,126 @@ class TestCanonicalize:
         rewritten, entity_table = canonicalize(triplets, client, match="prefix")
         assert {t.subject for t in rewritten} == {"Seattle"}
         assert entity_table["Seattle"].canonical_iri == "http://e/S"
+
+
+def golden_triplets() -> list[Triplet]:
+    rows = (GOLDEN_DIR / "triples" / "triples.jsonl").read_text(encoding="utf-8").splitlines()
+    return [Triplet(r["subject"], r["predicate"], r["object"]) for r in map(json.loads, rows)]
+
+
+def shared_iri_case() -> tuple[list[Triplet], dict[str, list[dict]]]:
+    """Many surfaces over few IRIs, each surface's service label differing."""
+    rng = random.Random(7)
+    surfaces = [f"{name}{suffix}" for name in ("Acme", "Globex", "Initech") for suffix in ("", " Inc", " Corp", " Ltd")]
+    surfaces += [f"concept {n}" for n in range(30)]
+    table = {
+        normalize_surface(s): [{"uri": f"http://e/{s.split()[0]}", "label": s.upper()}]
+        for s in surfaces
+        if not s.startswith("concept 1")
+    }
+    triplets = [
+        Triplet(rng.choice(surfaces), "p", rng.choice(surfaces).swapcase() if rng.random() < 0.3 else rng.choice(surfaces))
+        for _ in range(300)
+    ]
+    return triplets, table
+
+
+class CountingCache(LinkCache):
+    """LinkCache counting puts per key under a lock."""
+
+    def __init__(self):
+        super().__init__()
+        self.puts: Counter[str] = Counter()
+        self._lock = threading.Lock()
+
+    def put(self, surface, iri, label, now=None):
+        with self._lock:
+            self.puts[normalize_surface(surface)] += 1
+        super().put(surface, iri, label, now)
+
+
+class SlowFailingClient(FakeClient):
+    """Every lookup fails after a delay, like a dead endpoint timing out."""
+
+    def lookup(self, query: str) -> list[dict]:
+        self.calls.append(query)
+        time.sleep(0.01)
+        raise LookupUnavailableError("scripted outage")
+
+
+class TestConcurrentCanonicalize:
+    @pytest.mark.parametrize("case", ["fixture", "shared_iris"])
+    def test_workers_do_not_change_result(self, case):
+        if case == "fixture":
+            triplets, client_for = golden_triplets(), lambda: FileLookupClient(DATA_DIR / "lookup_fixture.json")
+            match = "exact"
+        else:
+            triplets, table = shared_iri_case()
+            client_for, match = (lambda: FakeClient(table)), "prefix"
+        results = []
+        for workers in (1, 4):
+            cache = LinkCache()
+            rewritten, entities = canonicalize(triplets, client_for(), cache, match=match, now=0.0, workers=workers)
+            results.append((rewritten, list(entities.items()), cache.entries))
+        assert results[0] == results[1]
+        if case == "shared_iris":
+            # dozens of linked surfaces collapse onto the Acme, Globex, Initech and concept IRIs
+            assert sum(e.canonical_iri is not None for _, e in results[0][1]) == 4
+
+    def test_each_normalized_surface_looked_up_once(self):
+        triplets, table = shared_iri_case()
+        client = FakeClient(table)
+        canonicalize(triplets, client, workers=4)
+        expected = {normalize_surface(s) for t in triplets for s in (t.subject, t.object)}
+        assert Counter(client.calls) == Counter(expected)
+
+    def test_stress_shared_cache(self):
+        triplets = [Triplet(f"Entity {n}", "p", f"Thing {n % 97}") for n in range(600)]
+        expected = {normalize_surface(s) for t in triplets for s in (t.subject, t.object)}
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 2.0
+            rounds = 0
+            while rounds < 5 and time.monotonic() < deadline:
+                cache = CountingCache()
+                client = FakeClient()
+                rewritten, _ = canonicalize(triplets, client, cache, workers=8)
+                assert len(rewritten) == len(triplets)
+                assert set(cache.entries) == expected
+                assert set(cache.puts.values()) == {1}
+                assert sorted(client.calls) == sorted(expected)
+                rounds += 1
+        finally:
+            sys.setswitchinterval(previous)
+        assert rounds >= 1
+
+    def test_abort_cancels_pending_lookups(self):
+        triplets = [Triplet(f"Entity {n}", "p", f"Thing {n}") for n in range(100)]
+        client = SlowFailingClient()
+        workers = 4
+        with pytest.raises(LookupUnavailableError):
+            canonicalize(triplets, client, on_error="abort", workers=workers)
+        # the failing lookups, plus at most one more started by each worker
+        assert len(client.calls) <= 2 * workers
+
+    def test_fallback_outage_still_resolves_every_surface(self):
+        triplets = [Triplet(f"Entity {n}", "p", "Thing") for n in range(20)]
+        client = FakeClient(fail=True)
+        rewritten, table = canonicalize(triplets, client, workers=4)
+        assert len(rewritten) == 20
+        assert len(client.calls) == 21
+        assert all(e.status == "unlinked" for e in table.values())
+
+
+class TestLinkCacheCorruption:
+    @pytest.mark.parametrize(
+        "raw",
+        [b"{not json", b'{"caf\xe9": 1}', b"[]", b'{"soluna": {"iri": null}}', b'{"soluna": 3}'],
+        ids=["invalid-json", "not-utf8", "list-root", "entry-without-time", "non-object-entry"],
+    )
+    def test_corrupt_file_is_textkg_error_naming_it(self, tmp_path, raw):
+        path = tmp_path / "link_cache.json"
+        path.write_bytes(raw)
+        with pytest.raises(TextkgError, match="link_cache.json"):
+            LinkCache.load(path)

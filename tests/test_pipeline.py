@@ -328,6 +328,12 @@ class TestRunPipeline:
         assert info.value.stage == "corpus"
         assert isinstance(info.value.cause, TextkgError)
 
+    def test_corrupt_link_cache_fails_in_link_stage(self, data_copy):
+        (data_copy / "link_cache.json").write_text("{truncated", encoding="utf-8")
+        with pytest.raises(StageError, match="link_cache.json") as info:
+            run_pipeline(data_copy / "pipeline_triples.json")
+        assert info.value.stage == "link"
+
     def test_missing_generation_fails_in_extract_stage(self, data_copy):
         fixtures = sorted((data_copy / "replay_triples").glob("*.txt"))
         fixtures[0].unlink()
