@@ -33,6 +33,8 @@ BACKEND_KINDS = ("seq2seq_tokens", "chat_triples", "chat_ontology", "replay")
 REPLAY_MODES = ("seq2seq", "triples", "ontology")
 DEFAULT_SEED_CONCEPTS = ("organizations", "actions", "practices", "policies")
 RETRY_BACKOFF_SECONDS = 0.5
+# a 429/503 asking for a longer wait than this fails instead of stalling the run
+MAX_RETRY_AFTER_SECONDS = 60
 
 # patchable in tests so retry paths run without real delays
 _sleep = time.sleep
@@ -359,6 +361,12 @@ def _post_with_retry(
             logger.warning(
                 "attempt %d got HTTP %d (%s)", attempt + 1, response.status, config.backend_id
             )
+            if retry_after > MAX_RETRY_AFTER_SECONDS:
+                logger.warning(
+                    "Retry-After %ds exceeds %ds, giving up (%s)",
+                    retry_after, MAX_RETRY_AFTER_SECONDS, config.backend_id,
+                )
+                raise last_error
             continue
         if response.status >= 400:
             raise HttpError(response.status, _excerpt(response.text, 200))

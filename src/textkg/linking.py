@@ -10,7 +10,7 @@ from __future__ import annotations
 import json
 import logging
 import time
-from concurrent.futures import FIRST_EXCEPTION, ThreadPoolExecutor, wait
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -93,11 +93,14 @@ class LinkCache:
         except (OSError, ValueError) as exc:
             raise TextkgError(f"link cache {path} is unreadable: {exc}") from exc
         if not isinstance(entries, dict) or not all(
-            isinstance(entry, dict) and isinstance(entry.get("fetched_at"), (int, float))
+            isinstance(entry, dict)
+            and isinstance(entry.get("fetched_at"), (int, float))
+            and all(key in entry and isinstance(entry[key], (str, type(None))) for key in ("iri", "label"))
             for entry in entries.values()
         ):
             raise TextkgError(
-                f"link cache {path} must be a JSON object of entries with a numeric fetched_at"
+                f"link cache {path} must be a JSON object of entries with a string or null"
+                " iri and label and a numeric fetched_at"
             )
         return cls(entries=entries, ttl_seconds=ttl_seconds)
 
@@ -264,13 +267,8 @@ def canonicalize(
 
     if workers > 1:
         with ThreadPoolExecutor(max_workers=workers) as pool:
-            futures = [pool.submit(resolve, surface) for surface in surfaces.values()]
-            done, _ = wait(futures, return_when=FIRST_EXCEPTION)
-            if any(future.exception() is not None for future in done):
-                pool.shutdown(cancel_futures=True)
-            # pending lookups queue behind started ones, so a failed future
-            # comes before any cancelled one and .result() raises it first
-            entities = [future.result() for future in futures]
+            # map cancels the pending lookups once a result it yields raises
+            entities = list(pool.map(resolve, surfaces.values()))
     else:
         entities = [resolve(surface) for surface in surfaces.values()]
     resolved = dict(zip(surfaces, entities))

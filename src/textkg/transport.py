@@ -1,7 +1,8 @@
 """The one place textkg opens network connections: a small stdlib HTTP client.
 
 Every HTTP status comes back as a ``Response``; only failures to get one
-raise. Each request opens its own connection and closes it with the
+raise. Redirects are followed, but ``Authorization`` and ``X-Api-Key`` are
+not sent on to another origin (scheme, host and port). Each request opens its own connection and closes it with the
 response. TLS verifies against the system trust store (``SSL_CERT_FILE``
 and ``SSL_CERT_DIR`` are honoured), and ``*_PROXY`` / ``NO_PROXY`` apply as
 set when the process makes its first request.
@@ -23,6 +24,7 @@ from .errors import TextkgError
 
 USER_AGENT = f"textkg/{__version__}"
 SCHEMES = ("http", "https")
+CREDENTIAL_HEADERS = ("authorization", "x-api-key")
 
 
 class TransportError(TextkgError):
@@ -44,6 +46,26 @@ class Response:
         return self.body.decode("utf-8", errors="replace")
 
 
+class _RedirectHandler(urllib.request.HTTPRedirectHandler):
+    """Follows redirects, dropping credentials when the origin changes.
+
+    The stock handler copies every header to the new request, so a redirect
+    to another host, port or scheme would hand it the API key.
+    """
+
+    def redirect_request(self, req, fp, code, msg, headers, newurl):
+        new = super().redirect_request(req, fp, code, msg, headers, newurl)
+        if new is not None and _origin(new.full_url) != _origin(req.full_url):
+            for name in [name for name in new.headers if name.lower() in CREDENTIAL_HEADERS]:
+                new.remove_header(name)
+        return new
+
+
+def _origin(url: str) -> tuple[str, str | None, int | None]:
+    parts = urlsplit(url)
+    return parts.scheme.lower(), parts.hostname, parts.port
+
+
 @functools.cache
 def _opener() -> urllib.request.OpenerDirector:
     # built once: reading the proxy environment and registering handlers
@@ -54,7 +76,7 @@ def _opener() -> urllib.request.OpenerDirector:
         urllib.request.ProxyHandler(),
         urllib.request.HTTPHandler(),
         urllib.request.HTTPSHandler(),
-        urllib.request.HTTPRedirectHandler(),
+        _RedirectHandler(),
         urllib.request.HTTPDefaultErrorHandler(),
         urllib.request.HTTPErrorProcessor(),
     ):

@@ -79,7 +79,10 @@ class RecordingHandler(BaseHTTPRequestHandler):
         for name, value in headers.items():
             self.send_header(name, value)
         self.end_headers()
-        self.wfile.write(data)
+        try:
+            self.wfile.write(data)
+        except (BrokenPipeError, ConnectionResetError):
+            pass  # the client stopped waiting (timeout tests)
 
     do_GET = do_POST = _handle
 
@@ -90,6 +93,16 @@ class RecordingHandler(BaseHTTPRequestHandler):
 @pytest.fixture()
 def server():
     """Loopback HTTP server with a scripted RecordingHandler; url ends in /v1."""
+    yield from _serve()
+
+
+@pytest.fixture()
+def other_server():
+    """A second, independent ``server``, for requests that cross origins."""
+    yield from _serve()
+
+
+def _serve():
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), RecordingHandler)
     httpd.requests = []
     httpd.script = []

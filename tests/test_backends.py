@@ -87,6 +87,21 @@ class TestChatBackend:
         # max(backoff, Retry-After); a 500's Retry-After is not a 429/503's
         assert fast_sleep == [7, 1.0, 2.0]
 
+    def test_retry_after_up_to_the_cap_is_slept(self, server, fast_sleep):
+        cap = str(extraction.MAX_RETRY_AFTER_SECONDS)
+        server.script = [(503, "busy", {"Retry-After": cap}), (200, CHAT_OK)]
+        assert generate(chat_config(server.url), "p") == "A | b | C"
+        assert fast_sleep == [extraction.MAX_RETRY_AFTER_SECONDS]
+
+    def test_retry_after_over_the_cap_fails_without_sleeping(self, server, fast_sleep):
+        too_long = str(extraction.MAX_RETRY_AFTER_SECONDS + 1)
+        server.script = [(429, "slow down", {"Retry-After": too_long}), (200, CHAT_OK)]
+        with pytest.raises(HttpError) as exc_info:
+            generate(chat_config(server.url), "p")
+        assert exc_info.value.status == 429
+        assert len(server.requests) == 1
+        assert fast_sleep == []
+
     @pytest.mark.parametrize("value", ["-3", "1.5", "soon", "Wed, 21 Oct 2026 07:28:00 GMT"])
     def test_unusable_retry_after_falls_back_to_backoff(self, server, fast_sleep, value):
         server.script = [(429, "slow down", {"Retry-After": value}), (200, CHAT_OK)]

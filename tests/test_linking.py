@@ -383,8 +383,26 @@ class TestConcurrentCanonicalize:
 class TestLinkCacheCorruption:
     @pytest.mark.parametrize(
         "raw",
-        [b"{not json", b'{"caf\xe9": 1}', b"[]", b'{"soluna": {"iri": null}}', b'{"soluna": 3}'],
-        ids=["invalid-json", "not-utf8", "list-root", "entry-without-time", "non-object-entry"],
+        [
+            b"{not json",
+            b'{"caf\xe9": 1}',
+            b"[]",
+            b'{"soluna": {"iri": null}}',
+            b'{"soluna": 3}',
+            b'{"soluna": {"fetched_at": 1700000000}}',
+            b'{"soluna": {"iri": 3, "label": null, "fetched_at": 1700000000}}',
+            b'{"soluna": {"iri": null, "label": ["x"], "fetched_at": 1700000000}}',
+        ],
+        ids=[
+            "invalid-json",
+            "not-utf8",
+            "list-root",
+            "entry-without-time",
+            "non-object-entry",
+            "entry-without-iri-or-label",
+            "non-string-iri",
+            "non-string-label",
+        ],
     )
     def test_corrupt_file_is_textkg_error_naming_it(self, tmp_path, raw):
         path = tmp_path / "link_cache.json"

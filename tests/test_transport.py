@@ -98,6 +98,32 @@ def test_request_bytes_and_headers(server):
     assert sent["headers"]["Authorization"] == "Bearer k"
 
 
+@pytest.mark.parametrize("method", ["GET", "POST"])
+def test_redirect_to_other_origin_drops_credentials(server, other_server, method):
+    server.script = [(302, "", {"Location": f"{other_server.url}/next"})]
+    other_server.script = [(200, '{"ok": true}')]
+    credentials = {"Authorization": "Bearer k", "X-Api-Key": "n"}
+    response = transport.request(
+        method, server.url, json_body={} if method == "POST" else None, headers=credentials, timeout=5
+    )
+    assert response.status == 200
+    assert server.requests[0]["headers"]["Authorization"] == "Bearer k"
+    assert server.requests[0]["headers"]["X-Api-Key"] == "n"
+    followed = other_server.requests[0]
+    assert followed["path"] == "/v1/next"
+    assert "Authorization" not in followed["headers"]
+    assert "X-Api-Key" not in followed["headers"]
+    assert followed["headers"]["User-Agent"] == f"textkg/{__version__}"
+
+
+def test_redirect_within_origin_keeps_credentials(server):
+    server.script = [(302, "", {"Location": "/v1/next"}), (200, "{}")]
+    response = transport.request("GET", server.url, headers={"Authorization": "Bearer k"}, timeout=5)
+    assert response.status == 200
+    assert [sent["path"] for sent in server.requests] == ["/v1", "/v1/next"]
+    assert server.requests[1]["headers"]["Authorization"] == "Bearer k"
+
+
 def test_params_join_existing_query(server):
     transport.request("GET", f"{server.url}?a=1", params={"query": "green bonds", "n": "5"}, timeout=5)
     sent = server.requests[0]
