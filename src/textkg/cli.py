@@ -7,6 +7,7 @@ read from the environment only, never from flags or files.
 from __future__ import annotations
 
 import argparse
+import dataclasses
 import datetime as dt
 import json
 import logging
@@ -15,21 +16,25 @@ import sys
 from pathlib import Path
 
 from . import __version__
-from .chunking import chunk, whitespace_tokenize
 from .corpus import fetch_articles, load_corpus, write_corpus
 from .errors import ConfigError, TextkgError
 from .export import ExportOptions, export_graph
-from .extraction import RateLimiter, build_prompt, extract_article, generate
-from .kgstore import load_kb, merge, save_kb, stats, top_relations
-from .linking import LinkCache, canonicalize
-from .pipeline import load_config, make_lookup_client, run_pipeline
-from .quality import (
-    QualityConfig,
-    evaluate,
-    load_lexicon,
-    render_report,
-    save_report,
+from .extraction import Triplet
+from .kgstore import load_kb, merge, provenance_from_row, stats, top_relations
+from .pipeline import (
+    PipelineConfig,
+    chunk_stage,
+    corpus_stage,
+    extract_stage,
+    kb_stage,
+    link_stage,
+    load_config,
+    load_quality_config,
+    make_completer,
+    ontology_stage,
+    run_pipeline,
 )
+from .quality import QualityConfig, evaluate, render_report, save_report
 from .rdf import (
     build_repair_prompt,
     ontology_to_kb,
@@ -48,6 +53,22 @@ def _parse_iso_date(value: str) -> dt.date:
         return dt.date.fromisoformat(value)
     except ValueError as exc:
         raise argparse.ArgumentTypeError(str(exc))
+
+
+def _int_at_least(minimum: int):
+    def parse(value: str) -> int:
+        try:
+            number = int(value)
+        except ValueError:
+            raise argparse.ArgumentTypeError(f"invalid integer: {value!r}")
+        if number < minimum:
+            raise argparse.ArgumentTypeError(f"must be at least {minimum}, got {number}")
+        return number
+
+    return parse
+
+
+_positive_int = _int_at_least(1)
 
 
 def _add_config_argument(parser: argparse.ArgumentParser) -> None:
@@ -72,12 +93,12 @@ def build_parser() -> argparse.ArgumentParser:
     fetch.add_argument("--from", dest="date_from", required=True, type=_parse_iso_date)
     fetch.add_argument("--to", dest="date_to", required=True, type=_parse_iso_date)
     fetch.add_argument("--language", default="en")
-    fetch.add_argument("--page-size", type=int, default=100)
+    fetch.add_argument("--page-size", type=_positive_int, default=100)
     fetch.add_argument("-o", "--output", required=True)
 
     chunk_cmd = commands.add_parser("chunk", help="split corpus articles into token batches")
     chunk_cmd.add_argument("corpus")
-    chunk_cmd.add_argument("--batch-size", type=int, default=256)
+    chunk_cmd.add_argument("--batch-size", type=_positive_int, default=256)
     chunk_cmd.add_argument("-o", "--output", required=True)
 
     extract = commands.add_parser("extract", help="run a backend over the corpus")
@@ -110,7 +131,7 @@ def build_parser() -> argparse.ArgumentParser:
     repair.add_argument("file")
     _add_config_argument(repair)
     repair.add_argument("--backend", required=True)
-    repair.add_argument("--max-attempts", type=int, default=3)
+    repair.add_argument("--max-attempts", type=_positive_int, default=3)
     repair.add_argument("-o", "--output", required=True)
 
     eval_cmd = commands.add_parser("eval", help="score a KB against the quality principles")
@@ -125,14 +146,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     top = commands.add_parser("top-relations", help="print the most frequent predicates")
     top.add_argument("kb")
-    top.add_argument("-k", type=int, default=10)
+    top.add_argument("-k", type=_positive_int, default=10)
 
     export = commands.add_parser("export", help="render a KB to a graph format")
     export.add_argument("kb")
     export.add_argument("--format", required=True, choices=("dot", "graphml", "json"))
-    export.add_argument("--max-nodes", type=int, default=150)
+    export.add_argument("--max-nodes", type=_positive_int, default=150)
     export.add_argument("--seed", default=None)
-    export.add_argument("--radius", type=int, default=2)
+    export.add_argument("--radius", type=_int_at_least(0), default=2)
     export.add_argument("-o", "--output", default=None, help="default: stdout")
 
     pipeline = commands.add_parser("pipeline", help="run the full pipeline from a config file")
@@ -157,158 +178,70 @@ def _cmd_fetch(args) -> int:
 
 
 def _cmd_chunk(args) -> int:
-    articles = load_corpus(args.corpus)
-    count = 0
-    with Path(args.output).open("w", encoding="utf-8") as handle:
-        for article in articles:
-            for batch in chunk(article, whitespace_tokenize, args.batch_size):
-                row = {
-                    "article_id": batch.article_id,
-                    "batch_index": batch.batch_index,
-                    "token_start": batch.token_start,
-                    "token_end": batch.token_end,
-                    "text": batch.text,
-                }
-                handle.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
-                count += 1
-    print(f"wrote {count} batches to {args.output}")
+    counts = chunk_stage(load_corpus(args.corpus), args.batch_size, Path(args.output))
+    print(f"wrote {counts['batches']} batches to {args.output}")
     return 0
 
 
-def _triplet_rows(triplets) -> list[dict]:
-    rows = []
-    for t in triplets:
-        provenance = []
-        if t.provenance is not None:
-            provenance.append(
-                {
-                    "article_id": t.provenance.article_id,
-                    "batch_index": t.provenance.batch_index,
-                    "backend_id": t.provenance.backend_id,
-                }
-            )
-        rows.append(
-            {"subject": t.subject, "predicate": t.predicate, "object": t.object, "provenance": provenance}
-        )
-    return rows
-
-
-def _cmd_extract(args) -> int:
+def _config_for_backend(args) -> PipelineConfig:
+    """The --config file with --backend as its backend."""
     config = load_config(args.config)
     if args.backend not in config.backends:
         raise ConfigError(f"backend {args.backend!r} is not in the config's backends table")
-    backend = config.backends[args.backend]
-    articles = load_corpus(config.resolve(config.corpus))
-    limiter = RateLimiter(config.rate_limit_per_second) if config.rate_limit_per_second else None
-    on_batch_error = args.on_batch_error or config.on_batch_error
+    return dataclasses.replace(config, backend_id=args.backend)
 
+
+def _cmd_extract(args) -> int:
+    config = _config_for_backend(args)
+    if args.on_batch_error:
+        config = dataclasses.replace(config, on_batch_error=args.on_batch_error)
+    articles, _ = corpus_stage(config)
     if args.mode == "triples":
-        rows: list[dict] = []
-        emitted = skipped = 0
-        for article in articles:
-            triplets, report = extract_article(
-                article,
-                backend,
-                whitespace_tokenize,
-                batch_size=config.batch_size,
-                on_batch_error=on_batch_error,
-                limiter=limiter,
-            )
-            rows.extend(_triplet_rows(triplets))
-            emitted += report.triplets_emitted
-            skipped += report.segments_skipped
-        with Path(args.output).open("w", encoding="utf-8") as handle:
-            for row in rows:
-                handle.write(json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n")
-        print(f"wrote {emitted} triplets to {args.output} ({skipped} segments skipped)")
+        _, counts = extract_stage(config, articles, Path(args.output))
+        print(
+            f"wrote {counts['triplets_parsed']} triplets to {args.output}"
+            f" ({counts['segments_skipped']} segments skipped)"
+        )
         return 0
-
-    out_dir = Path(args.output)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    invalid = 0
-    for article in articles:
-        if not article.body.split():
-            continue
-        output = generate(backend, build_prompt(article.body, "ontology"), limiter=limiter)
-        doc, report = validate_text(output)
-        name = "".join(c if c.isalnum() or c in "._-" else "_" for c in article.id)
-        (out_dir / f"{name}.ttl").write_text(output, encoding="utf-8")
-        with (out_dir / f"{name}.report.json").open("w", encoding="utf-8") as handle:
-            json.dump(report.to_dict(), handle, ensure_ascii=False, indent=2, sort_keys=True)
-            handle.write("\n")
-        if not report.ok:
-            invalid += 1
-    print(f"wrote ontologies to {out_dir} ({invalid} invalid; see repair)")
+    _, counts = ontology_stage(config, articles, Path(args.output))
+    print(
+        f"wrote {counts['documents']} ontologies to {args.output}"
+        f" ({counts['valid_documents']} valid, {counts['repair_attempts']} repair attempt(s))"
+    )
     return 0
 
 
-def _load_triples_file(path: str):
-    from .extraction import Provenance, Triplet
-
+def _load_triples_file(path: str) -> list[Triplet]:
     triplets = []
+    number = 0
     with Path(path).open(encoding="utf-8") as handle:
-        for line in handle:
-            if not line.strip():
-                continue
-            row = json.loads(line)
-            provenance_list = row.get("provenance") or [None]
-            for provenance in provenance_list:
-                triplets.append(
-                    Triplet(
-                        row["subject"],
-                        row["predicate"],
-                        row["object"],
-                        Provenance(
-                            provenance["article_id"],
-                            provenance.get("batch_index"),
-                            provenance["backend_id"],
-                        )
-                        if provenance
-                        else None,
-                    )
-                )
+        try:
+            for number, line in enumerate(handle, 1):
+                if not line.strip():
+                    continue
+                row = json.loads(line)
+                key = (row["subject"], row["predicate"], row["object"])
+                for provenance in row.get("provenance") or [None]:
+                    stamp = provenance_from_row(provenance) if provenance else None
+                    triplets.append(Triplet(*key, stamp))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise TextkgError(f"{path}, line {number}: not a triple row: {exc!r}") from exc
     return triplets
 
 
 def _cmd_link(args) -> int:
     config = load_config(args.config)
-    triplets = _load_triples_file(args.triples)
-    client = make_lookup_client(config.linking, config.resolve)
-    cache = (
-        LinkCache.load(config.resolve(config.linking.cache_path))
-        if config.linking.cache_path
-        else None
-    )
-    linked, table = canonicalize(
-        triplets,
-        client,
-        cache,
-        match=config.linking.match,
-        on_error=config.linking.on_error,
-        workers=config.workers,
-    )
-    if cache is not None and config.linking.cache_path:
-        cache.save(config.resolve(config.linking.cache_path))
-    from .kgstore import KnowledgeBase, add_triples
-
-    kb = add_triples(KnowledgeBase(link_config=config.linking.identity()), linked)
-    for label, entity in table.items():
-        kb.add_entity(label)
-        if entity.canonical_iri is not None:
-            kb.entity_links[label] = entity.canonical_iri
-    save_kb(kb, args.output)
-    linked_count = sum(1 for entity in table.values() if entity.canonical_iri)
-    print(f"wrote KB to {args.output} ({len(table)} entities, {linked_count} linked)")
+    kb, counts = link_stage(config, _load_triples_file(args.triples))
+    kb_stage(kb, Path(args.output))
+    print(f"wrote KB to {args.output} ({counts['entities']} entities, {counts['linked']} linked)")
     return 0
 
 
 def _cmd_merge(args) -> int:
-    result = merge(load_kb(args.kb_a), load_kb(args.kb_b))
-    save_kb(result, args.output)
-    kb_stats = stats(result)
+    counts = kb_stage(merge(load_kb(args.kb_a), load_kb(args.kb_b)), Path(args.output))
     print(
         f"wrote merged KB to {args.output} "
-        f"({kb_stats.entity_count} entities, {kb_stats.triple_count} triples)"
+        f"({counts['entities']} entities, {counts['triples']} triples)"
     )
     return 0
 
@@ -338,17 +271,13 @@ def _cmd_ttl2kb(args) -> int:
         raise TextkgError(f"{args.file} is not a valid ontology; run validate or repair first")
     source_id = args.source_id if args.source_id is not None else Path(args.file).stem
     kb = ontology_to_kb(doc, source_id=source_id, backend_id=args.backend_id)
-    save_kb(kb, args.output)
-    kb_stats = stats(kb)
-    print(f"wrote KB to {args.output} ({kb_stats.triple_count} triples)")
+    counts = kb_stage(kb, Path(args.output))
+    print(f"wrote KB to {args.output} ({counts['triples']} triples)")
     return 0
 
 
 def _cmd_repair(args) -> int:
-    config = load_config(args.config)
-    if args.backend not in config.backends:
-        raise ConfigError(f"backend {args.backend!r} is not in the config's backends table")
-    backend = config.backends[args.backend]
+    config = _config_for_backend(args)
     text = Path(args.file).read_text(encoding="utf-8")
     doc, report = validate_text(text)
     if report.ok and doc is not None:
@@ -356,9 +285,7 @@ def _cmd_repair(args) -> int:
         print(f"{args.file} is already valid; wrote normalized copy to {args.output}")
         return 0
     doc, attempts = repair_until_valid(
-        build_repair_prompt(text, report),
-        lambda prompt: generate(backend, prompt),
-        args.max_attempts,
+        build_repair_prompt(text, report), make_completer(config), args.max_attempts
     )
     if doc is None:
         raise TextkgError(f"still invalid after {len(attempts)} repair attempt(s)")
@@ -368,24 +295,8 @@ def _cmd_repair(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    kb = load_kb(args.kb)
-    articles = load_corpus(args.corpus)
-    if args.config:
-        with Path(args.config).open(encoding="utf-8") as handle:
-            raw = json.load(handle)
-        kwargs = {
-            "conciseness_max_tokens": raw.get("conciseness_max_tokens", 4),
-            "functional_predicates": tuple(raw.get("functional_predicates", ())),
-        }
-        if raw.get("domain_lexicon_file"):
-            kwargs["domain_lexicon"] = load_lexicon(raw["domain_lexicon_file"])
-        try:
-            config = QualityConfig(**kwargs)
-        except (TypeError, ValueError) as exc:
-            raise ConfigError(f"quality config: {exc}") from exc
-    else:
-        config = QualityConfig()
-    report = evaluate(kb, articles, config)
+    config = load_quality_config(args.config) if args.config else QualityConfig()
+    report = evaluate(load_kb(args.kb), load_corpus(args.corpus), config)
     if args.output:
         save_report(report, args.output)
         print(f"wrote quality report to {args.output}")

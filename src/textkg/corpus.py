@@ -165,11 +165,19 @@ def write_corpus(articles: list[Article], path: str | Path) -> None:
             handle.write("\n")
 
 
-def filter_by_date(articles: list[Article], date_from: dt.date, date_to: dt.date) -> list[Article]:
-    """Keep articles with date_from <= published_at <= date_to, preserving order."""
-    if date_from > date_to:
+def filter_by_date(
+    articles: list[Article], date_from: dt.date | None, date_to: dt.date | None
+) -> list[Article]:
+    """Keep articles with date_from <= published_at <= date_to, preserving
+    order. A bound that is None leaves that side of the window open."""
+    if date_from and date_to and date_from > date_to:
         raise InvalidRangeError(f"empty date window: {date_from} > {date_to}")
-    return [a for a in articles if date_from <= a.published_at <= date_to]
+    return [
+        a
+        for a in articles
+        if (date_from is None or date_from <= a.published_at)
+        and (date_to is None or a.published_at <= date_to)
+    ]
 
 
 def fetch_articles(

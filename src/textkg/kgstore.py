@@ -10,10 +10,11 @@ from __future__ import annotations
 
 import json
 from collections import Counter
+from collections.abc import Iterable
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .errors import ConfigMismatchError
+from .errors import ConfigMismatchError, TextkgError
 from .extraction import Provenance, Triplet
 
 Key = tuple[str, str, str]
@@ -60,22 +61,7 @@ class KnowledgeBase:
             "entities": sorted(self.entities),
             "predicates": sorted(self.predicates),
             "entity_links": dict(sorted(self.entity_links.items())),
-            "triples": [
-                {
-                    "subject": subject,
-                    "predicate": predicate,
-                    "object": obj,
-                    "provenance": [
-                        {
-                            "article_id": p.article_id,
-                            "batch_index": p.batch_index,
-                            "backend_id": p.backend_id,
-                        }
-                        for p in provenance_list
-                    ],
-                }
-                for (subject, predicate, obj), provenance_list in sorted(self.triples.items())
-            ],
+            "triples": [triple_row(key, value) for key, value in sorted(self.triples.items())],
         }
 
     @classmethod
@@ -87,14 +73,30 @@ class KnowledgeBase:
         kb.entity_links.update(data.get("entity_links", {}))
         for item in data.get("triples", []):
             key = (item["subject"], item["predicate"], item["object"])
-            kb.triples[key] = [
-                Provenance(p["article_id"], p.get("batch_index"), p["backend_id"])
-                for p in item.get("provenance", [])
-            ]
+            kb.triples[key] = [provenance_from_row(p) for p in item.get("provenance", [])]
             kb.entities.add(key[0])
             kb.entities.add(key[2])
             kb.predicates.add(key[1])
         return kb
+
+
+def triple_row(key: Key, provenance: Iterable[Provenance]) -> dict:
+    """A triple and its provenance as one row of kb.json or triples.jsonl."""
+    subject, predicate, obj = key
+    return {
+        "subject": subject,
+        "predicate": predicate,
+        "object": obj,
+        "provenance": [
+            {"article_id": p.article_id, "batch_index": p.batch_index, "backend_id": p.backend_id}
+            for p in provenance
+        ],
+    }
+
+
+def provenance_from_row(row: dict) -> Provenance:
+    """Inverse of one provenance entry of triple_row."""
+    return Provenance(row["article_id"], row.get("batch_index"), row["backend_id"])
 
 
 @dataclass(frozen=True)
@@ -103,7 +105,6 @@ class KBStats:
     predicate_count: int
     triple_count: int
     isolated_entity_count: int
-    top_relations: tuple[tuple[str, int], ...]
 
 
 def add_triples(kb: KnowledgeBase, triplets: list[Triplet]) -> KnowledgeBase:
@@ -112,11 +113,6 @@ def add_triples(kb: KnowledgeBase, triplets: list[Triplet]) -> KnowledgeBase:
     for triplet in triplets:
         result.add_triple(triplet)
     return result
-
-
-def _relation_frequencies(kb: KnowledgeBase) -> list[tuple[str, int]]:
-    counts = Counter(predicate for (_, predicate, _) in kb.triples)
-    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))
 
 
 def stats(kb: KnowledgeBase) -> KBStats:
@@ -129,7 +125,6 @@ def stats(kb: KnowledgeBase) -> KBStats:
         predicate_count=len(kb.predicates),
         triple_count=len(kb.triples),
         isolated_entity_count=len(kb.entities - connected),
-        top_relations=tuple(_relation_frequencies(kb)),
     )
 
 
@@ -137,7 +132,8 @@ def top_relations(kb: KnowledgeBase, k: int) -> list[tuple[str, int]]:
     """Top-k predicates by triple frequency, ties broken lexicographically."""
     if k < 1:
         raise ValueError("k must be at least 1")
-    return _relation_frequencies(kb)[:k]
+    counts = Counter(predicate for (_, predicate, _) in kb.triples)
+    return sorted(counts.items(), key=lambda item: (-item[1], item[0]))[:k]
 
 
 def merge(kb1: KnowledgeBase, kb2: KnowledgeBase) -> KnowledgeBase:
@@ -173,8 +169,12 @@ def save_kb(kb: KnowledgeBase, path: str | Path) -> None:
 
 
 def load_kb(path: str | Path) -> KnowledgeBase:
+    """Read a KB written by save_kb; a malformed file is a TextkgError."""
     with Path(path).open(encoding="utf-8") as handle:
-        return KnowledgeBase.from_dict(json.load(handle))
+        try:
+            return KnowledgeBase.from_dict(json.load(handle))
+        except (ValueError, KeyError, TypeError, AttributeError) as exc:
+            raise TextkgError(f"{path} is not a KB file: {exc!r}") from exc
 
 
 def comparison_table(named_kbs: list[tuple[str, KnowledgeBase]]) -> str:

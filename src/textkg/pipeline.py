@@ -14,6 +14,7 @@ import hashlib
 import json
 import logging
 import re
+from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
@@ -31,7 +32,7 @@ from .extraction import (
     extract_article,
     generate,
 )
-from .kgstore import KnowledgeBase, add_triples, merge, save_kb, stats
+from .kgstore import KnowledgeBase, add_triples, merge, save_kb, stats, triple_row
 from .linking import FileLookupClient, LinkCache, LookupClient, canonicalize
 from .quality import QualityConfig, evaluate, load_lexicon, render_report, save_report
 from .rdf import ontology_to_kb, repair_until_valid, serialize_turtle
@@ -101,8 +102,8 @@ class PipelineConfig:
         return self.backends[self.backend_id]
 
     def resolve(self, path: str) -> Path:
-        candidate = Path(path)
-        return candidate if candidate.is_absolute() else self.base_dir / candidate
+        # joining an absolute path yields that path unchanged
+        return self.base_dir / path
 
 
 def _require(condition: bool, message: str) -> None:
@@ -158,13 +159,7 @@ def _parse_date(value: object, key: str) -> dt.date | None:
         raise ConfigError(f"config key '{key}': {exc}") from exc
 
 
-def load_config(path: str | Path) -> PipelineConfig:
-    """Read, validate, and resolve the single pipeline config file.
-
-    Relative paths inside the file are resolved against the file's own
-    directory, so a config can travel with its fixtures.
-    """
-    path = Path(path)
+def _read_config_file(path: Path) -> tuple[bytes, dict]:
     try:
         raw_bytes = path.read_bytes()
     except OSError as exc:
@@ -174,6 +169,43 @@ def load_config(path: str | Path) -> PipelineConfig:
     except (UnicodeDecodeError, json.JSONDecodeError) as exc:
         raise ConfigError(f"config file {path} is not valid JSON: {exc}") from exc
     _require(isinstance(data, dict), "config root must be a JSON object")
+    return raw_bytes, data
+
+
+def _parse_quality(raw: object, base_dir: Path, context: str) -> QualityConfig:
+    _require(isinstance(raw, dict), f"{context}: must be an object")
+    _check_keys(raw, _QUALITY_KEYS, context)
+    lexicon_file = raw.get("domain_lexicon_file")
+    try:
+        quality_kwargs = {
+            "conciseness_max_tokens": raw.get("conciseness_max_tokens", 4),
+            "functional_predicates": tuple(raw.get("functional_predicates", ())),
+        }
+        if lexicon_file:
+            quality_kwargs["domain_lexicon"] = load_lexicon(base_dir / lexicon_file)
+        return QualityConfig(**quality_kwargs)
+    except (TypeError, ValueError, OSError) as exc:
+        raise ConfigError(f"{context}: {exc}") from exc
+
+
+def load_quality_config(path: str | Path) -> QualityConfig:
+    """Read a file holding only the pipeline config's `quality` section.
+
+    A relative `domain_lexicon_file` resolves against the file's directory.
+    """
+    path = Path(path)
+    _, data = _read_config_file(path)
+    return _parse_quality(data, path.parent.resolve(), f"quality config {path}")
+
+
+def load_config(path: str | Path) -> PipelineConfig:
+    """Read, validate, and resolve the single pipeline config file.
+
+    Relative paths inside the file are resolved against the file's own
+    directory, so a config can travel with its fixtures.
+    """
+    path = Path(path)
+    raw_bytes, data = _read_config_file(path)
     _check_keys(data, _TOP_KEYS, "config")
 
     mode = data.get("mode")
@@ -195,8 +227,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         entry = dict(entry)
         fixtures_dir = entry.get("fixtures_dir")
         if isinstance(fixtures_dir, str) and fixtures_dir:
-            candidate = Path(fixtures_dir)
-            entry["fixtures_dir"] = str(candidate if candidate.is_absolute() else base_dir / candidate)
+            entry["fixtures_dir"] = str(base_dir / fixtures_dir)
         try:
             backend = BackendConfig(**entry)
         except (TypeError, ConfigError) as exc:
@@ -224,22 +255,7 @@ def load_config(path: str | Path) -> PipelineConfig:
         "config key 'linking.on_error': fallback or abort",
     )
 
-    quality_raw = data.get("quality", {})
-    _require(isinstance(quality_raw, dict), "config key 'quality': must be an object")
-    _check_keys(quality_raw, _QUALITY_KEYS, "config key 'quality'")
-    lexicon_file = quality_raw.get("domain_lexicon_file")
-    try:
-        quality_kwargs = {
-            "conciseness_max_tokens": quality_raw.get("conciseness_max_tokens", 4),
-            "functional_predicates": tuple(quality_raw.get("functional_predicates", ())),
-        }
-        if lexicon_file:
-            candidate = Path(lexicon_file)
-            resolved = candidate if candidate.is_absolute() else base_dir / candidate
-            quality_kwargs["domain_lexicon"] = load_lexicon(resolved)
-        quality = QualityConfig(**quality_kwargs)
-    except (TypeError, ValueError, OSError) as exc:
-        raise ConfigError(f"config key 'quality': {exc}") from exc
+    quality = _parse_quality(data.get("quality", {}), base_dir, "config key 'quality'")
 
     export_raw = data.get("export", {})
     _require(isinstance(export_raw, dict), "config key 'export': must be an object")
@@ -307,117 +323,79 @@ def _write_jsonl(path: Path, rows: list[dict]) -> None:
             handle.write("\n")
 
 
+def _write_json(path: Path, payload: dict) -> None:
+    with path.open("w", encoding="utf-8") as handle:
+        json.dump(payload, handle, ensure_ascii=False, indent=2, sort_keys=True)
+        handle.write("\n")
+
+
 def _safe_name(article_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", article_id)
 
 
-def _provenance_dict(provenance) -> dict:
-    return {
-        "article_id": provenance.article_id,
-        "batch_index": provenance.batch_index,
-        "backend_id": provenance.backend_id,
-    }
+def _map_articles(config: PipelineConfig, function: Callable, articles: list[Article]) -> list:
+    """function over every article in corpus order, on `workers` threads."""
+    if config.workers > 1:
+        with ThreadPoolExecutor(max_workers=config.workers) as pool:
+            return list(pool.map(function, articles))
+    return [function(article) for article in articles]
 
 
-def make_lookup_client(settings: LinkingSettings, resolve) -> object | None:
-    if settings.fixture_file:
-        return FileLookupClient(resolve(settings.fixture_file))
-    if settings.endpoint:
-        return LookupClient(settings.endpoint)
-    return None
+def _rate_limiter(config: PipelineConfig) -> RateLimiter | None:
+    return RateLimiter(config.rate_limit_per_second) if config.rate_limit_per_second else None
 
 
-def run_pipeline(config_path: str | Path) -> dict:
-    """Run every stage for the configured mode; returns the manifest."""
-    config = load_config(config_path)
-    run_dir = config.resolve(config.run_dir)
-    run_dir.mkdir(parents=True, exist_ok=True)
-    manifest: dict = {"config_hash": config.config_hash, "mode": config.mode, "stages": {}}
-    stages = manifest["stages"]
-    limiter = (
-        RateLimiter(config.rate_limit_per_second) if config.rate_limit_per_second else None
+def make_completer(config: PipelineConfig) -> Callable[[str], str]:
+    """prompt -> generation on the configured backend, spaced by the config's
+    rate limit."""
+    backend = config.backend
+    limiter = _rate_limiter(config)
+
+    def complete(prompt: str) -> str:
+        return generate(backend, prompt, limiter=limiter)
+
+    return complete
+
+
+# Stages. Each one returns its manifest counts (after its result, when it has
+# one). run_pipeline drives them; the CLI subcommands call them directly.
+
+
+def corpus_stage(config: PipelineConfig) -> tuple[list[Article], dict]:
+    """Load the corpus and keep the articles inside the date window."""
+    articles = filter_by_date(
+        load_corpus(config.resolve(config.corpus)), config.date_from, config.date_to
     )
+    report = corpus_report(articles)
+    return articles, {"articles": report.article_count, "empty_bodies": len(report.empty_body_ids)}
 
-    try:
-        articles = load_corpus(config.resolve(config.corpus))
-        if config.date_from and config.date_to:
-            articles = filter_by_date(articles, config.date_from, config.date_to)
-        report = corpus_report(articles)
-        stages["corpus"] = {
-            "articles": report.article_count,
-            "empty_bodies": len(report.empty_body_ids),
+
+def chunk_stage(articles: list[Article], batch_size: int, path: Path) -> dict:
+    """Write one row per token batch of every article."""
+    rows = [
+        {
+            "article_id": batch.article_id,
+            "batch_index": batch.batch_index,
+            "token_start": batch.token_start,
+            "token_end": batch.token_end,
+            "text": batch.text,
         }
-    except TextkgError as exc:
-        raise StageError("corpus", exc) from exc
-
-    try:
-        batch_rows = []
-        for article in articles:
-            for batch in chunk(article, whitespace_tokenize, config.batch_size):
-                batch_rows.append(
-                    {
-                        "article_id": batch.article_id,
-                        "batch_index": batch.batch_index,
-                        "token_start": batch.token_start,
-                        "token_end": batch.token_end,
-                        "text": batch.text,
-                    }
-                )
-        _write_jsonl(run_dir / "batches.jsonl", batch_rows)
-        stages["chunk"] = {"batches": len(batch_rows)}
-    except TextkgError as exc:
-        raise StageError("chunk", exc) from exc
-
-    if config.mode == "triples":
-        kb = _run_triples_stages(config, articles, run_dir, stages, limiter)
-    else:
-        kb = _run_ontology_stages(config, articles, run_dir, stages, limiter)
-
-    try:
-        kb_stats = stats(kb)
-        save_kb(kb, run_dir / "kb.json")
-        stages["kb"] = {
-            "entities": kb_stats.entity_count,
-            "predicates": kb_stats.predicate_count,
-            "triples": kb_stats.triple_count,
-            "isolated_entities": kb_stats.isolated_entity_count,
-        }
-    except TextkgError as exc:
-        raise StageError("kb", exc) from exc
-
-    try:
-        quality_report = evaluate(kb, articles, config.quality)
-        save_report(quality_report, run_dir / "quality.json")
-        (run_dir / "quality.txt").write_text(render_report(quality_report), encoding="utf-8")
-        stages["quality"] = {
-            "principles": len(quality_report.principles),
-            "warnings": len(quality_report.warnings),
-        }
-    except TextkgError as exc:
-        raise StageError("quality", exc) from exc
-
-    try:
-        for format_name in config.export.formats:
-            text = export_graph(kb, format_name, config.export.options())
-            (run_dir / f"export.{format_name}").write_text(text, encoding="utf-8")
-        stages["export"] = {"formats": list(config.export.formats)}
-    except TextkgError as exc:
-        raise StageError("export", exc) from exc
-
-    with (run_dir / "manifest.json").open("w", encoding="utf-8") as handle:
-        json.dump(manifest, handle, ensure_ascii=False, indent=2, sort_keys=True)
-        handle.write("\n")
-    return manifest
+        for article in articles
+        for batch in chunk(article, whitespace_tokenize, batch_size)
+    ]
+    _write_jsonl(path, rows)
+    return {"batches": len(rows)}
 
 
-def _run_triples_stages(
+def extract_stage(
     config: PipelineConfig,
     articles: list[Article],
-    run_dir: Path,
-    stages: dict,
-    limiter: RateLimiter | None,
-) -> KnowledgeBase:
+    triples_path: Path,
+    generations_path: Path | None = None,
+) -> tuple[list[Triplet], dict]:
+    """Extract triplets from every article with the configured backend."""
     backend = config.backend
+    limiter = _rate_limiter(config)
 
     def extract_one(article: Article) -> tuple[list[Triplet], ParseReport, list[dict]]:
         rows: list[dict] = []
@@ -438,84 +416,71 @@ def _run_triples_stages(
         )
         return triplets, parse_report, rows
 
-    try:
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(extract_one, articles))
-        else:
-            results = [extract_one(article) for article in articles]
-        all_triplets: list[Triplet] = []
-        total_report = ParseReport()
-        generation_rows: list[dict] = []
-        for triplets, parse_report, rows in results:
-            all_triplets.extend(triplets)
-            total_report.extend(parse_report)
-            generation_rows.extend(rows)
-        _write_jsonl(run_dir / "generations.jsonl", generation_rows)
-        _write_jsonl(
-            run_dir / "triples.jsonl",
-            [
-                {
-                    "subject": t.subject,
-                    "predicate": t.predicate,
-                    "object": t.object,
-                    "provenance": [_provenance_dict(t.provenance)] if t.provenance else [],
-                }
-                for t in all_triplets
-            ],
-        )
-        stages["extract"] = {
-            "triplets_parsed": total_report.triplets_emitted,
-            "segments_skipped": total_report.segments_skipped,
-            "failed_batches": len(total_report.failed_batches),
-        }
-    except TextkgError as exc:
-        raise StageError("extract", exc) from exc
-
-    try:
-        client = make_lookup_client(config.linking, config.resolve)
-        cache = (
-            LinkCache.load(config.resolve(config.linking.cache_path))
-            if config.linking.cache_path
-            else None
-        )
-        linked, table = canonicalize(
-            all_triplets,
-            client,
-            cache,
-            match=config.linking.match,
-            on_error=config.linking.on_error,
-            workers=config.workers,
-        )
-        if cache is not None and config.linking.cache_path:
-            cache.save(config.resolve(config.linking.cache_path))
-        kb = add_triples(KnowledgeBase(link_config=config.linking.identity()), linked)
-        for label, entity in table.items():
-            kb.add_entity(label)
-            if entity.canonical_iri is not None:
-                kb.entity_links[label] = entity.canonical_iri
-        stages["link"] = {
-            "entities": len(table),
-            "linked": sum(1 for entity in table.values() if entity.canonical_iri),
-        }
-        return kb
-    except TextkgError as exc:
-        raise StageError("link", exc) from exc
+    all_triplets: list[Triplet] = []
+    total_report = ParseReport()
+    generation_rows: list[dict] = []
+    for triplets, parse_report, rows in _map_articles(config, extract_one, articles):
+        all_triplets.extend(triplets)
+        total_report.extend(parse_report)
+        generation_rows.extend(rows)
+    if generations_path is not None:
+        _write_jsonl(generations_path, generation_rows)
+    _write_jsonl(
+        triples_path,
+        [
+            triple_row((t.subject, t.predicate, t.object), [t.provenance] if t.provenance else [])
+            for t in all_triplets
+        ],
+    )
+    return all_triplets, {
+        "triplets_parsed": total_report.triplets_emitted,
+        "segments_skipped": total_report.segments_skipped,
+        "failed_batches": len(total_report.failed_batches),
+    }
 
 
-def _run_ontology_stages(
+def link_stage(config: PipelineConfig, triplets: list[Triplet]) -> tuple[KnowledgeBase, dict]:
+    """Canonicalize entity mentions and fold the triplets into a KB."""
+    settings = config.linking
+    client = None
+    if settings.fixture_file:
+        client = FileLookupClient(config.resolve(settings.fixture_file))
+    elif settings.endpoint:
+        client = LookupClient(settings.endpoint)
+    cache_path = config.resolve(settings.cache_path) if settings.cache_path else None
+    cache = LinkCache.load(cache_path) if cache_path else None
+    linked, table = canonicalize(
+        triplets,
+        client,
+        cache,
+        match=settings.match,
+        on_error=settings.on_error,
+        workers=config.workers,
+    )
+    if cache is not None:
+        cache.save(cache_path)
+    kb = add_triples(KnowledgeBase(link_config=settings.identity()), linked)
+    for label, entity in table.items():
+        kb.add_entity(label)
+        if entity.canonical_iri is not None:
+            kb.entity_links[label] = entity.canonical_iri
+    return kb, {
+        "entities": len(table),
+        "linked": sum(1 for entity in table.values() if entity.canonical_iri),
+    }
+
+
+def ontology_stage(
     config: PipelineConfig,
     articles: list[Article],
-    run_dir: Path,
-    stages: dict,
-    limiter: RateLimiter | None,
-) -> KnowledgeBase:
-    backend = config.backend
-    ontology_dir = run_dir / "ontologies"
-    ontology_dir.mkdir(parents=True, exist_ok=True)
-
-    def complete(prompt: str) -> str:
-        return generate(backend, prompt, limiter=limiter)
+    ontology_dir: Path,
+    triples_path: Path | None = None,
+    generations_path: Path | None = None,
+) -> tuple[KnowledgeBase, dict]:
+    """Generate, validate and repair one ontology per article, writing
+    `<article>.ttl` (valid ones) and `<article>.report.json` into
+    ontology_dir, and flatten the valid ones into one KB."""
+    complete = make_completer(config)
 
     def ontology_one(article: Article):
         if not article.body.split():
@@ -523,62 +488,123 @@ def _run_ontology_stages(
         prompt = build_prompt(article.body, "ontology")
         return repair_until_valid(prompt, complete, config.max_repair_attempts)
 
-    try:
-        if config.workers > 1:
-            with ThreadPoolExecutor(max_workers=config.workers) as pool:
-                results = list(pool.map(ontology_one, articles))
-        else:
-            results = [ontology_one(article) for article in articles]
-
-        generation_rows: list[dict] = []
-        triple_rows: list[dict] = []
-        kb = KnowledgeBase()
-        documents = 0
-        valid_documents = 0
-        repair_attempts = 0
-        invalid_ids: list[str] = []
-        for article, (doc, attempts) in zip(articles, results):
-            if not attempts:
-                continue
-            documents += 1
-            repair_attempts += len(attempts) - 1
-            name = _safe_name(article.id)
-            for attempt_index, attempt in enumerate(attempts):
-                generation_rows.append(
-                    {
-                        "article_id": article.id,
-                        "attempt": attempt_index,
-                        "output": attempt.output,
-                    }
-                )
-            report_payload = {
+    ontology_dir.mkdir(parents=True, exist_ok=True)
+    results = _map_articles(config, ontology_one, articles)
+    generation_rows: list[dict] = []
+    triple_rows: list[dict] = []
+    kb = KnowledgeBase()
+    documents = 0
+    repair_attempts = 0
+    invalid_ids: list[str] = []
+    for article, (doc, attempts) in zip(articles, results):
+        if not attempts:
+            continue
+        documents += 1
+        repair_attempts += len(attempts) - 1
+        name = _safe_name(article.id)
+        for attempt_index, attempt in enumerate(attempts):
+            generation_rows.append(
+                {"article_id": article.id, "attempt": attempt_index, "output": attempt.output}
+            )
+        _write_json(
+            ontology_dir / f"{name}.report.json",
+            {
                 "article_id": article.id,
                 "valid": doc is not None,
                 "repair_attempts": len(attempts) - 1,
                 "attempts": [attempt.report.to_dict() for attempt in attempts],
-            }
-            with (ontology_dir / f"{name}.report.json").open("w", encoding="utf-8") as handle:
-                json.dump(report_payload, handle, ensure_ascii=False, indent=2, sort_keys=True)
-                handle.write("\n")
-            if doc is None:
-                invalid_ids.append(article.id)
-                logger.warning(
-                    "article %s: no valid ontology after %d attempt(s)", article.id, len(attempts)
-                )
-                continue
-            valid_documents += 1
-            (ontology_dir / f"{name}.ttl").write_text(serialize_turtle(doc), encoding="utf-8")
-            article_kb = ontology_to_kb(doc, source_id=article.id, backend_id=backend.backend_id)
-            triple_rows.extend(article_kb.to_dict()["triples"])
-            kb = merge(kb, article_kb)
-        _write_jsonl(run_dir / "generations.jsonl", generation_rows)
-        _write_jsonl(run_dir / "triples.jsonl", triple_rows)
-        stages["ontology"] = {
-            "documents": documents,
-            "valid_documents": valid_documents,
-            "repair_attempts": repair_attempts,
-            "invalid_article_ids": invalid_ids,
-        }
-        return kb
-    except TextkgError as exc:
-        raise StageError("ontology", exc) from exc
+            },
+        )
+        if doc is None:
+            invalid_ids.append(article.id)
+            logger.warning(
+                "article %s: no valid ontology after %d attempt(s)", article.id, len(attempts)
+            )
+            continue
+        (ontology_dir / f"{name}.ttl").write_text(serialize_turtle(doc), encoding="utf-8")
+        article_kb = ontology_to_kb(doc, source_id=article.id, backend_id=config.backend_id)
+        triple_rows.extend(article_kb.to_dict()["triples"])
+        kb = merge(kb, article_kb)
+    if generations_path is not None:
+        _write_jsonl(generations_path, generation_rows)
+    if triples_path is not None:
+        _write_jsonl(triples_path, triple_rows)
+    return kb, {
+        "documents": documents,
+        "valid_documents": documents - len(invalid_ids),
+        "repair_attempts": repair_attempts,
+        "invalid_article_ids": invalid_ids,
+    }
+
+
+def kb_stage(kb: KnowledgeBase, path: Path) -> dict:
+    """Save the KB and count its structure."""
+    kb_stats = stats(kb)
+    save_kb(kb, path)
+    return {
+        "entities": kb_stats.entity_count,
+        "predicates": kb_stats.predicate_count,
+        "triples": kb_stats.triple_count,
+        "isolated_entities": kb_stats.isolated_entity_count,
+    }
+
+
+def quality_stage(
+    kb: KnowledgeBase, articles: list[Article], quality: QualityConfig, run_dir: Path
+) -> dict:
+    """Score the KB and write quality.json and quality.txt."""
+    report = evaluate(kb, articles, quality)
+    save_report(report, run_dir / "quality.json")
+    (run_dir / "quality.txt").write_text(render_report(report), encoding="utf-8")
+    return {"principles": len(report.principles), "warnings": len(report.warnings)}
+
+
+def export_stage(kb: KnowledgeBase, settings: ExportSettings, run_dir: Path) -> dict:
+    """Render the KB into export.<format> for every configured format."""
+    for format_name in settings.formats:
+        text = export_graph(kb, format_name, settings.options())
+        (run_dir / f"export.{format_name}").write_text(text, encoding="utf-8")
+    return {"formats": list(settings.formats)}
+
+
+def run_pipeline(config_path: str | Path) -> dict:
+    """Run every stage for the configured mode; returns the manifest."""
+    config = load_config(config_path)
+    run_dir = config.resolve(config.run_dir)
+    run_dir.mkdir(parents=True, exist_ok=True)
+    stages: dict = {}
+
+    def run(stage: str, function: Callable, *args):
+        try:
+            return function(*args)
+        except TextkgError as exc:
+            raise StageError(stage, exc) from exc
+
+    articles, stages["corpus"] = run("corpus", corpus_stage, config)
+    stages["chunk"] = run(
+        "chunk", chunk_stage, articles, config.batch_size, run_dir / "batches.jsonl"
+    )
+    triples_path = run_dir / "triples.jsonl"
+    generations_path = run_dir / "generations.jsonl"
+    if config.mode == "triples":
+        triplets, stages["extract"] = run(
+            "extract", extract_stage, config, articles, triples_path, generations_path
+        )
+        kb, stages["link"] = run("link", link_stage, config, triplets)
+    else:
+        kb, stages["ontology"] = run(
+            "ontology",
+            ontology_stage,
+            config,
+            articles,
+            run_dir / "ontologies",
+            triples_path,
+            generations_path,
+        )
+    stages["kb"] = run("kb", kb_stage, kb, run_dir / "kb.json")
+    stages["quality"] = run("quality", quality_stage, kb, articles, config.quality, run_dir)
+    stages["export"] = run("export", export_stage, kb, config.export, run_dir)
+
+    manifest = {"config_hash": config.config_hash, "mode": config.mode, "stages": stages}
+    _write_json(run_dir / "manifest.json", manifest)
+    return manifest

@@ -4,10 +4,14 @@
 from __future__ import annotations
 
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
 
+import textkg
 from textkg import __version__
 from textkg.cli import main
 from textkg.corpus import load_corpus
@@ -73,6 +77,7 @@ class TestChunk:
             (256, 512),
             (512, 600),
         ]
+        assert out.read_bytes() == (GOLDEN_DIR / "triples" / "batches.jsonl").read_bytes()
 
     def test_missing_corpus_is_stage_failure(self, capsys, tmp_path):
         code, _, stderr = run(
@@ -236,6 +241,33 @@ class TestEval:
         assert code == 0
         assert out.read_bytes() == (GOLDEN_DIR / "triples" / "quality.json").read_bytes()
 
+    def test_unknown_key_is_config_error(self, capsys, tmp_path):
+        quality_config = tmp_path / "quality.json"
+        quality_config.write_text(json.dumps({"conciseness_max_token": 4}), encoding="utf-8")
+        code, _, stderr = run(
+            capsys, "eval", str(GOLDEN_DIR / "triples" / "kb.json"),
+            "--corpus", str(DATA_DIR / "corpus_pipeline.jsonl"), "--config", str(quality_config),
+        )
+        assert code == 2
+        assert "unknown key(s) conciseness_max_token" in stderr
+
+    def test_lexicon_resolves_against_config_directory(self, capsys, tmp_path, monkeypatch):
+        config_dir = tmp_path / "conf"
+        config_dir.mkdir()
+        (config_dir / "lexicon.txt").write_text("coffee\n", encoding="utf-8")
+        quality_config = config_dir / "quality.json"
+        quality_config.write_text(json.dumps({"domain_lexicon_file": "lexicon.txt"}), encoding="utf-8")
+        monkeypatch.chdir(tmp_path)
+        out = tmp_path / "report.json"
+        code, _, _ = run(
+            capsys, "eval", str(GOLDEN_DIR / "triples" / "kb.json"),
+            "--corpus", str(DATA_DIR / "corpus_pipeline.jsonl"),
+            "--config", str(quality_config), "-o", str(out),
+        )
+        assert code == 0
+        report = json.loads(out.read_text(encoding="utf-8"))
+        assert report["config"]["domain_lexicon"] == ["coffee"]
+
     def test_default_prints_text_report(self, capsys):
         code, stdout, _ = run(
             capsys, "eval", str(GOLDEN_DIR / "triples" / "kb.json"),
@@ -258,21 +290,36 @@ class TestExtract:
         assert "(2 segments skipped)" in stdout
         assert out.read_bytes() == (GOLDEN_DIR / "triples" / "triples.jsonl").read_bytes()
 
-    def test_ontology_mode_writes_raw_documents(self, capsys, data_copy, tmp_path):
+    def test_ontology_mode_matches_golden(self, capsys, data_copy, tmp_path):
         out_dir = tmp_path / "ontologies"
         code, stdout, _ = run(
             capsys, "extract", "--config", str(data_copy / "pipeline_ontology.json"),
             "--backend", "replay-onto", "--mode", "ontology", "-o", str(out_dir),
         )
         assert code == 0
-        assert "(1 invalid; see repair)" in stdout
-        assert sorted(p.name for p in out_dir.glob("*.ttl")) == [
-            "a1.ttl", "a2.ttl", "a3.ttl", "a4.ttl", "a5.ttl",
+        assert "wrote 5 ontologies" in stdout
+        assert "(5 valid, 1 repair attempt(s))" in stdout
+        golden = GOLDEN_DIR / "ontology" / "ontologies"
+        assert sorted(p.name for p in out_dir.iterdir()) == sorted(p.name for p in golden.iterdir())
+        for path in golden.iterdir():
+            assert (out_dir / path.name).read_bytes() == path.read_bytes(), path.name
+
+    def test_honours_date_window_and_workers(self, capsys, data_copy, tmp_path):
+        config = data_copy / "pipeline_triples.json"
+        data = json.loads(config.read_text())
+        data.update(date_to="2023-02-25", workers=2)
+        config.write_text(json.dumps(data), encoding="utf-8")
+        out = tmp_path / "triples.jsonl"
+        code, _, _ = run(
+            capsys, "extract", "--config", str(config), "--backend", "replay-chat", "-o", str(out),
+        )
+        assert code == 0
+        rows = [json.loads(line) for line in out.read_text().splitlines()]
+        golden = [
+            json.loads(line)
+            for line in (GOLDEN_DIR / "triples" / "triples.jsonl").read_text().splitlines()
         ]
-        report = json.loads((out_dir / "a2.report.json").read_text(encoding="utf-8"))
-        assert report["errors"][0]["code"] == "UndeclaredProperty"
-        clean = json.loads((out_dir / "a1.report.json").read_text(encoding="utf-8"))
-        assert clean["errors"] == []
+        assert rows == [r for r in golden if r["provenance"][0]["article_id"] in ("a1", "a2")]
 
     def test_unknown_backend_is_config_error(self, capsys, data_copy, tmp_path):
         code, _, stderr = run(
@@ -412,3 +459,94 @@ class TestFetch:
         code, _, stderr = run(capsys, *self.fetch_args(server.url, tmp_path / "c.jsonl"))
         assert code == 1
         assert stderr.startswith("error: fetch failed")
+
+
+def bad_kb(tmp_path: Path) -> str:
+    path = tmp_path / "kb.json"
+    path.write_text('{"entities": ["a"], "triples": [', encoding="utf-8")
+    return str(path)
+
+
+def triples_without_predicate(tmp_path: Path) -> str:
+    path = tmp_path / "triples.jsonl"
+    path.write_text(
+        json.dumps({"subject": "A", "predicate": "p", "object": "B"}) + "\n"
+        + json.dumps({"subject": "A", "object": "B"}) + "\n",
+        encoding="utf-8",
+    )
+    return str(path)
+
+
+def non_json_file(tmp_path: Path) -> str:
+    path = tmp_path / "quality.json"
+    path.write_text("conciseness_max_tokens = 4\n", encoding="utf-8")
+    return str(path)
+
+
+GOLDEN_KB = str(GOLDEN_DIR / "triples" / "kb.json")
+CORPUS = str(DATA_DIR / "corpus_pipeline.jsonl")
+
+# (argv builder, exit code, stderr fragment)
+CLI_ERROR_PATHS = {
+    "chunk-batch-size-0": (
+        lambda t: ["chunk", CORPUS, "--batch-size", "0", "-o", str(t / "b.jsonl")], 2, "at least 1"
+    ),
+    "top-relations-k-0": (lambda t: ["top-relations", GOLDEN_KB, "-k", "0"], 2, "at least 1"),
+    "export-max-nodes-0": (
+        lambda t: ["export", GOLDEN_KB, "--format", "dot", "--max-nodes", "0"], 2, "at least 1"
+    ),
+    "export-radius-negative": (
+        lambda t: ["export", GOLDEN_KB, "--format", "dot", "--radius", "-1"], 2, "at least 0"
+    ),
+    "repair-max-attempts-0": (
+        lambda t: ["repair", "x.ttl", "--config", "c.json", "--backend", "b",
+                   "--max-attempts", "0", "-o", "out.ttl"],
+        2,
+        "at least 1",
+    ),
+    "fetch-page-size-0": (
+        lambda t: ["fetch", "--endpoint", "http://127.0.0.1:9", "--query", "q", "--from",
+                   "2023-01-01", "--to", "2023-02-01", "--page-size", "0", "-o", "out"],
+        2,
+        "at least 1",
+    ),
+    "stats-bad-kb": (lambda t: ["stats", bad_kb(t)], 1, "is not a KB file"),
+    "merge-bad-kb": (
+        lambda t: ["merge", GOLDEN_KB, bad_kb(t), "-o", str(t / "m.json")], 1, "is not a KB file"
+    ),
+    "eval-bad-kb": (lambda t: ["eval", bad_kb(t), "--corpus", CORPUS], 1, "is not a KB file"),
+    "export-bad-kb": (lambda t: ["export", bad_kb(t), "--format", "json"], 1, "is not a KB file"),
+    "top-relations-bad-kb": (lambda t: ["top-relations", bad_kb(t)], 1, "is not a KB file"),
+    "link-row-without-predicate": (
+        lambda t: ["link", triples_without_predicate(t), "--config",
+                   str(DATA_DIR / "pipeline_triples.json"), "-o", str(t / "kb.json")],
+        1,
+        "line 2",
+    ),
+    "eval-non-json-config": (
+        lambda t: ["eval", GOLDEN_KB, "--corpus", CORPUS, "--config", non_json_file(t)],
+        2,
+        "is not valid JSON",
+    ),
+}
+
+
+@pytest.mark.parametrize("case", sorted(CLI_ERROR_PATHS))
+def test_error_paths_exit_without_traceback(case, tmp_path):
+    build_argv, exit_code, fragment = CLI_ERROR_PATHS[case]
+    env = {**os.environ, "PYTHONPATH": str(Path(textkg.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "textkg.cli", *build_argv(tmp_path)],
+        cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
+    )
+    assert result.returncode == exit_code, result.stderr
+    assert fragment in result.stderr
+    assert "Traceback" not in result.stderr
+
+
+def test_radius_zero_is_accepted(capsys):
+    code, stdout, _ = run(
+        capsys, "export", GOLDEN_KB, "--format", "json", "--seed", "Soluna", "--radius", "0"
+    )
+    assert code == 0
+    assert json.loads(stdout)["nodes"] == [{"id": "Soluna", "kind": "plain"}]

@@ -6,10 +6,12 @@ hermetic: no network, no wall-clock dependence, byte-identical artifacts.
 
 import hashlib
 import json
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
+from textkg import pipeline
 from textkg.errors import ConfigError, TextkgError
 from textkg.pipeline import StageError, load_config, run_pipeline
 
@@ -321,6 +323,21 @@ class TestRunPipeline:
         assert "Samsung" not in subjects
         assert "Soluna" in subjects and "Starbucks" in subjects
 
+    @pytest.mark.parametrize(
+        "config_name, bound, kept",
+        [
+            ("pipeline_ontology.json", {"date_from": "2023-03-01"}, ["a3", "a4", "a5"]),
+            ("pipeline_triples.json", {"date_to": "2023-02-25"}, ["a1", "a2"]),
+        ],
+    )
+    def test_one_sided_date_window(self, data_copy, config_name, bound, kept):
+        data = json.loads((data_copy / config_name).read_text())
+        data.update(bound)
+        manifest = run_pipeline(write_config(data_copy, data))
+        assert manifest["stages"]["corpus"]["articles"] == len(kept)
+        batches = (data_copy / data["run_dir"] / "batches.jsonl").read_text().splitlines()
+        assert sorted({json.loads(line)["article_id"] for line in batches}) == kept
+
     def test_corrupt_corpus_fails_in_corpus_stage(self, data_copy):
         (data_copy / "corpus_pipeline.jsonl").write_text("{broken\n", encoding="utf-8")
         with pytest.raises(StageError, match="stage 'corpus' failed") as info:
@@ -367,3 +384,33 @@ class TestRunPipeline:
         assert manifest["stages"]["export"]["formats"] == ["json"]
         assert (run_dir / "export.json").exists()
         assert not (run_dir / "export.dot").exists()
+
+
+# The stage helpers perfbench/spans.py wraps on textkg.pipeline, by the mode
+# that calls them. A stage that stops calling one through the pipeline
+# module's globals would silently drop that layer from the benchmark trace.
+TRACED_HELPERS = {
+    "pipeline_triples.json": (
+        "load_corpus", "chunk", "extract_article", "canonicalize", "add_triples",
+        "save_kb", "evaluate", "export_graph",
+    ),
+    "pipeline_ontology.json": (
+        "load_corpus", "chunk", "generate", "repair_until_valid", "serialize_turtle",
+        "ontology_to_kb", "merge", "save_kb", "evaluate", "export_graph",
+    ),
+}
+
+
+@pytest.mark.parametrize("config_name", sorted(TRACED_HELPERS))
+def test_stages_call_traced_helpers_through_pipeline_module(data_copy, monkeypatch, config_name):
+    calls = Counter()
+    for name in {name for names in TRACED_HELPERS.values() for name in names}:
+        original = getattr(pipeline, name)
+
+        def counted(*args, _name=name, _original=original, **kwargs):
+            calls[_name] += 1
+            return _original(*args, **kwargs)
+
+        monkeypatch.setattr(pipeline, name, counted)
+    run_pipeline(data_copy / config_name)
+    assert [name for name in TRACED_HELPERS[config_name] if not calls[name]] == []
