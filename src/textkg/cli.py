@@ -246,8 +246,15 @@ def _cmd_merge(args) -> int:
     return 0
 
 
+def _read_turtle(path: str) -> str:
+    try:
+        return Path(path).read_text(encoding="utf-8")
+    except UnicodeDecodeError as exc:
+        raise TextkgError(f"{path} is not UTF-8 text: {exc}") from exc
+
+
 def _cmd_validate(args) -> int:
-    text = Path(args.file).read_text(encoding="utf-8")
+    text = _read_turtle(args.file)
     doc, report = validate_text(text)
     for issue in report.errors:
         location = f" ({issue.location})" if issue.location else ""
@@ -263,7 +270,7 @@ def _cmd_validate(args) -> int:
 
 
 def _cmd_ttl2kb(args) -> int:
-    text = Path(args.file).read_text(encoding="utf-8")
+    text = _read_turtle(args.file)
     doc, report = validate_text(text)
     if doc is None or not report.ok:
         for issue in report.errors:
@@ -278,7 +285,7 @@ def _cmd_ttl2kb(args) -> int:
 
 def _cmd_repair(args) -> int:
     config = _config_for_backend(args)
-    text = Path(args.file).read_text(encoding="utf-8")
+    text = _read_turtle(args.file)
     doc, report = validate_text(text)
     if report.ok and doc is not None:
         Path(args.output).write_text(serialize_turtle(doc), encoding="utf-8")

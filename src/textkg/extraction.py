@@ -140,13 +140,14 @@ class ParseReport:
     Every segment the parser encounters either becomes a triplet or lands in
     segments_skipped with a reason, so triplets_emitted + segments_skipped
     equals the segment count. Batches whose generation call failed under the
-    skip policy are listed in failed_batches and contribute no segments.
+    skip policy are listed in failed_batches and contribute no segments; a
+    failed whole-article call is listed as None, like its provenance.
     """
 
     triplets_emitted: int = 0
     segments_skipped: int = 0
     skip_reasons: list[tuple[str, str]] = field(default_factory=list)
-    failed_batches: list[int] = field(default_factory=list)
+    failed_batches: list[int | None] = field(default_factory=list)
 
     def _skip(self, segment: str, reason: str) -> None:
         self.segments_skipped += 1
@@ -481,7 +482,7 @@ def extract_article(
             logger.warning(
                 "skipping batch %s of article %s: %s", batch_index, article.id, exc
             )
-            report.failed_batches.append(0 if batch_index is None else batch_index)
+            report.failed_batches.append(batch_index)
             report.skip_reasons.append((f"batch {batch_index}", f"generation failed: {exc}"))
             continue
         if on_generation is not None:

@@ -3,7 +3,9 @@
 A knowledge base is three sets: entity labels (zero-degree entities are
 allowed), predicate labels, and (subject, predicate, object) triples. Exact
 duplicates are stored once; their provenance records accumulate, so the
-original multiplicity stays recoverable for quality scoring.
+original multiplicity stays recoverable for quality scoring. Each triple's
+provenance is an insertion-ordered dict used as a set, so adding a record
+costs the same however many the triple already has.
 """
 
 from __future__ import annotations
@@ -12,12 +14,15 @@ import json
 from collections import Counter
 from collections.abc import Iterable
 from dataclasses import dataclass, field
+from json.encoder import encode_basestring
 from pathlib import Path
 
 from .errors import ConfigMismatchError, TextkgError
 from .extraction import Provenance, Triplet
 
 Key = tuple[str, str, str]
+# provenance records in first-seen order; the values are unused
+ProvenanceSet = dict[Provenance, None]
 
 
 @dataclass
@@ -28,7 +33,7 @@ class KnowledgeBase:
 
     entities: set[str] = field(default_factory=set)
     predicates: set[str] = field(default_factory=set)
-    triples: dict[Key, list[Provenance]] = field(default_factory=dict)
+    triples: dict[Key, ProvenanceSet] = field(default_factory=dict)
     link_config: str | None = None
     entity_links: dict[str, str] = field(default_factory=dict)
 
@@ -39,9 +44,9 @@ class KnowledgeBase:
 
     def add_triple(self, triplet: Triplet) -> None:
         key = (triplet.subject, triplet.predicate, triplet.object)
-        provenance_list = self.triples.setdefault(key, [])
-        if triplet.provenance is not None and triplet.provenance not in provenance_list:
-            provenance_list.append(triplet.provenance)
+        provenance = self.triples.setdefault(key, {})
+        if triplet.provenance is not None:
+            provenance[triplet.provenance] = None
         self.entities.add(triplet.subject)
         self.entities.add(triplet.object)
         self.predicates.add(triplet.predicate)
@@ -50,10 +55,37 @@ class KnowledgeBase:
         return KnowledgeBase(
             entities=set(self.entities),
             predicates=set(self.predicates),
-            triples={key: list(value) for key, value in self.triples.items()},
+            triples={key: dict(value) for key, value in self.triples.items()},
             link_config=self.link_config,
             entity_links=dict(self.entity_links),
         )
+
+    def update(self, other: KnowledgeBase) -> None:
+        """Set-union other into this KB in place, in time proportional to
+        other. Shared triples union their provenance, keeping this KB's
+        records first; the first IRI seen for an entity label wins; a KB
+        without a link_config adopts other's."""
+        if (
+            self.link_config is not None
+            and other.link_config is not None
+            and self.link_config != other.link_config
+        ):
+            raise ConfigMismatchError(
+                f"cannot merge KBs linked under different configurations: "
+                f"{self.link_config!r} vs {other.link_config!r}"
+            )
+        if self.link_config is None:
+            self.link_config = other.link_config
+        self.entities.update(other.entities)
+        self.predicates.update(other.predicates)
+        for label, iri in other.entity_links.items():
+            self.entity_links.setdefault(label, iri)
+        for key, provenance in other.triples.items():
+            mine = self.triples.get(key)
+            if mine is None:
+                self.triples[key] = dict(provenance)
+            else:
+                mine.update(provenance)
 
     def to_dict(self) -> dict:
         return {
@@ -73,7 +105,9 @@ class KnowledgeBase:
         kb.entity_links.update(data.get("entity_links", {}))
         for item in data.get("triples", []):
             key = (item["subject"], item["predicate"], item["object"])
-            kb.triples[key] = [provenance_from_row(p) for p in item.get("provenance", [])]
+            kb.triples[key] = dict.fromkeys(
+                provenance_from_row(p) for p in item.get("provenance", [])
+            )
             kb.entities.add(key[0])
             kb.entities.add(key[2])
             kb.predicates.add(key[1])
@@ -137,35 +171,80 @@ def top_relations(kb: KnowledgeBase, k: int) -> list[tuple[str, int]]:
 
 
 def merge(kb1: KnowledgeBase, kb2: KnowledgeBase) -> KnowledgeBase:
-    """Set-union two KBs; duplicate triples union their provenance lists."""
-    if (
-        kb1.link_config is not None
-        and kb2.link_config is not None
-        and kb1.link_config != kb2.link_config
-    ):
-        raise ConfigMismatchError(
-            f"cannot merge KBs linked under different configurations: "
-            f"{kb1.link_config!r} vs {kb2.link_config!r}"
-        )
+    """Set-union two KBs into a new one (inputs untouched); see update."""
     result = kb1.copy()
-    result.link_config = kb1.link_config if kb1.link_config is not None else kb2.link_config
-    result.entities.update(kb2.entities)
-    result.predicates.update(kb2.predicates)
-    for label, iri in kb2.entity_links.items():
-        result.entity_links.setdefault(label, iri)
-    for key, provenance_list in kb2.triples.items():
-        merged = result.triples.setdefault(key, [])
-        for provenance in provenance_list:
-            if provenance not in merged:
-                merged.append(provenance)
+    result.update(kb2)
     return result
 
 
+def _scalar(value: object) -> str:
+    return encode_basestring(value) if isinstance(value, str) else json.dumps(value)
+
+
+def _block(opening: str, closing: str, items: list[str], indent: str) -> str:
+    """Encoded items as one JSON array or object, laid out as json.dumps
+    lays it out with indent=2 when the block opens at this indent."""
+    if not items:
+        return opening + closing
+    inner = "\n" + indent + "  "
+    return opening + inner + ("," + inner).join(items) + "\n" + indent + closing
+
+
 def save_kb(kb: KnowledgeBase, path: str | Path) -> None:
-    """Write the KB as canonically ordered JSON so files are diffable."""
+    """Write the KB as canonically ordered JSON so files are diffable.
+
+    The bytes are those of json.dumps(kb.to_dict(), ensure_ascii=False,
+    indent=2, sort_keys=True) plus a newline, but the triples are encoded
+    and written one row at a time, so the document is never held whole.
+    Keys are written in sorted order by construction.
+    """
+    encoded: dict[Provenance, str] = {}
+
+    def provenance_entry(p: Provenance) -> str:
+        text = encoded.get(p)
+        if text is None:
+            fields = [
+                f'"article_id": {_scalar(p.article_id)}',
+                f'"backend_id": {_scalar(p.backend_id)}',
+                f'"batch_index": {_scalar(p.batch_index)}',
+            ]
+            text = encoded[p] = _block("{", "}", fields, " " * 8)
+        return text
+
+    def triple_entry(key: Key, provenance: ProvenanceSet) -> str:
+        subject, predicate, obj = key
+        entries = [provenance_entry(p) for p in provenance]
+        fields = [
+            f'"object": {_scalar(obj)}',
+            f'"predicate": {_scalar(predicate)}',
+            f'"provenance": {_block("[", "]", entries, " " * 6)}',
+            f'"subject": {_scalar(subject)}',
+        ]
+        return _block("{", "}", fields, " " * 4)
+
+    links = [f"{_scalar(label)}: {_scalar(iri)}" for label, iri in sorted(kb.entity_links.items())]
+    head = (
+        '{\n  "entities": '
+        + _block("[", "]", [_scalar(label) for label in sorted(kb.entities)], "  ")
+        + ',\n  "entity_links": '
+        + _block("{", "}", links, "  ")
+        + ',\n  "link_config": '
+        + _scalar(kb.link_config)
+        + ',\n  "predicates": '
+        + _block("[", "]", [_scalar(label) for label in sorted(kb.predicates)], "  ")
+        + ',\n  "triples": '
+    )
     with Path(path).open("w", encoding="utf-8") as handle:
-        json.dump(kb.to_dict(), handle, ensure_ascii=False, indent=2, sort_keys=True)
-        handle.write("\n")
+        handle.write(head)
+        if not kb.triples:
+            handle.write("[]\n}\n")
+            return
+        separator = "[\n    "
+        for key, provenance in sorted(kb.triples.items()):
+            handle.write(separator)
+            handle.write(triple_entry(key, provenance))
+            separator = ",\n    "
+        handle.write("\n  ]\n}\n")
 
 
 def load_kb(path: str | Path) -> KnowledgeBase:

@@ -32,7 +32,9 @@ from .extraction import (
     extract_article,
     generate,
 )
-from .kgstore import KnowledgeBase, add_triples, merge, save_kb, stats, triple_row
+# merge is unused here but stays importable from this module, where the
+# benchmark tracer (perfbench/spans.py) wraps it
+from .kgstore import KnowledgeBase, add_triples, merge, save_kb, stats, triple_row  # noqa: F401
 from .linking import FileLookupClient, LinkCache, LookupClient, canonicalize
 from .quality import QualityConfig, evaluate, load_lexicon, render_report, save_report
 from .rdf import ontology_to_kb, repair_until_valid, serialize_turtle
@@ -294,6 +296,10 @@ def load_config(path: str | Path) -> PipelineConfig:
     )
     date_from = _parse_date(data.get("date_from"), "date_from")
     date_to = _parse_date(data.get("date_to"), "date_to")
+    _require(
+        date_from is None or date_to is None or date_from <= date_to,
+        f"config keys 'date_from'/'date_to': empty date window, {date_from} is after {date_to}",
+    )
 
     return PipelineConfig(
         mode=mode,
@@ -523,8 +529,8 @@ def ontology_stage(
             continue
         (ontology_dir / f"{name}.ttl").write_text(serialize_turtle(doc), encoding="utf-8")
         article_kb = ontology_to_kb(doc, source_id=article.id, backend_id=config.backend_id)
-        triple_rows.extend(article_kb.to_dict()["triples"])
-        kb = merge(kb, article_kb)
+        triple_rows.extend(triple_row(*item) for item in sorted(article_kb.triples.items()))
+        kb.update(article_kb)
     if generations_path is not None:
         _write_jsonl(generations_path, generation_rows)
     if triples_path is not None:

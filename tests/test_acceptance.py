@@ -218,7 +218,7 @@ def test_kb_merge_laws_and_provenance_union():
     right.add_triple(Triplet("S", "r", "O", p2))
     right.add_triple(Triplet("S", "r", "O", p1))  # shared stamp must not double
     merged = merge(left, right)
-    assert merged.triples[("S", "r", "O")] == [p1, p2]
+    assert list(merged.triples[("S", "r", "O")]) == [p1, p2]
 
 
 def random_ontology_text(rng: random.Random) -> str:

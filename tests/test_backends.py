@@ -303,6 +303,15 @@ class TestExtractArticle:
         assert report.failed_batches == [1]
         assert any("generation failed" in reason for _, reason in report.skip_reasons)
 
+    def test_skip_policy_records_failed_whole_article_as_none(self, tmp_path):
+        article = make_article("Soluna soaks up excess energy.")
+        config = self.seq2seq_replay(tmp_path, replay_mode="triples")
+
+        triplets, report = extract_article(article, config, on_batch_error="skip")
+        assert triplets == []
+        assert report.failed_batches == [None]
+        assert report.skip_reasons[0][0] == "batch None"
+
     def test_fail_policy_raises(self, tmp_path):
         article = make_article("one two three")
         with pytest.raises(MissingFixtureError):

@@ -483,6 +483,20 @@ def non_json_file(tmp_path: Path) -> str:
     return str(path)
 
 
+def non_utf8_file(tmp_path: Path) -> str:
+    path = tmp_path / "doc.ttl"
+    path.write_bytes(b"\xff\xfe@prefix ex: <http://example.org/kg#> .\n")
+    return str(path)
+
+
+def inverted_window_config(tmp_path: Path) -> str:
+    data = json.loads((DATA_DIR / "pipeline_triples.json").read_text(encoding="utf-8"))
+    data.update(date_from="2023-03-01", date_to="2023-02-01")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
 GOLDEN_KB = str(GOLDEN_DIR / "triples" / "kb.json")
 CORPUS = str(DATA_DIR / "corpus_pipeline.jsonl")
 
@@ -527,6 +541,19 @@ CLI_ERROR_PATHS = {
         lambda t: ["eval", GOLDEN_KB, "--corpus", CORPUS, "--config", non_json_file(t)],
         2,
         "is not valid JSON",
+    ),
+    "validate-non-utf8": (lambda t: ["validate", non_utf8_file(t)], 1, "doc.ttl is not UTF-8"),
+    "ttl2kb-non-utf8": (
+        lambda t: ["ttl2kb", non_utf8_file(t), "-o", str(t / "kb.json")], 1, "doc.ttl is not UTF-8"
+    ),
+    "repair-non-utf8": (
+        lambda t: ["repair", non_utf8_file(t), "--config", str(DATA_DIR / "pipeline_ontology.json"),
+                   "--backend", "replay-onto", "-o", str(t / "out.ttl")],
+        1,
+        "doc.ttl is not UTF-8",
+    ),
+    "pipeline-inverted-date-window": (
+        lambda t: ["pipeline", "--config", inverted_window_config(t)], 2, "is after"
     ),
 }
 

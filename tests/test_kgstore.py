@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import json
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -27,7 +29,7 @@ def test_add_triple_deduplicates_and_unions_provenance():
     kb.add_triple(Triplet("A", "r", "B", P2))
     kb.add_triple(Triplet("A", "r", "B", P1))
     assert len(kb.triples) == 1
-    assert kb.triples[("A", "r", "B")] == [P1, P2]
+    assert list(kb.triples[("A", "r", "B")]) == [P1, P2]
     assert kb.entities == {"A", "B"}
     assert kb.predicates == {"r"}
 
@@ -75,7 +77,7 @@ class TestMerge:
         kb1 = add_triples(KnowledgeBase(), [Triplet("A", "r", "B", P1)])
         kb2 = add_triples(KnowledgeBase(), [Triplet("A", "r", "B", P2)])
         merged = merge(kb1, kb2)
-        assert merged.triples[("A", "r", "B")] == [P1, P2]
+        assert list(merged.triples[("A", "r", "B")]) == [P1, P2]
 
     def test_link_config_mismatch_refused(self):
         kb1 = KnowledgeBase(link_config="match=exact;source=x")
@@ -166,6 +168,76 @@ def test_save_load_roundtrip(tmp_path_factory, a):
     assert {k: list(v) for k, v in loaded.triples.items()} == {
         k: list(v) for k, v in kb.triples.items()
     }
+
+
+def kb_exact(kb: KnowledgeBase):
+    """Everything save_kb writes, provenance order included."""
+    return (
+        kb.entities,
+        kb.predicates,
+        {key: list(value) for key, value in kb.triples.items()},
+        kb.entity_links,
+        kb.link_config,
+    )
+
+
+entity_link_maps = st.dictionaries(labels, st.sampled_from(["http://e/1", "http://e/2"]), max_size=3)
+
+
+@given(st.lists(st.tuples(triplet_lists, entity_link_maps, st.sampled_from([None, "cfg"])), max_size=5))
+@settings(max_examples=100, deadline=None)
+def test_update_fold_equals_chained_merge(parts):
+    kbs = []
+    for triplets, links, link_config in parts:
+        kb = add_triples(KnowledgeBase(link_config=link_config), triplets)
+        kb.entity_links.update(links)
+        kbs.append(kb)
+    before = [kb_exact(kb.copy()) for kb in kbs]
+    chained = KnowledgeBase()
+    folded = KnowledgeBase()
+    for kb in kbs:
+        chained = merge(chained, kb)
+        folded.update(kb)
+    assert kb_exact(folded) == kb_exact(chained)
+    # the fold must not share provenance sets with its inputs
+    for provenance in folded.triples.values():
+        provenance[Provenance("z", 9, "z")] = None
+    assert [kb_exact(kb) for kb in kbs] == before
+
+
+# every character class kb.json has to escape or pass through: quotes,
+# backslashes, control characters, non-ASCII and astral code points (lone
+# surrogates cannot be written as UTF-8 at all)
+json_text = st.text(
+    st.sampled_from(list('ab"\\/\x00\x1f\x7f\n\t\u2028éß€😀'))
+    | st.characters(exclude_categories=("Cs",)),
+    max_size=6,
+)
+provenance_records = st.builds(
+    Provenance, json_text, st.none() | st.integers(-3, 10**12), json_text
+)
+
+
+@given(
+    entities=st.sets(json_text, max_size=5),
+    predicates=st.sets(json_text, max_size=3),
+    triples=st.dictionaries(
+        st.tuples(json_text, json_text, json_text),
+        st.lists(provenance_records, max_size=3).map(dict.fromkeys),
+        max_size=5,
+    ),
+    link_config=st.none() | json_text,
+    entity_links=st.dictionaries(json_text, json_text, max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_save_kb_writes_the_reference_json_bytes(
+    tmp_path_factory, entities, predicates, triples, link_config, entity_links
+):
+    kb = KnowledgeBase(entities, predicates, triples, link_config, entity_links)
+    path = tmp_path_factory.mktemp("kb") / "kb.json"
+    save_kb(kb, path)
+    reference = json.dumps(kb.to_dict(), ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == reference.encode("utf-8")
 
 
 def test_comparison_table_shape():

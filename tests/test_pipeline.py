@@ -13,6 +13,7 @@ import pytest
 
 from textkg import pipeline
 from textkg.errors import ConfigError, TextkgError
+from textkg.kgstore import KnowledgeBase
 from textkg.pipeline import StageError, load_config, run_pipeline
 
 from .conftest import DATA_DIR, GOLDEN_DIR
@@ -191,6 +192,19 @@ class TestLoadConfig:
         config = load_config(write_config(tmp_path, data))
         assert (config.date_from.year, config.date_from.month, config.date_from.day) == (2023, 2, 20)
         assert config.date_to.isoformat() == "2023-03-01"
+
+    def test_inverted_date_window_rejected(self, tmp_path):
+        data = triples_config_dict()
+        data["date_from"] = "2023-03-01"
+        data["date_to"] = "2023-02-01"
+        with pytest.raises(ConfigError, match="2023-03-01 is after 2023-02-01"):
+            load_config(write_config(tmp_path, data))
+
+    def test_single_day_window_accepted(self, tmp_path):
+        data = triples_config_dict()
+        data["date_from"] = data["date_to"] = "2023-02-20"
+        config = load_config(write_config(tmp_path, data))
+        assert config.date_from == config.date_to
 
     @pytest.mark.parametrize(
         ("patch", "hint"),
@@ -396,7 +410,7 @@ TRACED_HELPERS = {
     ),
     "pipeline_ontology.json": (
         "load_corpus", "chunk", "generate", "repair_until_valid", "serialize_turtle",
-        "ontology_to_kb", "merge", "save_kb", "evaluate", "export_graph",
+        "ontology_to_kb", "save_kb", "evaluate", "export_graph",
     ),
 }
 
@@ -414,3 +428,19 @@ def test_stages_call_traced_helpers_through_pipeline_module(data_copy, monkeypat
         monkeypatch.setattr(pipeline, name, counted)
     run_pipeline(data_copy / config_name)
     assert [name for name in TRACED_HELPERS[config_name] if not calls[name]] == []
+
+
+def test_ontology_stage_folds_articles_without_copying_the_kb(data_copy, monkeypatch):
+    # copying the accumulated KB once per article made the ontology stage
+    # quadratic in the corpus size
+    copies = Counter()
+    original = KnowledgeBase.copy
+
+    def counted(self):
+        copies["copy"] += 1
+        return original(self)
+
+    monkeypatch.setattr(KnowledgeBase, "copy", counted)
+    manifest = run_pipeline(data_copy / "pipeline_ontology.json")
+    assert manifest["stages"]["ontology"]["valid_documents"] > 1
+    assert copies["copy"] == 0

@@ -441,7 +441,7 @@ class TestOntologyToKb:
             ("Excess Energy", "instanceOf", "Practices"),
             ("Soluna", "utilizes", "Excess Energy"),
         }
-        provenance = kb.triples[("Soluna", "utilizes", "Excess Energy")]
+        provenance = list(kb.triples[("Soluna", "utilizes", "Excess Energy")])
         assert len(provenance) == 1
         assert provenance[0].article_id == "a1"
         assert provenance[0].batch_index is None
