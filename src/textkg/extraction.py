@@ -10,9 +10,12 @@ prompt drift surfaces as a missing fixture rather than a silent change.
 
 from __future__ import annotations
 
+import datetime as dt
+import email.utils
 import hashlib
 import json
 import logging
+import math
 import os
 import re
 import threading
@@ -320,11 +323,23 @@ class RateLimiter:
 
 
 def _retry_after_seconds(response: transport.Response) -> int:
-    """Integer Retry-After of a 429/503 reply, else 0 (HTTP dates are ignored)."""
+    """Retry-After of a 429/503 reply in whole seconds, else 0.
+
+    The header is either a delay in seconds or an HTTP date, which counts
+    from now, rounded up; a date in the past or an unreadable value is 0.
+    """
+    if response.status not in (429, 503):
+        return 0
     value = (response.headers.get("Retry-After") or "").strip()
-    if response.status in (429, 503) and value.isascii() and value.isdigit():
+    if value.isascii() and value.isdigit():
         return int(value)
-    return 0
+    try:
+        when = email.utils.parsedate_to_datetime(value)
+    except (ValueError, OverflowError):
+        return 0
+    if when.tzinfo is None:  # a "-0000" zone parses naive; HTTP dates are UTC
+        when = when.replace(tzinfo=dt.timezone.utc)
+    return max(0, math.ceil((when - dt.datetime.now(dt.timezone.utc)).total_seconds()))
 
 
 def _post_with_retry(

@@ -13,6 +13,7 @@ import datetime as dt
 import hashlib
 import json
 import logging
+import os
 import re
 from collections.abc import Callable
 from concurrent.futures import ThreadPoolExecutor
@@ -335,6 +336,16 @@ def _write_json(path: Path, payload: dict) -> None:
         handle.write("\n")
 
 
+def _replace_json(path: Path, payload: dict) -> None:
+    """Write through a temp file beside ``path``, so ``path`` is complete or absent."""
+    temp = path.with_name(path.name + ".tmp")
+    try:
+        _write_json(temp, payload)
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
+
+
 def _safe_name(article_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", article_id)
 
@@ -578,6 +589,9 @@ def run_pipeline(config_path: str | Path) -> dict:
     config = load_config(config_path)
     run_dir = config.resolve(config.run_dir)
     run_dir.mkdir(parents=True, exist_ok=True)
+    # a failed rerun must not leave the last run's manifest beside its partial artifacts
+    manifest_path = run_dir / "manifest.json"
+    manifest_path.unlink(missing_ok=True)
     stages: dict = {}
 
     def run(stage: str, function: Callable, *args):
@@ -612,5 +626,5 @@ def run_pipeline(config_path: str | Path) -> dict:
     stages["export"] = run("export", export_stage, kb, config.export, run_dir)
 
     manifest = {"config_hash": config.config_hash, "mode": config.mode, "stages": stages}
-    _write_json(run_dir / "manifest.json", manifest)
+    _replace_json(manifest_path, manifest)
     return manifest

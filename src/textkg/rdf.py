@@ -111,151 +111,118 @@ def _is_standard(iri: str) -> bool:
 
 # ---------------------------------------------------------------------------
 # Tokenizer
+#
+# A token is a plain (kind, value, offset) tuple, where offset indexes the
+# text. Line and column are worked out from the offset only when an error is
+# reported. Kinds: prefix_directive, iri, pname, a, string, dot, semi, comma
+# and eof.
 
 
-@dataclass(frozen=True)
-class _Token:
-    kind: str  # prefix_directive | iri | pname | a | string | dot | semi | comma | eof
-    value: object
-    line: int
-    col: int
+def _location(text: str, offset: int) -> str:
+    line = text.count("\n", 0, offset) + 1
+    column = offset - text.rfind("\n", 0, offset)
+    return f"line {line}, column {column}"
 
 
 class _ParseAbort(Exception):
-    def __init__(self, message: str, line: int, col: int):
+    def __init__(self, message: str, text: str, offset: int):
         self.message = message
-        self.location = f"line {line}, column {col}"
+        self.location = _location(text, offset)
         super().__init__(f"{self.location}: {message}")
 
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
-_PNAME_CHARS = frozenset("abcdefghijklmnopqrstuvwxyzABCDEFGHIJKLMNOPQRSTUVWXYZ0123456789_-")
+_ESCAPE_RE = re.compile(r"\\(.)")
+_SKIP = r"[ \t\r\n]*(?:\#[^\n]*\n[ \t\r\n]*)*"
+_SKIP_RE = re.compile(_SKIP)
+_STRING_BODY = r"""(?:[^"\\\n]|\\["\\nrt])*"""
+_STRING_BODY_RE = re.compile(_STRING_BODY)
+_WORD_RE = re.compile(r"[A-Za-z0-9_-]*")
+# Whitespace and comments, then one token. Where the regex stops,
+# _token_error names the violation; a string followed by '^^' or by an empty
+# language tag does not match at all, so that error is found from its opening
+# quote. '@prefix' followed by a letter is refused in _tokenize, since
+# str.isalpha has no regex class. A comment that runs to the end of input
+# belongs to the eof token, which then sits at the '#'.
+_TOKEN_RE = re.compile(
+    _SKIP
+    + r"""(?:
+        (?P<pname>(?P<pfx>(?:[A-Za-z]|_(?!:))[A-Za-z0-9_-]*|):(?P<local>[A-Za-z0-9_-]*))
+      | (?P<dot>\.)
+      | (?P<semi>;)
+      | (?P<string>"(?!"")(?P<body>"""
+    + _STRING_BODY
+    + r""")"(?:@(?P<lang>(?:[^\W_]|-)+)|(?!@|\^\^)))
+      | (?P<iri><(?P<ref>[^>\n]*)>)
+      | (?P<a>a(?![A-Za-z0-9_:-]))
+      | (?P<comma>,)
+      | (?P<prefix_directive>@prefix)
+      | (?P<eof>(?:\#[^\n]*)?\Z)
+    )""",
+    re.VERBOSE,
+)
 
 
-def _tokenize(text: str) -> list[_Token]:
-    tokens: list[_Token] = []
-    pos, line, col = 0, 1, 1
-    length = len(text)
+def _tokenize(text: str) -> list[tuple]:
+    tokens: list[tuple] = []
+    append = tokens.append
+    match = None
+    for match in iter(_TOKEN_RE.scanner(text).match, None):
+        kind = match.lastgroup
+        if kind == "pname":
+            append((kind, match.group("pfx", "local"), match.start(kind)))
+        elif kind == "iri":
+            append((kind, match["ref"], match.start(kind)))
+        elif kind == "string":
+            body, lang = match.group("body", "lang")
+            if "\\" in body:
+                body = _ESCAPE_RE.sub(lambda escape: _ESCAPES[escape[1]], body)
+            append((kind, Literal(body, lang), match.start(kind)))
+        elif kind == "eof":
+            append((kind, None, match.start(kind)))
+            return tokens
+        elif kind == "prefix_directive" and text[match.end() : match.end() + 1].isalpha():
+            raise _token_error(text, match.start(kind))
+        else:
+            append((kind, match[kind], match.start(kind)))
+    # the scan stopped before the end: name what starts after the last token
+    raise _token_error(text, _SKIP_RE.match(text, match.end() if match else 0).end())
 
-    def abort(message: str, at_line: int | None = None, at_col: int | None = None):
-        raise _ParseAbort(message, at_line if at_line is not None else line, at_col if at_col is not None else col)
 
-    while pos < length:
-        char = text[pos]
-        if char == "\n":
-            pos, line, col = pos + 1, line + 1, 1
-            continue
-        if char in " \t\r":
-            pos, col = pos + 1, col + 1
-            continue
-        if char == "#":
-            while pos < length and text[pos] != "\n":
-                pos += 1
-            continue
-        start_line, start_col = line, col
-        if char == "<":
-            end = text.find(">", pos + 1)
-            if end == -1 or "\n" in text[pos:end]:
-                abort("unterminated IRI reference")
-            value = text[pos + 1 : end]
-            tokens.append(_Token("iri", value, start_line, start_col))
-            col += end + 1 - pos
-            pos = end + 1
-            continue
-        if char == '"':
-            if text.startswith('"""', pos):
-                abort("multiline literals are not supported")
-            pos, col = pos + 1, col + 1
-            chars: list[str] = []
-            while True:
-                if pos >= length or text[pos] == "\n":
-                    abort("unterminated string literal", start_line, start_col)
-                current = text[pos]
-                if current == "\\":
-                    if pos + 1 >= length:
-                        abort("dangling escape at end of input")
-                    escape = text[pos + 1]
-                    if escape not in _ESCAPES:
-                        abort(f"unsupported escape '\\{escape}'")
-                    chars.append(_ESCAPES[escape])
-                    pos, col = pos + 2, col + 2
-                    continue
-                if current == '"':
-                    pos, col = pos + 1, col + 1
-                    break
-                chars.append(current)
-                pos, col = pos + 1, col + 1
-            if text.startswith("^^", pos):
-                abort("typed literals are not supported")
-            lang = None
-            if pos < length and text[pos] == "@":
-                pos, col = pos + 1, col + 1
-                lang_start = pos
-                while pos < length and (text[pos].isalnum() or text[pos] == "-"):
-                    pos, col = pos + 1, col + 1
-                lang = text[lang_start:pos]
-                if not lang:
-                    abort("empty language tag")
-            tokens.append(_Token("string", Literal("".join(chars), lang), start_line, start_col))
-            continue
-        if char == "@":
-            word_start = pos + 1
-            word_end = word_start
-            while word_end < length and text[word_end].isalpha():
-                word_end += 1
-            word = text[word_start:word_end]
-            if word == "prefix":
-                tokens.append(_Token("prefix_directive", "@prefix", start_line, start_col))
-                col += word_end - pos
-                pos = word_end
-                continue
-            if word == "base":
-                abort("@base is not supported")
-            abort(f"unknown directive '@{word}'")
-        if char == ".":
-            tokens.append(_Token("dot", ".", start_line, start_col))
-            pos, col = pos + 1, col + 1
-            continue
-        if char == ";":
-            tokens.append(_Token("semi", ";", start_line, start_col))
-            pos, col = pos + 1, col + 1
-            continue
-        if char == ",":
-            tokens.append(_Token("comma", ",", start_line, start_col))
-            pos, col = pos + 1, col + 1
-            continue
-        if char in "[]":
-            abort("blank nodes are not supported")
-        if char in "()":
-            abort("collections are not supported")
-        if char.isdigit() or (char in "+-" and pos + 1 < length and text[pos + 1].isdigit()):
-            abort("numeric literals are not supported")
-        if char == "_" and pos + 1 < length and text[pos + 1] == ":":
-            abort("blank nodes are not supported")
-        if char == ":" or char.isalpha() or char == "_":
-            word_end = pos
-            while word_end < length and text[word_end] in _PNAME_CHARS:
-                word_end += 1
-            word = text[pos:word_end]
-            if word_end < length and text[word_end] == ":":
-                local_start = word_end + 1
-                local_end = local_start
-                while local_end < length and text[local_end] in _PNAME_CHARS:
-                    local_end += 1
-                local = text[local_start:local_end]
-                tokens.append(_Token("pname", (word, local), start_line, start_col))
-                col += local_end - pos
-                pos = local_end
-                continue
-            if word == "a":
-                tokens.append(_Token("a", "a", start_line, start_col))
-                col += word_end - pos
-                pos = word_end
-                continue
-            abort(f"unexpected word {word!r}" if word else f"unexpected character {char!r}")
-        abort(f"unexpected character {char!r}")
-    tokens.append(_Token("eof", None, line, col))
-    return tokens
+def _token_error(text: str, pos: int) -> _ParseAbort:
+    """Name the subset violation that starts at ``pos``."""
+    char, following = text[pos], text[pos + 1 : pos + 2]
+    if char == "<":
+        return _ParseAbort("unterminated IRI reference", text, pos)
+    if char == '"':
+        if text.startswith('"""', pos):
+            return _ParseAbort("multiline literals are not supported", text, pos)
+        end = _STRING_BODY_RE.match(text, pos + 1).end()
+        stop = text[end : end + 1]
+        if stop == "\\":
+            if end + 1 == len(text):
+                return _ParseAbort("dangling escape at end of input", text, end)
+            return _ParseAbort(f"unsupported escape '\\{text[end + 1]}'", text, end)
+        if stop != '"':
+            return _ParseAbort("unterminated string literal", text, pos)
+        if text.startswith("^^", end + 1):
+            return _ParseAbort("typed literals are not supported", text, end + 1)
+        return _ParseAbort("empty language tag", text, end + 2)
+    if char == "@":
+        end = pos + 1
+        while end < len(text) and text[end].isalpha():
+            end += 1
+        word = text[pos + 1 : end]
+        message = "@base is not supported" if word == "base" else f"unknown directive '@{word}'"
+        return _ParseAbort(message, text, pos)
+    if char in "[]" or (char == "_" and following == ":"):
+        return _ParseAbort("blank nodes are not supported", text, pos)
+    if char in "()":
+        return _ParseAbort("collections are not supported", text, pos)
+    if char.isdigit() or (char in "+-" and following.isdigit()):
+        return _ParseAbort("numeric literals are not supported", text, pos)
+    word = _WORD_RE.match(text, pos)[0] if char.isalpha() or char == "_" else ""
+    return _ParseAbort(f"unexpected word {word!r}" if word else f"unexpected character {char!r}", text, pos)
 
 
 # ---------------------------------------------------------------------------
@@ -263,34 +230,36 @@ def _tokenize(text: str) -> list[_Token]:
 
 
 class _Parser:
-    def __init__(self, tokens: list[_Token]):
-        self.tokens = tokens
+    def __init__(self, text: str):
+        self.text = text
+        self.tokens = _tokenize(text)
         self.index = 0
         self.doc = OntologyDoc()
         self.prefix_errors: dict[str, Issue] = {}
 
-    def peek(self) -> _Token:
+    def peek(self) -> tuple:
         return self.tokens[self.index]
 
-    def advance(self) -> _Token:
+    def advance(self) -> tuple:
         token = self.tokens[self.index]
-        if token.kind != "eof":
+        if token[0] != "eof":
             self.index += 1
         return token
 
-    def abort(self, message: str, token: _Token):
-        raise _ParseAbort(message, token.line, token.col)
+    def abort(self, message: str, token: tuple):
+        raise _ParseAbort(message, self.text, token[2])
 
-    def expect(self, kind: str, what: str) -> _Token:
+    def expect(self, kind: str, what: str) -> tuple:
         token = self.advance()
-        if token.kind != kind:
+        if token[0] != kind:
             self.abort(f"expected {what}, found {_describe(token)}", token)
         return token
 
-    def resolve(self, token: _Token) -> str:
-        if token.kind == "iri":
-            return str(token.value)
-        prefix, local = token.value  # pname
+    def resolve(self, token: tuple) -> str:
+        kind, value, offset = token
+        if kind == "iri":
+            return value
+        prefix, local = value  # pname
         base = self.doc.prefixes.get(prefix)
         if base is None:
             display = f"{prefix}:"
@@ -298,17 +267,17 @@ class _Parser:
                 self.prefix_errors[display] = Issue(
                     "UndefinedPrefix",
                     f"prefix '{display}' is used but never declared",
-                    f"line {token.line}, column {token.col}",
+                    _location(self.text, offset),
                 )
             return f"urn:undeclared:{prefix}:{local}"
         return base + local
 
     def parse(self) -> OntologyDoc:
         while True:
-            token = self.peek()
-            if token.kind == "eof":
+            kind = self.peek()[0]
+            if kind == "eof":
                 break
-            if token.kind == "prefix_directive":
+            if kind == "prefix_directive":
                 self.advance()
                 self.parse_prefix()
                 continue
@@ -317,47 +286,47 @@ class _Parser:
 
     def parse_prefix(self) -> None:
         name_token = self.expect("pname", "a prefix name like 'ex:'")
-        prefix, local = name_token.value
+        prefix, local = name_token[1]
         if local:
             self.abort(f"prefix declaration must end with ':', got '{prefix}:{local}'", name_token)
         iri_token = self.expect("iri", "an IRI in angle brackets")
         self.expect("dot", "'.'")
-        self.doc.prefixes[prefix] = str(iri_token.value)
+        self.doc.prefixes[prefix] = iri_token[1]
 
     def parse_statement(self) -> None:
         subject_token = self.advance()
-        if subject_token.kind not in ("iri", "pname"):
+        if subject_token[0] not in ("iri", "pname"):
             self.abort(f"expected a subject IRI, found {_describe(subject_token)}", subject_token)
         subject = self.resolve(subject_token)
         while True:
             verb_token = self.advance()
-            if verb_token.kind == "a":
+            if verb_token[0] == "a":
                 predicate = RDF_TYPE
-            elif verb_token.kind in ("iri", "pname"):
+            elif verb_token[0] in ("iri", "pname"):
                 predicate = self.resolve(verb_token)
             else:
                 self.abort(f"expected a predicate, found {_describe(verb_token)}", verb_token)
             while True:
                 object_token = self.advance()
-                if object_token.kind in ("iri", "pname"):
+                if object_token[0] in ("iri", "pname"):
                     obj: str | Literal = self.resolve(object_token)
-                elif object_token.kind == "string":
-                    obj = object_token.value
+                elif object_token[0] == "string":
+                    obj = object_token[1]
                 else:
                     self.abort(f"expected an object, found {_describe(object_token)}", object_token)
                 self.record(subject, predicate, obj)
-                if self.peek().kind == "comma":
+                if self.peek()[0] == "comma":
                     self.advance()
                     continue
                 break
             separator = self.advance()
-            if separator.kind == "semi":
+            if separator[0] == "semi":
                 # tolerate a trailing ';' before the final '.'
-                if self.peek().kind == "dot":
+                if self.peek()[0] == "dot":
                     self.advance()
                     return
                 continue
-            if separator.kind == "dot":
+            if separator[0] == "dot":
                 return
             self.abort(f"expected ';', ',' or '.', found {_describe(separator)}", separator)
 
@@ -385,15 +354,16 @@ class _Parser:
         doc.property_assertions.add((subject, predicate, obj))
 
 
-def _describe(token: _Token) -> str:
-    if token.kind == "eof":
+def _describe(token: tuple) -> str:
+    kind, value, _ = token
+    if kind == "eof":
         return "end of input"
-    if token.kind == "pname":
-        prefix, local = token.value
+    if kind == "pname":
+        prefix, local = value
         return f"'{prefix}:{local}'"
-    if token.kind == "string":
+    if kind == "string":
         return "a string literal"
-    return f"'{token.value}'"
+    return f"'{value}'"
 
 
 def parse_turtle(text: str) -> OntologyDoc | ValidationReport:
@@ -404,7 +374,7 @@ def parse_turtle(text: str) -> OntologyDoc | ValidationReport:
     column.
     """
     try:
-        parser = _Parser(_tokenize(text))
+        parser = _Parser(text)
         doc = parser.parse()
     except _ParseAbort as abort:
         return ValidationReport(errors=[Issue("ParseError", abort.message, abort.location)])
@@ -451,7 +421,14 @@ def _object_key(obj: str | Literal) -> tuple:
 def serialize_turtle(doc: OntologyDoc) -> str:
     """Emit the document in the same subset with fully deterministic ordering."""
     prefixes = doc.prefixes
-    compact = lambda iri: _compact(iri, prefixes)
+    compacted: dict[str, str] = {}
+
+    def compact(iri: str) -> str:
+        # each distinct IRI is compacted once per call
+        if iri not in compacted:
+            compacted[iri] = _compact(iri, prefixes)
+        return compacted[iri]
+
     sections: list[list[str]] = []
 
     # vocabulary terms go through compaction too: a document may rebind the

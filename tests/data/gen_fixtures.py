@@ -6,13 +6,19 @@ pipeline will issue, so this script derives every key through the same
 prompt-building and fingerprinting code the pipeline uses. Rerun it after
 any deliberate prompt change:
 
-    python3 tests/data/gen_fixtures.py
+    python3 tests/data/gen_fixtures.py [output_dir]
+
+The output directory defaults to this one. A test regenerates into a scratch
+directory and requires byte identity with the committed files, so a prompt,
+fingerprint or validation-message change cannot leave them stale.
 """
 
 from __future__ import annotations
 
+import datetime as dt
 import json
 import shutil
+import sys
 from pathlib import Path
 
 from textkg.chunking import chunk, whitespace_tokenize
@@ -25,8 +31,6 @@ MODEL = "fixture-model"
 TEMPERATURE = 0.0
 MAX_INPUT_TOKENS = 512
 BATCH_SIZE = 256
-
-import datetime as dt
 
 
 def _long_body() -> str:
@@ -209,12 +213,12 @@ def _write_fixture(directory: Path, prompt: str, response: str) -> None:
     (directory / f"{fingerprint}.txt").write_text(response, encoding="utf-8")
 
 
-def main() -> None:
-    write_corpus(ARTICLES, HERE / "corpus_pipeline.jsonl")
-    articles = load_corpus(HERE / "corpus_pipeline.jsonl")
+def main(out_dir: Path = HERE) -> None:
+    write_corpus(ARTICLES, out_dir / "corpus_pipeline.jsonl")
+    articles = load_corpus(out_dir / "corpus_pipeline.jsonl")
 
-    triples_dir = HERE / "replay_triples"
-    ontology_dir = HERE / "replay_ontology"
+    triples_dir = out_dir / "replay_triples"
+    ontology_dir = out_dir / "replay_ontology"
     for directory in (triples_dir, ontology_dir):
         shutil.rmtree(directory, ignore_errors=True)
         directory.mkdir(parents=True)
@@ -247,4 +251,4 @@ def main() -> None:
 
 
 if __name__ == "__main__":
-    main()
+    main(Path(sys.argv[1]) if len(sys.argv) > 1 else HERE)

@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 import datetime as dt
+import email.utils
 import json
 
 import pytest
@@ -102,8 +103,33 @@ class TestChatBackend:
         assert len(server.requests) == 1
         assert fast_sleep == []
 
-    @pytest.mark.parametrize("value", ["-3", "1.5", "soon", "Wed, 21 Oct 2026 07:28:00 GMT"])
+    @pytest.mark.parametrize("value", ["-3", "1.5", "soon", "Wed, 45 Oct 2026 07:28:00 GMT"])
     def test_unusable_retry_after_falls_back_to_backoff(self, server, fast_sleep, value):
+        server.script = [(429, "slow down", {"Retry-After": value}), (200, CHAT_OK)]
+        generate(chat_config(server.url), "p")
+        assert fast_sleep == [0.5]
+
+    @staticmethod
+    def http_date(seconds_from_now: float) -> str:
+        when = dt.datetime.now(dt.timezone.utc) + dt.timedelta(seconds=seconds_from_now)
+        return email.utils.format_datetime(when, usegmt=True)
+
+    def test_retry_after_http_date_is_waited_out(self, server, fast_sleep):
+        server.script = [(503, "busy", {"Retry-After": self.http_date(30)}), (200, CHAT_OK)]
+        assert generate(chat_config(server.url), "p") == "A | b | C"
+        # the date drops the fraction of a second, and the reply takes some time
+        assert len(fast_sleep) == 1 and 28 <= fast_sleep[0] <= 30
+
+    def test_retry_after_http_date_over_the_cap_fails_without_sleeping(self, server, fast_sleep):
+        server.script = [(429, "slow down", {"Retry-After": self.http_date(120)}), (200, CHAT_OK)]
+        with pytest.raises(HttpError) as exc_info:
+            generate(chat_config(server.url), "p")
+        assert exc_info.value.status == 429
+        assert len(server.requests) == 1
+        assert fast_sleep == []
+
+    @pytest.mark.parametrize("value", ["Wed, 21 Oct 2015 07:28:00 GMT", "Wed, 21 Oct 2015 07:28:00 -0000"])
+    def test_retry_after_past_http_date_waits_only_backoff(self, server, fast_sleep, value):
         server.script = [(429, "slow down", {"Retry-After": value}), (200, CHAT_OK)]
         generate(chat_config(server.url), "p")
         assert fast_sleep == [0.5]

@@ -359,6 +359,30 @@ class TestRunPipeline:
         assert info.value.stage == "corpus"
         assert isinstance(info.value.cause, TextkgError)
 
+    def test_failed_rerun_leaves_no_manifest(self, data_copy):
+        config = data_copy / "pipeline_triples.json"
+        run_dir = data_copy / "run_triples"
+        run_pipeline(config)
+        assert (run_dir / "manifest.json").is_file()
+        (data_copy / "corpus_pipeline.jsonl").write_text("{broken\n", encoding="utf-8")
+        with pytest.raises(StageError, match="stage 'corpus' failed"):
+            run_pipeline(config)
+        assert not (run_dir / "manifest.json").exists()
+        assert not list(run_dir.glob("*.tmp"))
+
+    def test_manifest_written_through_replace(self, data_copy, monkeypatch):
+        replaced = []
+        real_replace = pipeline.os.replace
+
+        def recording_replace(source, target):
+            replaced.append((Path(source).name, Path(target).name))
+            real_replace(source, target)
+
+        monkeypatch.setattr(pipeline.os, "replace", recording_replace)
+        run_pipeline(data_copy / "pipeline_triples.json")
+        assert replaced == [("manifest.json.tmp", "manifest.json")]
+        assert not list((data_copy / "run_triples").glob("*.tmp"))
+
     def test_corrupt_link_cache_fails_in_link_stage(self, data_copy):
         (data_copy / "link_cache.json").write_text("{truncated", encoding="utf-8")
         with pytest.raises(StageError, match="link_cache.json") as info:

@@ -1,9 +1,12 @@
 from __future__ import annotations
 
+from collections import Counter
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from textkg import rdf
 from textkg.rdf import (
     DEFAULT_PREFIXES,
     OWL_NS,
@@ -151,6 +154,112 @@ class TestParseErrors:
         (error,) = result.errors
         assert error.location == "line 2, column 11"
 
+    # Every abort path of the tokenizer and the parser, with its exact text.
+    # Repair prompts embed these strings, so replay fixture keys depend on them.
+    @pytest.mark.parametrize(
+        "text, message, location",
+        [
+            pytest.param("ex:S ex:p [ ex:q ex:O ] .", "blank nodes are not supported", "2:11", id="open-bracket"),
+            pytest.param("ex:S ex:p ] .", "blank nodes are not supported", "2:11", id="close-bracket"),
+            pytest.param("_:b0 ex:p ex:O .", "blank nodes are not supported", "2:1", id="blank-node-label"),
+            pytest.param("ex:S ex:p ( ex:O ) .", "collections are not supported", "2:11", id="open-paren"),
+            pytest.param("ex:S ex:p ) .", "collections are not supported", "2:11", id="close-paren"),
+            pytest.param('ex:S ex:p """multi""" .', "multiline literals are not supported", "2:11", id="long-string"),
+            pytest.param('ex:S ex:p "x"^^xsd:string .', "typed literals are not supported", "2:14", id="typed"),
+            pytest.param("ex:S ex:p 42 .", "numeric literals are not supported", "2:11", id="integer"),
+            pytest.param("ex:S ex:p -7 .", "numeric literals are not supported", "2:11", id="minus-number"),
+            pytest.param("ex:S ex:p +7 .", "numeric literals are not supported", "2:11", id="plus-number"),
+            pytest.param("ex:S ex:p ² .", "numeric literals are not supported", "2:11", id="unicode-digit"),
+            pytest.param("@prefix²", "numeric literals are not supported", "2:8", id="prefix-then-digit"),
+            pytest.param("@base <http://e/> .", "@base is not supported", "2:1", id="base"),
+            pytest.param("@prefiks ex: <http://e/> .", "unknown directive '@prefiks'", "2:1", id="misspelt-directive"),
+            pytest.param("@prefixes ex: <http://e/> .", "unknown directive '@prefixes'", "2:1", id="longer-directive"),
+            pytest.param("@prefixé ex: <http://e/> .", "unknown directive '@prefixé'", "2:1", id="non-ascii-directive"),
+            pytest.param("@ ex:p .", "unknown directive '@'", "2:1", id="bare-at"),
+            pytest.param('ex:S ex:p "x"@en@fr .', "unknown directive '@fr'", "2:17", id="second-language-tag"),
+            pytest.param('ex:S ex:p "bad \\q escape" .', "unsupported escape '\\q'", "2:16", id="unsupported-escape"),
+            pytest.param('ex:S ex:p "dangling \\', "dangling escape at end of input", "2:21", id="dangling-escape"),
+            pytest.param('ex:S ex:p "x"@ .', "empty language tag", "2:15", id="empty-language-tag"),
+            pytest.param('ex:S ex:p "x"@', "empty language tag", "2:15", id="empty-language-tag-at-end"),
+            pytest.param('ex:S ex:p "x"@en^^ .', "unexpected character '^'", "2:17", id="typed-after-language"),
+            pytest.param("ex:S ex:p <http://e/unterminated", "unterminated IRI reference", "2:11", id="iri-at-end"),
+            pytest.param("ex:S ex:p <http://e/\n> .", "unterminated IRI reference", "2:11", id="iri-newline"),
+            pytest.param('ex:S ex:p "unterminated .', "unterminated string literal", "2:11", id="string-at-end"),
+            pytest.param('ex:S ex:p "line\nbreak" .', "unterminated string literal", "2:11", id="string-newline"),
+            pytest.param("ex:S ex:p ex:O ; bogus .", "unexpected word 'bogus'", "2:18", id="word"),
+            pytest.param("ex:S ex:p _x .", "unexpected word '_x'", "2:11", id="underscore-word"),
+            pytest.param("ex:S ex:p ex:O ! .", "unexpected character '!'", "2:16", id="character"),
+            pytest.param("ex:S ex:p é .", "unexpected character 'é'", "2:11", id="non-ascii-letter"),
+            pytest.param("ex:S ex:p ex:O - .", "unexpected character '-'", "2:16", id="lone-minus"),
+            pytest.param("ex:S ex:p ex:O ,, .", "expected an object, found ','", "2:17", id="double-comma"),
+            pytest.param("ex:S .", "expected a predicate, found '.'", "2:6", id="no-predicate"),
+            pytest.param("ex:S ex:p ex:O ; ; .", "expected a predicate, found ';'", "2:18", id="double-semicolon"),
+            pytest.param(". ex:S", "expected a subject IRI, found '.'", "2:1", id="no-subject"),
+            pytest.param('"lit" ex:p ex:O .', "expected a subject IRI, found a string literal", "2:1", id="literal-subject"),
+            pytest.param("a ex:p ex:O .", "expected a subject IRI, found 'a'", "2:1", id="a-subject"),
+            pytest.param("ex:S a .", "expected an object, found '.'", "2:8", id="no-object"),
+            pytest.param("ex:S ex:p a .", "expected an object, found 'a'", "2:11", id="a-object"),
+            pytest.param("ex:S ex:p ex:O", "expected ';', ',' or '.', found end of input", "2:15", id="no-dot"),
+            # a comment that runs to the end of input leaves the position at its '#'
+            pytest.param(
+                "ex:S ex:p ex:O # trailing",
+                "expected ';', ',' or '.', found end of input",
+                "2:16",
+                id="no-dot-trailing-comment",
+            ),
+            pytest.param("ex:S ex:p ex:O ex:T .", "expected ';', ',' or '.', found 'ex:T'", "2:16", id="two-objects"),
+            pytest.param("@prefix", "expected a prefix name like 'ex:', found end of input", "2:8", id="prefix-at-end"),
+            pytest.param(
+                "@prefix <http://e/> .",
+                "expected a prefix name like 'ex:', found 'http://e/'",
+                "2:9",
+                id="prefix-without-name",
+            ),
+            pytest.param(
+                "@prefix ex:foo <http://e/> .",
+                "prefix declaration must end with ':', got 'ex:foo'",
+                "2:9",
+                id="prefix-with-local",
+            ),
+            pytest.param(
+                "@prefix ex: ex:foo .", "expected an IRI in angle brackets, found 'ex:foo'", "2:13", id="prefix-pname"
+            ),
+            pytest.param("@prefix ex: <http://e/>", "expected '.', found end of input", "2:24", id="prefix-no-dot"),
+            # the whole document is tokenized before parsing, so a token error wins
+            pytest.param("ex:S . ex:T ex:p 42 .", "numeric literals are not supported", "2:18", id="token-error-first"),
+            pytest.param("# note\n\tex:S ex:p 42 .", "numeric literals are not supported", "3:12", id="tab-and-comment"),
+            pytest.param("# a\r\n\r\n  \tex:S ex:p [ .", "blank nodes are not supported", "4:14", id="crlf-lines"),
+        ],
+    )
+    def test_exact_message_and_location(self, text, message, location):
+        result = parse_turtle(HEADER + text)
+        assert isinstance(result, ValidationReport)
+        line, column = location.split(":")
+        assert [error.to_dict() for error in result.errors] == [
+            {"code": "ParseError", "message": message, "location": f"line {line}, column {column}"}
+        ]
+
+    def test_undefined_prefix_locations(self):
+        text = HEADER + "ex:S foo:p foo:O .\n# c\n\tex:T ex:q bar:U , foo:V .\n:x ex:p ex:O ."
+        result = parse_turtle(text)
+        assert [error.to_dict() for error in result.errors] == [
+            {
+                "code": "UndefinedPrefix",
+                "message": "prefix 'foo:' is used but never declared",
+                "location": "line 2, column 6",
+            },
+            {
+                "code": "UndefinedPrefix",
+                "message": "prefix 'bar:' is used but never declared",
+                "location": "line 4, column 12",
+            },
+            {
+                "code": "UndefinedPrefix",
+                "message": "prefix ':' is used but never declared",
+                "location": "line 5, column 1",
+            },
+        ]
+
     def test_undefined_prefix_collected_once_each(self):
         text = HEADER + "ex:S foo:p foo:O .\nex:T bar:q ex:U ."
         result = parse_turtle(text)
@@ -163,6 +272,66 @@ class TestParseErrors:
         result = parse_turtle("foo:S foo:p foo:O .")
         assert isinstance(result, ValidationReport)
         assert len(result.errors) == 1
+
+
+# (defect, where in it the error is reported, message); each is inserted at a
+# token boundary of a valid document, followed by a space. The whole text is
+# tokenized before it is parsed, so the document stops matching at the defect.
+DEFECTS = [
+    ("42", 0, "numeric literals are not supported"),
+    ("-7", 0, "numeric literals are not supported"),
+    ("[", 0, "blank nodes are not supported"),
+    ("_:b0", 0, "blank nodes are not supported"),
+    ("(", 0, "collections are not supported"),
+    ('"""x"""', 0, "multiline literals are not supported"),
+    ('"x"^^xsd:string', 3, "typed literals are not supported"),
+    ('"a\\q"', 2, "unsupported escape '\\q'"),
+    ('"x"@', 4, "empty language tag"),
+    ('"open\n', 0, "unterminated string literal"),
+    ("<http://e/open\n", 0, "unterminated IRI reference"),
+    ("@base", 0, "@base is not supported"),
+    ("@prefixes", 0, "unknown directive '@prefixes'"),
+    ("bogus", 0, "unexpected word 'bogus'"),
+    ("!", 0, "unexpected character '!'"),
+    ("é", 0, "unexpected character 'é'"),
+]
+STATEMENTS = [
+    ["ex:A", "ex:p", "ex:B", "."],
+    ["ex:A", "a", "owl:Class", "."],
+    ["ex:A", "rdfs:label", '"x \\"y\\""@en-GB', "."],
+    ["<http://e/A>", "ex:p", "ex:B", ",", "ex:C", ";", "ex:q", '"z"', ";", "."],
+    ["@prefix", "ns:", "<http://e/ns#>", "."],
+]
+SEPARATORS = [" ", "\t", " \r\t", "\n", "\r\n", " # note\n", "\n\n  "]
+
+
+@st.composite
+def documents_with_one_defect(draw):
+    statements = draw(st.lists(st.sampled_from(STATEMENTS), max_size=6))
+    tokens = [token for statement in statements for token in statement]
+    at = draw(st.integers(0, len(tokens)))
+    defect, shift, message = draw(st.sampled_from(DEFECTS))
+    text = HEADER
+    for index, token in enumerate(tokens + [""]):
+        if index == at:
+            offset = len(text) + shift
+            text += defect + " "
+        text += token + draw(st.sampled_from(SEPARATORS))
+    return text, offset, message
+
+
+class TestTokenizerGuards:
+    @given(documents_with_one_defect())
+    @settings(max_examples=300, deadline=None)
+    def test_error_location_is_the_offset_where_matching_stops(self, case):
+        text, offset, message = case
+        before = text[:offset]
+        line, column = before.count("\n") + 1, len(before.split("\n")[-1]) + 1
+        result = parse_turtle(text)
+        assert isinstance(result, ValidationReport)
+        assert [error.to_dict() for error in result.errors] == [
+            {"code": "ParseError", "message": message, "location": f"line {line}, column {column}"}
+        ]
 
 
 SOLUNA_TEXT = (DATA_DIR / "soluna.ttl").read_text(encoding="utf-8")
@@ -287,6 +456,24 @@ class TestRoundTripProperty:
         # labels on label-less docs: every original label survives
         assert again.labels == doc.labels
         assert again.individuals == doc.individuals
+
+
+class TestCompactOncePerIri:
+    @given(ontology_docs())
+    @settings(max_examples=100, deadline=None)
+    def test_one_compact_call_per_distinct_iri(self, doc):
+        expected = serialize_turtle(doc)
+        calls = Counter()
+        compact = rdf._compact
+
+        def counting(iri, prefixes):
+            calls[iri] += 1
+            return compact(iri, prefixes)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rdf, "_compact", counting)
+            assert serialize_turtle(doc) == expected
+        assert calls and max(calls.values()) == 1
 
 
 class TestValidateOwl:
