@@ -8,13 +8,12 @@ classes and individuals differently. Output ordering is fully deterministic.
 
 from __future__ import annotations
 
-import json
 from collections import Counter, deque
 from dataclasses import dataclass
 from xml.sax.saxutils import escape, quoteattr
 
 from .errors import TextkgError
-from .kgstore import KnowledgeBase
+from .kgstore import KnowledgeBase, _block, _scalar
 
 FORMATS = ("dot", "graphml", "json")
 INSTANCE_OF = "instanceOf"
@@ -134,14 +133,22 @@ def _render_graphml(nodes: list[tuple[str, str]], edges: list[tuple[str, str, st
 
 
 def _render_json(nodes: list[tuple[str, str]], edges: list[tuple[str, str, str]]) -> str:
-    document = {
-        "nodes": [{"id": label, "kind": kind} for label, kind in nodes],
-        "edges": [
-            {"source": subject, "predicate": predicate, "target": obj}
-            for subject, predicate, obj in edges
-        ],
-    }
-    return json.dumps(document, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    """The bytes of json.dumps({"nodes": [{"id", "kind"}], "edges": [{"source",
+    "predicate", "target"}]}, ensure_ascii=False, indent=2, sort_keys=True)
+    plus a newline, encoded one node or edge at a time."""
+    node_items = [
+        _block("{", "}", [f'"id": {_scalar(label)}', f'"kind": {_scalar(kind)}'], "    ")
+        for label, kind in nodes
+    ]
+    edge_items = [
+        _block("{", "}", [f'"predicate": {_scalar(p)}', f'"source": {_scalar(s)}', f'"target": {_scalar(o)}'], "    ")
+        for s, p, o in edges
+    ]
+    fields = [
+        f'"edges": {_block("[", "]", edge_items, "  ")}',
+        f'"nodes": {_block("[", "]", node_items, "  ")}',
+    ]
+    return _block("{", "}", fields, "") + "\n"
 
 
 def export_graph(kb: KnowledgeBase, format: str, options: ExportOptions | None = None) -> str:

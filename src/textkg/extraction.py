@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable
 
 from . import transport
-from .chunking import Tokenizer, chunk, whitespace_tokenize
+from .chunking import TokenBatch, chunk, whitespace_tokenize
 from .corpus import Article
 from .errors import ConfigError, TextkgError
 
@@ -395,7 +395,6 @@ def generate(
     config: BackendConfig,
     input_text: str,
     *,
-    tokenizer: Tokenizer = whitespace_tokenize,
     limiter: RateLimiter | None = None,
 ) -> str:
     """Run one generation request and return the raw completion text.
@@ -412,7 +411,7 @@ def generate(
         return path.read_text(encoding="utf-8")
 
     if config.kind == "seq2seq_tokens":
-        token_count = len(tokenizer(input_text))
+        token_count = len(whitespace_tokenize(input_text))
         if token_count > config.max_input_tokens:
             raise TokenLimitExceededError(token_count, config.max_input_tokens)
         payload: dict = {"inputs": input_text}
@@ -445,8 +444,8 @@ def generate(
 def extract_article(
     article: Article,
     config: BackendConfig,
-    tokenizer: Tokenizer = whitespace_tokenize,
     *,
+    batches: list[TokenBatch] | None = None,
     batch_size: int = 256,
     on_batch_error: str = "fail",
     limiter: RateLimiter | None = None,
@@ -456,11 +455,13 @@ def extract_article(
 
     Seq2seq backends receive raw batch text; chat backends receive the
     triples prompt, built over the whole article when it fits the backend's
-    input limit and over 256-token batches otherwise. Output order is batch
-    order, then within-batch order. on_batch_error selects what a failed
-    generation does: "fail" (default) re-raises, "skip" records the batch in
-    the report and moves on. on_generation, when given, observes each raw
-    completion as (batch_index, text).
+    input limit and over batch_size-token batches otherwise. batches, when
+    given, are the article's chunk(article, batch_size=batch_size), so the
+    body is not split again. Output order is batch order, then within-batch
+    order. on_batch_error selects what a failed generation does: "fail"
+    (default) re-raises, "skip" records the batch in the report and moves
+    on. on_generation, when given, observes each raw completion as
+    (batch_index, text).
     """
     if config.kind == "replay":
         mode = config.replay_mode
@@ -477,20 +478,21 @@ def extract_article(
 
     report = ParseReport()
     triplets: list[Triplet] = []
-    tokens = tokenizer(article.body)
-    if not tokens:
+    if not article.word_count:
         return triplets, report
 
     units: list[tuple[int | None, str]]
-    if mode == "triples" and len(tokens) <= config.max_input_tokens:
+    if mode == "triples" and article.word_count <= config.max_input_tokens:
         units = [(None, article.body)]
     else:
-        units = [(b.batch_index, b.text) for b in chunk(article, tokenizer, batch_size)]
+        if batches is None:
+            batches = chunk(article, batch_size=batch_size)
+        units = [(b.batch_index, b.text) for b in batches]
 
     for batch_index, text in units:
         request_text = build_prompt(text, "triples") if mode == "triples" else text
         try:
-            raw = generate(config, request_text, tokenizer=tokenizer, limiter=limiter)
+            raw = generate(config, request_text, limiter=limiter)
         except BackendError as exc:
             if on_batch_error == "fail":
                 raise

@@ -11,11 +11,14 @@ costs the same however many the triple already has.
 from __future__ import annotations
 
 import json
+import os
 from collections import Counter
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Iterator
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from json.encoder import encode_basestring
 from pathlib import Path
+from typing import TextIO
 
 from .errors import ConfigMismatchError, TextkgError
 from .extraction import Provenance, Triplet
@@ -181,13 +184,67 @@ def _scalar(value: object) -> str:
     return encode_basestring(value) if isinstance(value, str) else json.dumps(value)
 
 
-def _block(opening: str, closing: str, items: list[str], indent: str) -> str:
+def _block(opening: str, closing: str, items: list[str], indent: str | None) -> str:
     """Encoded items as one JSON array or object, laid out as json.dumps
-    lays it out with indent=2 when the block opens at this indent."""
+    lays it out with indent=2 when the block opens at this indent, or with
+    its default ", " separators when indent is None."""
     if not items:
         return opening + closing
+    if indent is None:
+        return opening + ", ".join(items) + closing
     inner = "\n" + indent + "  "
     return opening + inner + ("," + inner).join(items) + "\n" + indent + closing
+
+
+def row_encoder(indent: str | None = None) -> Callable[[Key, Iterable[Provenance]], str]:
+    """An encoder of (key, provenance) into the text of
+    json.dumps(triple_row(key, provenance), ensure_ascii=False, sort_keys=True),
+    or into its indent=2 layout for a row that opens at ``indent``.
+
+    The encoder keeps the text of every distinct provenance entry it has
+    encoded, so an entry shared by many rows is encoded once.
+    """
+    provenance_indent = None if indent is None else indent + "  "
+    entry_indent = None if indent is None else indent + "    "
+    encoded: dict[Provenance, str] = {}
+
+    def entry(p: Provenance) -> str:
+        text = encoded.get(p)
+        if text is None:
+            fields = [
+                f'"article_id": {_scalar(p.article_id)}',
+                f'"backend_id": {_scalar(p.backend_id)}',
+                f'"batch_index": {_scalar(p.batch_index)}',
+            ]
+            text = encoded[p] = _block("{", "}", fields, entry_indent)
+        return text
+
+    def encode(key: Key, provenance: Iterable[Provenance]) -> str:
+        subject, predicate, obj = key
+        entries = [entry(p) for p in provenance]
+        fields = [
+            f'"object": {_scalar(obj)}',
+            f'"predicate": {_scalar(predicate)}',
+            f'"provenance": {_block("[", "]", entries, provenance_indent)}',
+            f'"subject": {_scalar(subject)}',
+        ]
+        return _block("{", "}", fields, indent)
+
+    return encode
+
+
+@contextmanager
+def replacing(path: Path) -> Iterator[TextIO]:
+    """A text handle on a temp file beside ``path`` that is renamed over
+    ``path`` when the block completes, so ``path`` is either complete or left
+    as it was; on failure the temp file is removed."""
+    temp = path.with_name(path.name + ".tmp")
+    try:
+        with temp.open("w", encoding="utf-8") as handle:
+            yield handle
+        os.replace(temp, path)
+    finally:
+        temp.unlink(missing_ok=True)
 
 
 def save_kb(kb: KnowledgeBase, path: str | Path) -> None:
@@ -196,32 +253,9 @@ def save_kb(kb: KnowledgeBase, path: str | Path) -> None:
     The bytes are those of json.dumps(kb.to_dict(), ensure_ascii=False,
     indent=2, sort_keys=True) plus a newline, but the triples are encoded
     and written one row at a time, so the document is never held whole.
-    Keys are written in sorted order by construction.
+    Keys are written in sorted order by construction. The file is written
+    through ``replacing``, so a failed save leaves ``path`` as it was.
     """
-    encoded: dict[Provenance, str] = {}
-
-    def provenance_entry(p: Provenance) -> str:
-        text = encoded.get(p)
-        if text is None:
-            fields = [
-                f'"article_id": {_scalar(p.article_id)}',
-                f'"backend_id": {_scalar(p.backend_id)}',
-                f'"batch_index": {_scalar(p.batch_index)}',
-            ]
-            text = encoded[p] = _block("{", "}", fields, " " * 8)
-        return text
-
-    def triple_entry(key: Key, provenance: ProvenanceSet) -> str:
-        subject, predicate, obj = key
-        entries = [provenance_entry(p) for p in provenance]
-        fields = [
-            f'"object": {_scalar(obj)}',
-            f'"predicate": {_scalar(predicate)}',
-            f'"provenance": {_block("[", "]", entries, " " * 6)}',
-            f'"subject": {_scalar(subject)}',
-        ]
-        return _block("{", "}", fields, " " * 4)
-
     links = [f"{_scalar(label)}: {_scalar(iri)}" for label, iri in sorted(kb.entity_links.items())]
     head = (
         '{\n  "entities": '
@@ -234,15 +268,16 @@ def save_kb(kb: KnowledgeBase, path: str | Path) -> None:
         + _block("[", "]", [_scalar(label) for label in sorted(kb.predicates)], "  ")
         + ',\n  "triples": '
     )
-    with Path(path).open("w", encoding="utf-8") as handle:
+    with replacing(Path(path)) as handle:
         handle.write(head)
         if not kb.triples:
             handle.write("[]\n}\n")
             return
+        encode = row_encoder("    ")
         separator = "[\n    "
         for key, provenance in sorted(kb.triples.items()):
             handle.write(separator)
-            handle.write(triple_entry(key, provenance))
+            handle.write(encode(key, provenance))
             separator = ",\n    "
         handle.write("\n  ]\n}\n")
 

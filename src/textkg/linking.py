@@ -256,11 +256,13 @@ def canonicalize(
     that raises (an outage under on_error="abort") cancels the lookups not
     yet started.
     """
-    keys = [(normalize_surface(t.subject), normalize_surface(t.object)) for t in triplets]
+    normalized: dict[str, str] = {}  # raw subject or object -> normalized surface
     surfaces: dict[str, str] = {}  # normalized -> first surface seen, subject before object
-    for triplet, (subject_key, object_key) in zip(triplets, keys):
-        surfaces.setdefault(subject_key, triplet.subject)
-        surfaces.setdefault(object_key, triplet.object)
+    for triplet in triplets:
+        for surface in (triplet.subject, triplet.object):
+            if surface not in normalized:
+                key = normalized[surface] = normalize_surface(surface)
+                surfaces.setdefault(key, surface)
 
     def resolve(surface: str) -> LinkedEntity:
         return link_entity(surface, client, cache, match=match, on_error=on_error, now=now)
@@ -271,28 +273,25 @@ def canonicalize(
             entities = list(pool.map(resolve, surfaces.values()))
     else:
         entities = [resolve(surface) for surface in surfaces.values()]
-    resolved = dict(zip(surfaces, entities))
 
+    # one label per normalized surface, assigned in first-seen order
     iri_labels: dict[str, str] = {}
     table: dict[str, LinkedEntity] = {}
-
-    def canonical_label(key: str) -> str:
-        entity = resolved[key]
+    labels: dict[str, str] = {}
+    for key, entity in zip(surfaces, entities):
         if entity.canonical_iri is not None:
             # first label seen for an IRI wins, so co-linked mentions agree
             label = iri_labels.setdefault(entity.canonical_iri, entity.label)
             table.setdefault(label, LinkedEntity(entity.surface, entity.canonical_iri, label, "linked"))
-            return label
-        table.setdefault(entity.label, entity)
-        return entity.label
+        else:
+            label = entity.label
+            table.setdefault(label, entity)
+        labels[key] = label
 
+    canonical = {surface: labels[key] for surface, key in normalized.items()}
+    predicates = {p: normalize_surface(p) for p in {t.predicate for t in triplets}}
     rewritten = [
-        Triplet(
-            canonical_label(subject_key),
-            normalize_surface(t.predicate),
-            canonical_label(object_key),
-            t.provenance,
-        )
-        for t, (subject_key, object_key) in zip(triplets, keys)
+        Triplet(canonical[t.subject], predicates[t.predicate], canonical[t.object], t.provenance)
+        for t in triplets
     ]
     return rewritten, table

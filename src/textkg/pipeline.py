@@ -13,14 +13,14 @@ import datetime as dt
 import hashlib
 import json
 import logging
-import os
 import re
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 from pathlib import Path
+from typing import TextIO
 
-from .chunking import chunk, whitespace_tokenize
+from .chunking import TokenBatch, chunk
 from .corpus import Article, corpus_report, filter_by_date, load_corpus
 from .errors import ConfigError, TextkgError
 from .export import ExportOptions, export_graph
@@ -35,7 +35,7 @@ from .extraction import (
 )
 # merge is unused here but stays importable from this module, where the
 # benchmark tracer (perfbench/spans.py) wraps it
-from .kgstore import KnowledgeBase, add_triples, merge, save_kb, stats, triple_row  # noqa: F401
+from .kgstore import KnowledgeBase, add_triples, merge, replacing, row_encoder, save_kb, stats  # noqa: F401
 from .linking import FileLookupClient, LinkCache, LookupClient, canonicalize
 from .quality import QualityConfig, evaluate, load_lexicon, render_report, save_report
 from .rdf import ontology_to_kb, repair_until_valid, serialize_turtle
@@ -288,6 +288,12 @@ def load_config(path: str | Path) -> PipelineConfig:
         rate is None or (isinstance(rate, (int, float)) and rate > 0),
         "config key 'rate_limit_per_second': positive number or null",
     )
+    for index, backend in enumerate(backends.values()):
+        _require(
+            backend.kind != "seq2seq_tokens" or backend.max_input_tokens >= batch_size,
+            f"config key 'backends[{index}]': max_input_tokens {backend.max_input_tokens} is below"
+            f" batch_size {batch_size}, so every full batch would exceed it",
+        )
     on_batch_error = data.get("on_batch_error", "fail")
     _require(on_batch_error in ("fail", "skip"), "config key 'on_batch_error': fail or skip")
     max_repair_attempts = data.get("max_repair_attempts", 3)
@@ -323,39 +329,38 @@ def load_config(path: str | Path) -> PipelineConfig:
     )
 
 
-def _write_jsonl(path: Path, rows: list[dict]) -> None:
+def _write_lines(path: Path, lines: Iterable[str]) -> None:
     with path.open("w", encoding="utf-8") as handle:
-        for row in rows:
-            handle.write(json.dumps(row, ensure_ascii=False, sort_keys=True))
+        for line in lines:
+            handle.write(line)
             handle.write("\n")
+
+
+def _write_jsonl(path: Path, rows: Iterable[dict]) -> None:
+    _write_lines(path, (json.dumps(row, ensure_ascii=False, sort_keys=True) for row in rows))
+
+
+def _dump_json(handle: TextIO, payload: dict) -> None:
+    json.dump(payload, handle, ensure_ascii=False, indent=2, sort_keys=True)
+    handle.write("\n")
 
 
 def _write_json(path: Path, payload: dict) -> None:
     with path.open("w", encoding="utf-8") as handle:
-        json.dump(payload, handle, ensure_ascii=False, indent=2, sort_keys=True)
-        handle.write("\n")
-
-
-def _replace_json(path: Path, payload: dict) -> None:
-    """Write through a temp file beside ``path``, so ``path`` is complete or absent."""
-    temp = path.with_name(path.name + ".tmp")
-    try:
-        _write_json(temp, payload)
-        os.replace(temp, path)
-    finally:
-        temp.unlink(missing_ok=True)
+        _dump_json(handle, payload)
 
 
 def _safe_name(article_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", article_id)
 
 
-def _map_articles(config: PipelineConfig, function: Callable, articles: list[Article]) -> list:
-    """function over every article in corpus order, on `workers` threads."""
+def _map_articles(config: PipelineConfig, function: Callable, *iterables: Iterable) -> list:
+    """function over every article in corpus order, on `workers` threads;
+    the iterables are per-article arguments, as for map."""
     if config.workers > 1:
         with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            return list(pool.map(function, articles))
-    return [function(article) for article in articles]
+            return list(pool.map(function, *iterables))
+    return list(map(function, *iterables))
 
 
 def _rate_limiter(config: PipelineConfig) -> RateLimiter | None:
@@ -387,21 +392,15 @@ def corpus_stage(config: PipelineConfig) -> tuple[list[Article], dict]:
     return articles, {"articles": report.article_count, "empty_bodies": len(report.empty_body_ids)}
 
 
-def chunk_stage(articles: list[Article], batch_size: int, path: Path) -> dict:
-    """Write one row per token batch of every article."""
-    rows = [
-        {
-            "article_id": batch.article_id,
-            "batch_index": batch.batch_index,
-            "token_start": batch.token_start,
-            "token_end": batch.token_end,
-            "text": batch.text,
-        }
-        for article in articles
-        for batch in chunk(article, whitespace_tokenize, batch_size)
-    ]
-    _write_jsonl(path, rows)
-    return {"batches": len(rows)}
+def chunk_stage(
+    articles: list[Article], batch_size: int, path: Path
+) -> tuple[list[list[TokenBatch]], dict]:
+    """Write one row per token batch of every article; return each
+    article's batches, in corpus order, for extraction to reuse."""
+    batches = [chunk(article, batch_size=batch_size) for article in articles]
+    # a row holds exactly the batch's fields
+    _write_jsonl(path, (vars(batch) for article_batches in batches for batch in article_batches))
+    return batches, {"batches": sum(map(len, batches))}
 
 
 def extract_stage(
@@ -409,12 +408,16 @@ def extract_stage(
     articles: list[Article],
     triples_path: Path,
     generations_path: Path | None = None,
+    batches: list[list[TokenBatch]] | None = None,
 ) -> tuple[list[Triplet], dict]:
-    """Extract triplets from every article with the configured backend."""
+    """Extract triplets from every article with the configured backend.
+    batches, when given, are chunk_stage's batches of every article."""
     backend = config.backend
     limiter = _rate_limiter(config)
 
-    def extract_one(article: Article) -> tuple[list[Triplet], ParseReport, list[dict]]:
+    def extract_one(
+        article: Article, article_batches: list[TokenBatch] | None
+    ) -> tuple[list[Triplet], ParseReport, list[dict]]:
         rows: list[dict] = []
 
         def on_generation(batch_index: int | None, output: str) -> None:
@@ -425,7 +428,7 @@ def extract_stage(
         triplets, parse_report = extract_article(
             article,
             backend,
-            whitespace_tokenize,
+            batches=article_batches,
             batch_size=config.batch_size,
             on_batch_error=config.on_batch_error,
             limiter=limiter,
@@ -436,18 +439,20 @@ def extract_stage(
     all_triplets: list[Triplet] = []
     total_report = ParseReport()
     generation_rows: list[dict] = []
-    for triplets, parse_report, rows in _map_articles(config, extract_one, articles):
+    per_article = batches if batches is not None else [None] * len(articles)
+    for triplets, parse_report, rows in _map_articles(config, extract_one, articles, per_article):
         all_triplets.extend(triplets)
         total_report.extend(parse_report)
         generation_rows.extend(rows)
     if generations_path is not None:
         _write_jsonl(generations_path, generation_rows)
-    _write_jsonl(
+    encode = row_encoder()
+    _write_lines(
         triples_path,
-        [
-            triple_row((t.subject, t.predicate, t.object), [t.provenance] if t.provenance else [])
+        (
+            encode((t.subject, t.predicate, t.object), [t.provenance] if t.provenance else [])
             for t in all_triplets
-        ],
+        ),
     )
     return all_triplets, {
         "triplets_parsed": total_report.triplets_emitted,
@@ -508,7 +513,8 @@ def ontology_stage(
     ontology_dir.mkdir(parents=True, exist_ok=True)
     results = _map_articles(config, ontology_one, articles)
     generation_rows: list[dict] = []
-    triple_rows: list[dict] = []
+    triple_lines: list[str] = []
+    encode = row_encoder()
     kb = KnowledgeBase()
     documents = 0
     repair_attempts = 0
@@ -540,12 +546,12 @@ def ontology_stage(
             continue
         (ontology_dir / f"{name}.ttl").write_text(serialize_turtle(doc), encoding="utf-8")
         article_kb = ontology_to_kb(doc, source_id=article.id, backend_id=config.backend_id)
-        triple_rows.extend(triple_row(*item) for item in sorted(article_kb.triples.items()))
+        triple_lines.extend(encode(*item) for item in sorted(article_kb.triples.items()))
         kb.update(article_kb)
     if generations_path is not None:
         _write_jsonl(generations_path, generation_rows)
     if triples_path is not None:
-        _write_jsonl(triples_path, triple_rows)
+        _write_lines(triples_path, triple_lines)
     return kb, {
         "documents": documents,
         "valid_documents": documents - len(invalid_ids),
@@ -601,17 +607,20 @@ def run_pipeline(config_path: str | Path) -> dict:
             raise StageError(stage, exc) from exc
 
     articles, stages["corpus"] = run("corpus", corpus_stage, config)
-    stages["chunk"] = run(
+    batches, stages["chunk"] = run(
         "chunk", chunk_stage, articles, config.batch_size, run_dir / "batches.jsonl"
     )
     triples_path = run_dir / "triples.jsonl"
     generations_path = run_dir / "generations.jsonl"
+    # only extraction reads the batches; drop them once it is done
     if config.mode == "triples":
         triplets, stages["extract"] = run(
-            "extract", extract_stage, config, articles, triples_path, generations_path
+            "extract", extract_stage, config, articles, triples_path, generations_path, batches
         )
+        del batches
         kb, stages["link"] = run("link", link_stage, config, triplets)
     else:
+        del batches
         kb, stages["ontology"] = run(
             "ontology",
             ontology_stage,
@@ -626,5 +635,6 @@ def run_pipeline(config_path: str | Path) -> dict:
     stages["export"] = run("export", export_stage, kb, config.export, run_dir)
 
     manifest = {"config_hash": config.config_hash, "mode": config.mode, "stages": stages}
-    _replace_json(manifest_path, manifest)
+    with replacing(manifest_path) as handle:
+        _dump_json(handle, manifest)
     return manifest

@@ -497,6 +497,18 @@ def inverted_window_config(tmp_path: Path) -> str:
     return str(path)
 
 
+def seq2seq_limit_below_batch_config(tmp_path: Path) -> str:
+    data = json.loads((DATA_DIR / "pipeline_triples.json").read_text(encoding="utf-8"))
+    data["batch_size"] = 23
+    data["backends"][0] = {
+        "backend_id": "replay-chat", "kind": "seq2seq_tokens", "endpoint": "http://127.0.0.1:9",
+        "max_input_tokens": 5,
+    }
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
 GOLDEN_KB = str(GOLDEN_DIR / "triples" / "kb.json")
 CORPUS = str(DATA_DIR / "corpus_pipeline.jsonl")
 
@@ -554,6 +566,9 @@ CLI_ERROR_PATHS = {
     ),
     "pipeline-inverted-date-window": (
         lambda t: ["pipeline", "--config", inverted_window_config(t)], 2, "is after"
+    ),
+    "pipeline-seq2seq-limit-below-batch-size": (
+        lambda t: ["pipeline", "--config", seq2seq_limit_below_batch_config(t)], 2, "is below batch_size"
     ),
 }
 

@@ -5,11 +5,14 @@ import re
 import xml.etree.ElementTree as ET
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from textkg.export import (
     ExportOptions,
     UnknownSeedEntityError,
     UnsupportedFormatError,
+    _render_json,
     export_graph,
 )
 from textkg.extraction import Triplet
@@ -134,6 +137,28 @@ class TestJson:
         )
         data = json.loads(export_graph(kb, "json"))
         assert len(data["edges"]) == 2
+
+
+# quotes, backslashes, control characters, U+2028, non-ASCII and astral text
+json_text = st.text(
+    st.sampled_from(list('ab"\\/\x00\x1f\n\u2028é😀')) | st.characters(exclude_categories=("Cs",)),
+    max_size=5,
+)
+
+
+@given(
+    nodes=st.lists(st.tuples(json_text, st.sampled_from(["plain", "instance", "concept"])), max_size=4),
+    edges=st.lists(st.tuples(json_text, json_text, json_text), max_size=4),
+)
+@example(nodes=[], edges=[])
+@settings(max_examples=200, deadline=None)
+def test_json_render_writes_the_reference_bytes(nodes, edges):
+    document = {
+        "nodes": [{"id": label, "kind": kind} for label, kind in nodes],
+        "edges": [{"source": s, "predicate": p, "target": o} for s, p, o in edges],
+    }
+    reference = json.dumps(document, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    assert _render_json(nodes, edges) == reference
 
 
 class TestNodeKinds:

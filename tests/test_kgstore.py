@@ -3,9 +3,10 @@ from __future__ import annotations
 import json
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+from textkg import kgstore
 from textkg.errors import ConfigMismatchError
 from textkg.extraction import Provenance, Triplet
 from textkg.kgstore import (
@@ -14,9 +15,11 @@ from textkg.kgstore import (
     comparison_table,
     load_kb,
     merge,
+    row_encoder,
     save_kb,
     stats,
     top_relations,
+    triple_row,
 )
 
 P1 = Provenance("a1", 0, "b1")
@@ -238,6 +241,49 @@ def test_save_kb_writes_the_reference_json_bytes(
     save_kb(kb, path)
     reference = json.dumps(kb.to_dict(), ensure_ascii=False, indent=2, sort_keys=True) + "\n"
     assert path.read_bytes() == reference.encode("utf-8")
+
+
+triple_keys = st.tuples(json_text, json_text, json_text)
+
+
+@given(st.lists(st.tuples(triple_keys, st.lists(provenance_records, max_size=3)), max_size=4))
+@example([(('"\\\x00\n', "\u2028", "😀"), []), (("a", "b", "c"), [P1, P2, P1])])
+@settings(max_examples=200, deadline=None)
+def test_row_encoder_writes_the_reference_rows(rows):
+    compact, indented = row_encoder(), row_encoder("")
+    # the second pass reads every provenance entry back from the encoders' caches
+    for key, provenance in rows * 2:
+        row = triple_row(key, provenance)
+        assert compact(key, provenance) == json.dumps(row, ensure_ascii=False, sort_keys=True)
+        assert indented(key, provenance) == json.dumps(
+            row, ensure_ascii=False, indent=2, sort_keys=True
+        )
+
+
+def test_failed_save_kb_leaves_the_earlier_file(tmp_path, monkeypatch):
+    path = tmp_path / "kb.json"
+    save_kb(KnowledgeBase(entities={"old"}), path)
+    before = path.read_bytes()
+    real_encoder = kgstore.row_encoder
+
+    def encoder_failing_on_second_row(indent=None):
+        encode = real_encoder(indent)
+        rows = []
+
+        def encode_or_fail(key, provenance):
+            if rows:
+                raise OSError("disk full")
+            rows.append(key)
+            return encode(key, provenance)
+
+        return encode_or_fail
+
+    monkeypatch.setattr(kgstore, "row_encoder", encoder_failing_on_second_row)
+    kb = add_triples(KnowledgeBase(), [Triplet("A", "r", "B", P1), Triplet("C", "r", "D", P2)])
+    with pytest.raises(OSError, match="disk full"):
+        save_kb(kb, path)
+    assert path.read_bytes() == before
+    assert [child.name for child in tmp_path.iterdir()] == ["kb.json"]
 
 
 def test_comparison_table_shape():

@@ -292,6 +292,61 @@ def shared_iri_case() -> tuple[list[Triplet], dict[str, list[dict]]]:
     return triplets, table
 
 
+def reference_canonicalize(triplets, client, match):
+    """Reference for canonicalize: normalizes and relabels every field of every
+    triplet in turn, subject before object, growing the table as it goes."""
+    keys = [(normalize_surface(t.subject), normalize_surface(t.object)) for t in triplets]
+    surfaces = {}
+    for triplet, (subject_key, object_key) in zip(triplets, keys):
+        surfaces.setdefault(subject_key, triplet.subject)
+        surfaces.setdefault(object_key, triplet.object)
+    resolved = {key: link_entity(surface, client, match=match) for key, surface in surfaces.items()}
+    iri_labels, table = {}, {}
+
+    def canonical_label(key):
+        entity = resolved[key]
+        if entity.canonical_iri is not None:
+            label = iri_labels.setdefault(entity.canonical_iri, entity.label)
+            table.setdefault(label, LinkedEntity(entity.surface, entity.canonical_iri, label, "linked"))
+            return label
+        table.setdefault(entity.label, entity)
+        return entity.label
+
+    rewritten = [
+        Triplet(canonical_label(sk), normalize_surface(t.predicate), canonical_label(ok), t.provenance)
+        for t, (sk, ok) in zip(triplets, keys)
+    ]
+    return rewritten, table
+
+
+def variants_case() -> tuple[list[Triplet], dict[str, list[dict]]]:
+    """Case and whitespace variants of one entity, unlinked variants, and two
+    surfaces linked to one IRI whose service labels differ."""
+    table = {
+        "soluna": [{"uri": SOLUNA_IRI, "label": "Soluna"}],
+        "seattle": [{"uri": "http://e/S", "label": "Seattle"}],
+        "seattle, wa": [{"uri": "http://e/S", "label": "Seattle, WA"}],
+    }
+    triplets = [
+        Triplet("excess  Energy", "Uses", "SOLUNA"),
+        Triplet("Soluna", "operates in", "Seattle, WA"),
+        Triplet(" soluna ", "operates  in", "Excess energy"),
+        Triplet("Seattle", "Hosts", "soluna"),
+        Triplet("Kentucky", "hosts", "seattle, wa"),
+    ]
+    return triplets, table
+
+
+@pytest.mark.parametrize("case", [variants_case, shared_iri_case])
+@pytest.mark.parametrize("workers", [1, 2])
+def test_canonicalize_matches_the_reference(case, workers):
+    triplets, table = case()
+    rewritten, entities = canonicalize(triplets, FakeClient(table), match="prefix", workers=workers)
+    expected, expected_entities = reference_canonicalize(triplets, FakeClient(table), "prefix")
+    assert rewritten == expected
+    assert list(entities.items()) == list(expected_entities.items())
+
+
 class CountingCache(LinkCache):
     """LinkCache counting puts per key under a lock."""
 

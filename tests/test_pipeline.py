@@ -6,13 +6,15 @@ hermetic: no network, no wall-clock dependence, byte-identical artifacts.
 
 import hashlib
 import json
+import os
 from collections import Counter
 from pathlib import Path
 
 import pytest
 
-from textkg import pipeline
+from textkg import extraction, pipeline
 from textkg.errors import ConfigError, TextkgError
+from textkg.extraction import build_prompt, fixture_path
 from textkg.kgstore import KnowledgeBase
 from textkg.pipeline import StageError, load_config, run_pipeline
 
@@ -193,6 +195,19 @@ class TestLoadConfig:
         assert (config.date_from.year, config.date_from.month, config.date_from.day) == (2023, 2, 20)
         assert config.date_to.isoformat() == "2023-03-01"
 
+    def test_seq2seq_limit_below_batch_size_rejected(self, tmp_path):
+        # every full batch would fail with TokenLimitExceededError before any request
+        data = triples_config_dict()
+        data["batch_size"] = 23
+        data["backends"].append(
+            {"backend_id": "rebel", "kind": "seq2seq_tokens", "endpoint": "http://127.0.0.1:9",
+             "max_input_tokens": 5}
+        )
+        with pytest.raises(ConfigError, match=r"backends\[1\]': max_input_tokens 5 is below batch_size 23"):
+            load_config(write_config(tmp_path, data))
+        data["backends"][1]["max_input_tokens"] = 23
+        assert load_config(write_config(tmp_path, data)).backends["rebel"].max_input_tokens == 23
+
     def test_inverted_date_window_rejected(self, tmp_path):
         data = triples_config_dict()
         data["date_from"] = "2023-03-01"
@@ -372,15 +387,16 @@ class TestRunPipeline:
 
     def test_manifest_written_through_replace(self, data_copy, monkeypatch):
         replaced = []
-        real_replace = pipeline.os.replace
+        real_replace = os.replace
 
         def recording_replace(source, target):
             replaced.append((Path(source).name, Path(target).name))
             real_replace(source, target)
 
-        monkeypatch.setattr(pipeline.os, "replace", recording_replace)
+        monkeypatch.setattr(os, "replace", recording_replace)
         run_pipeline(data_copy / "pipeline_triples.json")
-        assert replaced == [("manifest.json.tmp", "manifest.json")]
+        # kb.json is replaced whole too; the manifest comes last
+        assert replaced == [("kb.json.tmp", "kb.json"), ("manifest.json.tmp", "manifest.json")]
         assert not list((data_copy / "run_triples").glob("*.tmp"))
 
     def test_corrupt_link_cache_fails_in_link_stage(self, data_copy):
@@ -468,3 +484,38 @@ def test_ontology_stage_folds_articles_without_copying_the_kb(data_copy, monkeyp
     manifest = run_pipeline(data_copy / "pipeline_ontology.json")
     assert manifest["stages"]["ontology"]["valid_documents"] > 1
     assert copies["copy"] == 0
+
+
+def test_each_article_is_chunked_once(tmp_path, monkeypatch):
+    # a 20-token article over an 8-token limit, a short one and an empty one
+    bodies = {"long": " ".join(f"w{i}" for i in range(20)), "short": "Acme recycles cans.", "empty": ""}
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text(
+        "".join(
+            json.dumps({"id": article_id, "title": article_id, "body": body, "source_domain": "x.example",
+                        "published_at": "2023-02-20", "language": "en"}) + "\n"
+            for article_id, body in bodies.items()
+        ),
+        encoding="utf-8",
+    )
+    data = triples_config_dict()
+    data.update(corpus=str(corpus), run_dir=str(tmp_path / "run"), batch_size=8)
+    data["backends"][0].update(fixtures_dir=str(tmp_path / "fixtures"), max_input_tokens=8)
+    del data["linking"]
+    config = load_config(write_config(tmp_path, data))
+    (tmp_path / "fixtures").mkdir()
+    words = bodies["long"].split()
+    for text in [bodies["short"]] + [" ".join(words[i:i + 8]) for i in range(0, 20, 8)]:
+        fixture_path(config.backend, build_prompt(text, "triples")).write_text("A | r | B\n", encoding="utf-8")
+
+    chunked = Counter()
+    for module in (pipeline, extraction):
+        def counted(article, *args, _original=module.chunk, **kwargs):
+            chunked[article.id] += 1
+            return _original(article, *args, **kwargs)
+
+        monkeypatch.setattr(module, "chunk", counted)
+    manifest = run_pipeline(tmp_path / "pipeline_custom.json")
+    assert chunked == {"long": 1, "short": 1, "empty": 1}
+    assert manifest["stages"]["chunk"]["batches"] == 4
+    assert manifest["stages"]["extract"]["triplets_parsed"] == 4
