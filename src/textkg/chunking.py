@@ -8,15 +8,12 @@ spaces therefore reproduces the whitespace-normalized article body.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
 
 from .corpus import Article
 
-Tokenizer = Callable[[str], list[str]]
-
 
 def whitespace_tokenize(text: str) -> list[str]:
-    """Default tokenizer: split on runs of whitespace, drop empties."""
+    """Split on runs of whitespace, drop empties."""
     return text.split()
 
 
@@ -35,7 +32,7 @@ class TokenBatch:
         return self.token_end - self.token_start
 
 
-def chunk(article: Article, tokenizer: Tokenizer = whitespace_tokenize, batch_size: int = 256) -> list[TokenBatch]:
+def chunk(article: Article, batch_size: int = 256) -> list[TokenBatch]:
     """Split an article body into fixed-size token batches.
 
     Every batch except possibly the last holds exactly ``batch_size`` tokens;
@@ -43,7 +40,7 @@ def chunk(article: Article, tokenizer: Tokenizer = whitespace_tokenize, batch_si
     """
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
-    tokens = tokenizer(article.body)
+    tokens = whitespace_tokenize(article.body)
     batches: list[TokenBatch] = []
     for start in range(0, len(tokens), batch_size):
         end = min(start + batch_size, len(tokens))

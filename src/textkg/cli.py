@@ -18,10 +18,11 @@ from pathlib import Path
 from . import __version__
 from .corpus import fetch_articles, load_corpus, write_corpus
 from .errors import ConfigError, TextkgError
-from .export import ExportOptions, export_graph
+from .export import FORMATS, ExportOptions, export_graph
 from .extraction import Triplet
 from .kgstore import load_kb, merge, provenance_from_row, stats, top_relations
 from .pipeline import (
+    MODES,
     PipelineConfig,
     chunk_stage,
     corpus_stage,
@@ -98,13 +99,13 @@ def build_parser() -> argparse.ArgumentParser:
 
     chunk_cmd = commands.add_parser("chunk", help="split corpus articles into token batches")
     chunk_cmd.add_argument("corpus")
-    chunk_cmd.add_argument("--batch-size", type=_positive_int, default=256)
+    chunk_cmd.add_argument("--batch-size", type=_positive_int, default=PipelineConfig.batch_size)
     chunk_cmd.add_argument("-o", "--output", required=True)
 
     extract = commands.add_parser("extract", help="run a backend over the corpus")
     _add_config_argument(extract)
     extract.add_argument("--backend", required=True, help="backend_id from the config table")
-    extract.add_argument("--mode", choices=("triples", "ontology"), default="triples")
+    extract.add_argument("--mode", choices=MODES, default=MODES[0])
     extract.add_argument("--on-batch-error", choices=("fail", "skip"), default=None)
     extract.add_argument("-o", "--output", required=True, help="triples file, or a directory in ontology mode")
 
@@ -131,7 +132,7 @@ def build_parser() -> argparse.ArgumentParser:
     repair.add_argument("file")
     _add_config_argument(repair)
     repair.add_argument("--backend", required=True)
-    repair.add_argument("--max-attempts", type=_positive_int, default=3)
+    repair.add_argument("--max-attempts", type=_positive_int, default=PipelineConfig.max_repair_attempts)
     repair.add_argument("-o", "--output", required=True)
 
     eval_cmd = commands.add_parser("eval", help="score a KB against the quality principles")
@@ -150,10 +151,10 @@ def build_parser() -> argparse.ArgumentParser:
 
     export = commands.add_parser("export", help="render a KB to a graph format")
     export.add_argument("kb")
-    export.add_argument("--format", required=True, choices=("dot", "graphml", "json"))
-    export.add_argument("--max-nodes", type=_positive_int, default=150)
+    export.add_argument("--format", required=True, choices=FORMATS)
+    export.add_argument("--max-nodes", type=_positive_int, default=ExportOptions.max_nodes)
     export.add_argument("--seed", default=None)
-    export.add_argument("--radius", type=_int_at_least(0), default=2)
+    export.add_argument("--radius", type=_int_at_least(0), default=ExportOptions.radius)
     export.add_argument("-o", "--output", default=None, help="default: stdout")
 
     pipeline = commands.add_parser("pipeline", help="run the full pipeline from a config file")
@@ -193,8 +194,10 @@ def _config_for_backend(args) -> PipelineConfig:
 
 def _cmd_extract(args) -> int:
     config = _config_for_backend(args)
-    if args.on_batch_error:
-        config = dataclasses.replace(config, on_batch_error=args.on_batch_error)
+    # replacing re-runs the config checks, so ontology mode refuses "skip" here too
+    config = dataclasses.replace(
+        config, mode=args.mode, on_batch_error=args.on_batch_error or config.on_batch_error
+    )
     articles, _ = corpus_stage(config)
     if args.mode == "triples":
         _, counts = extract_stage(config, articles, Path(args.output))

@@ -247,6 +247,13 @@ def replacing(path: Path) -> Iterator[TextIO]:
         temp.unlink(missing_ok=True)
 
 
+def write_json(path: str | Path, payload: object) -> None:
+    """Write payload as indented, key-sorted JSON plus a newline, in one
+    write through ``replacing``."""
+    with replacing(Path(path)) as handle:
+        handle.write(json.dumps(payload, ensure_ascii=False, indent=2, sort_keys=True) + "\n")
+
+
 def save_kb(kb: KnowledgeBase, path: str | Path) -> None:
     """Write the KB as canonically ordered JSON so files are diffable.
 

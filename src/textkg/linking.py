@@ -17,6 +17,7 @@ from pathlib import Path
 from . import transport
 from .errors import TextkgError
 from .extraction import Triplet
+from .kgstore import write_json
 
 logger = logging.getLogger(__name__)
 
@@ -105,9 +106,7 @@ class LinkCache:
         return cls(entries=entries, ttl_seconds=ttl_seconds)
 
     def save(self, path: str | Path) -> None:
-        with Path(path).open("w", encoding="utf-8") as handle:
-            json.dump(self.entries, handle, ensure_ascii=False, indent=2, sort_keys=True)
-            handle.write("\n")
+        write_json(path, self.entries)
 
 
 class LookupClient:

@@ -16,14 +16,14 @@ import logging
 import re
 from collections.abc import Callable, Iterable
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
-from typing import TextIO
+from typing import get_args, get_type_hints
 
 from .chunking import TokenBatch, chunk
 from .corpus import Article, corpus_report, filter_by_date, load_corpus
 from .errors import ConfigError, TextkgError
-from .export import ExportOptions, export_graph
+from .export import FORMATS, ExportOptions, export_graph
 from .extraction import (
     BackendConfig,
     ParseReport,
@@ -35,9 +35,9 @@ from .extraction import (
 )
 # merge is unused here but stays importable from this module, where the
 # benchmark tracer (perfbench/spans.py) wraps it
-from .kgstore import KnowledgeBase, add_triples, merge, replacing, row_encoder, save_kb, stats  # noqa: F401
+from .kgstore import KnowledgeBase, add_triples, merge, row_encoder, save_kb, stats, write_json  # noqa: F401
 from .linking import FileLookupClient, LinkCache, LookupClient, canonicalize
-from .quality import QualityConfig, evaluate, load_lexicon, render_report, save_report
+from .quality import QualityConfig, evaluate, render_report, save_report
 from .rdf import ontology_to_kb, repair_until_valid, serialize_turtle
 
 logger = logging.getLogger(__name__)
@@ -68,16 +68,8 @@ class LinkingSettings:
 
 
 @dataclass(frozen=True)
-class ExportSettings:
-    formats: tuple[str, ...] = ("dot", "graphml", "json")
-    max_nodes: int | None = 150
-    seed_entity: str | None = None
-    radius: int = 2
-
-    def options(self) -> ExportOptions:
-        return ExportOptions(
-            max_nodes=self.max_nodes, seed_entity=self.seed_entity, radius=self.radius
-        )
+class ExportSettings(ExportOptions):
+    formats: tuple[str, ...] = FORMATS
 
 
 @dataclass
@@ -100,6 +92,45 @@ class PipelineConfig:
     export: ExportSettings = field(default_factory=ExportSettings)
     max_repair_attempts: int = 3
 
+    def __post_init__(self):
+        _require(self.mode in MODES, f"config key 'mode': must be one of {', '.join(MODES)}")
+        for key in ("corpus", "run_dir"):
+            _require(getattr(self, key), f"config key '{key}': required string")
+        _require(
+            self.backend_id in self.backends,
+            f"config key 'backend_id': {self.backend_id!r} is not in the backends table",
+        )
+        _require(self.linking.match in ("exact", "prefix"), "config key 'linking.match': exact or prefix")
+        _require(
+            self.linking.on_error in ("fallback", "abort"), "config key 'linking.on_error': fallback or abort"
+        )
+        _require(
+            self.export.formats and set(self.export.formats) <= set(FORMATS),
+            f"config key 'export.formats': list drawn from {', '.join(FORMATS)}",
+        )
+        _require(self.batch_size > 0, "config key 'batch_size': positive integer")
+        _require(self.workers >= 1, "config key 'workers': integer >= 1")
+        _require(
+            self.rate_limit_per_second is None or self.rate_limit_per_second > 0,
+            "config key 'rate_limit_per_second': positive number or null",
+        )
+        for index, backend in enumerate(self.backends.values()):
+            _require(
+                backend.kind != "seq2seq_tokens" or backend.max_input_tokens >= self.batch_size,
+                f"config key 'backends[{index}]': max_input_tokens {backend.max_input_tokens} is below"
+                f" batch_size {self.batch_size}, so every full batch would exceed it",
+            )
+        _require(self.on_batch_error in ("fail", "skip"), "config key 'on_batch_error': fail or skip")
+        _require(
+            self.mode != "ontology" or self.on_batch_error != "skip",
+            "config key 'on_batch_error': skip is not supported in ontology mode",
+        )
+        _require(self.max_repair_attempts >= 1, "config key 'max_repair_attempts': integer >= 1")
+        _require(
+            self.date_from is None or self.date_to is None or self.date_from <= self.date_to,
+            f"config keys 'date_from'/'date_to': empty date window, {self.date_from} is after {self.date_to}",
+        )
+
     @property
     def backend(self) -> BackendConfig:
         return self.backends[self.backend_id]
@@ -114,52 +145,88 @@ def _require(condition: bool, message: str) -> None:
         raise ConfigError(message)
 
 
-def _check_keys(data: dict, allowed: set[str], context: str) -> None:
-    unknown = sorted(set(data) - allowed)
-    _require(not unknown, f"{context}: unknown key(s) {', '.join(unknown)}")
-
-
-_TOP_KEYS = {
-    "mode",
-    "corpus",
-    "run_dir",
-    "backend_id",
-    "backends",
-    "batch_size",
-    "workers",
-    "rate_limit_per_second",
-    "on_batch_error",
-    "date_from",
-    "date_to",
-    "linking",
-    "quality",
-    "export",
-    "max_repair_attempts",
+# each field annotation in use: (description, JSON type, conversion)
+_JSON_TYPES = {
+    str: ("a string", str, str),
+    int: ("an integer", int, int),
+    float: ("a number", (int, float), lambda number: number),
+    dt.date: ("an ISO date string", str, dt.date.fromisoformat),
+    tuple[str, ...]: ("a list of strings", list, tuple),
 }
-_BACKEND_KEYS = {
-    "backend_id",
-    "kind",
-    "endpoint",
-    "model_name",
-    "temperature",
-    "max_input_tokens",
-    "request_timeout",
-    "max_retries",
-    "fixtures_dir",
-    "replay_mode",
-}
-_LINKING_KEYS = {"endpoint", "fixture_file", "cache_path", "match", "on_error"}
-_QUALITY_KEYS = {"conciseness_max_tokens", "functional_predicates", "domain_lexicon_file"}
-_EXPORT_KEYS = {"formats", "max_nodes", "seed_entity", "radius"}
 
 
-def _parse_date(value: object, key: str) -> dt.date | None:
-    if value is None:
+def _typed(value: object, hint: object, key: str) -> object:
+    """value checked against a field annotation from _JSON_TYPES, or one of
+    them ``| None``: a list becomes a tuple, an ISO string a date, and a JSON
+    true or false is not a number."""
+    optional = type(None) in get_args(hint)
+    if optional and value is None:
         return None
+    expected, json_type, convert = _JSON_TYPES[get_args(hint)[0] if optional else hint]
+    _require(
+        isinstance(value, json_type)
+        and not isinstance(value, bool)
+        and (json_type is not list or all(isinstance(item, str) for item in value)),
+        f"config key '{key}': expected {expected}{' or null' if optional else ''},"
+        f" got {json.dumps(value)}",
+    )
     try:
-        return dt.date.fromisoformat(str(value))
+        return convert(value)
     except ValueError as exc:
         raise ConfigError(f"config key '{key}': {exc}") from exc
+
+
+def _section(cls, raw: object, name: str, skip: tuple[str, ...] = (), **build: Callable) -> dict:
+    """The keyword arguments for dataclass cls held by the config object raw,
+    found at config key name ("" for the root). raw's keys must be fields of
+    cls other than skip, and every field without a default must be present.
+    Each value is checked by _typed against its field's annotation, except
+    that build[key] makes a nested section from its raw value."""
+    context = f"config key '{name}'" if name else "config"
+    _require(isinstance(raw, dict), f"{context}: must be an object")
+    declared = [f for f in fields(cls) if f.name not in skip]
+    unknown = sorted(set(raw) - {f.name for f in declared})
+    _require(not unknown, f"{context}: unknown key(s) {', '.join(unknown)}")
+    hints = get_type_hints(cls)
+    values = {}
+    for declared_field in declared:
+        key = declared_field.name
+        label = f"{name}.{key}" if name else key
+        if key in raw:
+            values[key] = build[key](raw[key]) if key in build else _typed(raw[key], hints[key], label)
+        elif declared_field.default is MISSING and declared_field.default_factory is MISSING:
+            raise ConfigError(f"config key '{label}': required")
+    return values
+
+
+def _build(cls, values: dict, name: str):
+    """cls(**values); a ValueError, OSError or ConfigError it raises names
+    the config key name."""
+    try:
+        return cls(**values)
+    except (ValueError, OSError, ConfigError) as exc:
+        raise ConfigError(f"config key '{name}': {exc}") from exc
+
+
+def _backends(raw: object, base_dir: Path) -> dict[str, BackendConfig]:
+    _require(isinstance(raw, list) and raw, "config key 'backends': required non-empty list")
+    backends: dict[str, BackendConfig] = {}
+    for index, entry in enumerate(raw):
+        name = f"backends[{index}]"
+        values = _section(BackendConfig, entry, name)
+        if values.get("fixtures_dir"):
+            values["fixtures_dir"] = str(base_dir / values["fixtures_dir"])
+        backend = _build(BackendConfig, values, name)
+        _require(backend.backend_id not in backends, f"config key '{name}': duplicate backend_id")
+        backends[backend.backend_id] = backend
+    return backends
+
+
+def _quality(raw: object, base_dir: Path) -> QualityConfig:
+    values = _section(QualityConfig, raw, "quality", skip=("domain_lexicon",))
+    if values.get("domain_lexicon_file"):
+        values["domain_lexicon_file"] = str(base_dir / values["domain_lexicon_file"])
+    return _build(QualityConfig, values, "quality")
 
 
 def _read_config_file(path: Path) -> tuple[bytes, dict]:
@@ -175,22 +242,6 @@ def _read_config_file(path: Path) -> tuple[bytes, dict]:
     return raw_bytes, data
 
 
-def _parse_quality(raw: object, base_dir: Path, context: str) -> QualityConfig:
-    _require(isinstance(raw, dict), f"{context}: must be an object")
-    _check_keys(raw, _QUALITY_KEYS, context)
-    lexicon_file = raw.get("domain_lexicon_file")
-    try:
-        quality_kwargs = {
-            "conciseness_max_tokens": raw.get("conciseness_max_tokens", 4),
-            "functional_predicates": tuple(raw.get("functional_predicates", ())),
-        }
-        if lexicon_file:
-            quality_kwargs["domain_lexicon"] = load_lexicon(base_dir / lexicon_file)
-        return QualityConfig(**quality_kwargs)
-    except (TypeError, ValueError, OSError) as exc:
-        raise ConfigError(f"{context}: {exc}") from exc
-
-
 def load_quality_config(path: str | Path) -> QualityConfig:
     """Read a file holding only the pipeline config's `quality` section.
 
@@ -198,134 +249,32 @@ def load_quality_config(path: str | Path) -> QualityConfig:
     """
     path = Path(path)
     _, data = _read_config_file(path)
-    return _parse_quality(data, path.parent.resolve(), f"quality config {path}")
+    return _quality(data, path.parent.resolve())
 
 
 def load_config(path: str | Path) -> PipelineConfig:
     """Read, validate, and resolve the single pipeline config file.
 
     Relative paths inside the file are resolved against the file's own
-    directory, so a config can travel with its fixtures.
+    directory, so a config can travel with its fixtures. Keys, defaults and
+    types are those of the fields of PipelineConfig and its sections.
     """
     path = Path(path)
     raw_bytes, data = _read_config_file(path)
-    _check_keys(data, _TOP_KEYS, "config")
-
-    mode = data.get("mode")
-    _require(mode in MODES, f"config key 'mode': must be one of {', '.join(MODES)}")
-    for key in ("corpus", "run_dir", "backend_id"):
-        _require(isinstance(data.get(key), str) and data[key], f"config key '{key}': required string")
-
-    backends_raw = data.get("backends")
-    _require(
-        isinstance(backends_raw, list) and backends_raw,
-        "config key 'backends': required non-empty list",
-    )
     base_dir = path.parent.resolve()
-    backends: dict[str, BackendConfig] = {}
-    for index, entry in enumerate(backends_raw):
-        context = f"config key 'backends[{index}]'"
-        _require(isinstance(entry, dict), f"{context}: must be an object")
-        _check_keys(entry, _BACKEND_KEYS, context)
-        entry = dict(entry)
-        fixtures_dir = entry.get("fixtures_dir")
-        if isinstance(fixtures_dir, str) and fixtures_dir:
-            entry["fixtures_dir"] = str(base_dir / fixtures_dir)
-        try:
-            backend = BackendConfig(**entry)
-        except (TypeError, ConfigError) as exc:
-            raise ConfigError(f"{context}: {exc}") from exc
-        _require(backend.backend_id not in backends, f"{context}: duplicate backend_id")
-        backends[backend.backend_id] = backend
-    _require(
-        data["backend_id"] in backends,
-        f"config key 'backend_id': {data['backend_id']!r} is not in the backends table",
-    )
-
-    linking_raw = data.get("linking", {})
-    _require(isinstance(linking_raw, dict), "config key 'linking': must be an object")
-    _check_keys(linking_raw, _LINKING_KEYS, "config key 'linking'")
-    linking = LinkingSettings(
-        endpoint=linking_raw.get("endpoint"),
-        fixture_file=linking_raw.get("fixture_file"),
-        cache_path=linking_raw.get("cache_path"),
-        match=linking_raw.get("match", "exact"),
-        on_error=linking_raw.get("on_error", "fallback"),
-    )
-    _require(linking.match in ("exact", "prefix"), "config key 'linking.match': exact or prefix")
-    _require(
-        linking.on_error in ("fallback", "abort"),
-        "config key 'linking.on_error': fallback or abort",
-    )
-
-    quality = _parse_quality(data.get("quality", {}), base_dir, "config key 'quality'")
-
-    export_raw = data.get("export", {})
-    _require(isinstance(export_raw, dict), "config key 'export': must be an object")
-    _check_keys(export_raw, _EXPORT_KEYS, "config key 'export'")
-    formats = tuple(export_raw.get("formats", ("dot", "graphml", "json")))
-    _require(
-        all(f in ("dot", "graphml", "json") for f in formats) and formats,
-        "config key 'export.formats': list drawn from dot, graphml, json",
-    )
-    try:
-        export = ExportSettings(
-            formats=formats,
-            max_nodes=export_raw.get("max_nodes", 150),
-            seed_entity=export_raw.get("seed_entity"),
-            radius=export_raw.get("radius", 2),
-        )
-        export.options()
-    except ValueError as exc:
-        raise ConfigError(f"config key 'export': {exc}") from exc
-
-    batch_size = data.get("batch_size", 256)
-    _require(isinstance(batch_size, int) and batch_size > 0, "config key 'batch_size': positive integer")
-    workers = data.get("workers", 1)
-    _require(isinstance(workers, int) and workers >= 1, "config key 'workers': integer >= 1")
-    rate = data.get("rate_limit_per_second")
-    _require(
-        rate is None or (isinstance(rate, (int, float)) and rate > 0),
-        "config key 'rate_limit_per_second': positive number or null",
-    )
-    for index, backend in enumerate(backends.values()):
-        _require(
-            backend.kind != "seq2seq_tokens" or backend.max_input_tokens >= batch_size,
-            f"config key 'backends[{index}]': max_input_tokens {backend.max_input_tokens} is below"
-            f" batch_size {batch_size}, so every full batch would exceed it",
-        )
-    on_batch_error = data.get("on_batch_error", "fail")
-    _require(on_batch_error in ("fail", "skip"), "config key 'on_batch_error': fail or skip")
-    max_repair_attempts = data.get("max_repair_attempts", 3)
-    _require(
-        isinstance(max_repair_attempts, int) and max_repair_attempts >= 1,
-        "config key 'max_repair_attempts': integer >= 1",
-    )
-    date_from = _parse_date(data.get("date_from"), "date_from")
-    date_to = _parse_date(data.get("date_to"), "date_to")
-    _require(
-        date_from is None or date_to is None or date_from <= date_to,
-        f"config keys 'date_from'/'date_to': empty date window, {date_from} is after {date_to}",
-    )
-
     return PipelineConfig(
-        mode=mode,
-        corpus=data["corpus"],
-        run_dir=data["run_dir"],
-        backend_id=data["backend_id"],
-        backends=backends,
+        **_section(
+            PipelineConfig,
+            data,
+            "",
+            skip=("base_dir", "config_hash"),
+            backends=lambda raw: _backends(raw, base_dir),
+            linking=lambda raw: LinkingSettings(**_section(LinkingSettings, raw, "linking")),
+            quality=lambda raw: _quality(raw, base_dir),
+            export=lambda raw: _build(ExportSettings, _section(ExportSettings, raw, "export"), "export"),
+        ),
         base_dir=base_dir,
         config_hash=hashlib.sha256(raw_bytes).hexdigest(),
-        batch_size=batch_size,
-        workers=workers,
-        rate_limit_per_second=rate,
-        on_batch_error=on_batch_error,
-        date_from=date_from,
-        date_to=date_to,
-        linking=linking,
-        quality=quality,
-        export=export,
-        max_repair_attempts=max_repair_attempts,
     )
 
 
@@ -338,16 +287,6 @@ def _write_lines(path: Path, lines: Iterable[str]) -> None:
 
 def _write_jsonl(path: Path, rows: Iterable[dict]) -> None:
     _write_lines(path, (json.dumps(row, ensure_ascii=False, sort_keys=True) for row in rows))
-
-
-def _dump_json(handle: TextIO, payload: dict) -> None:
-    json.dump(payload, handle, ensure_ascii=False, indent=2, sort_keys=True)
-    handle.write("\n")
-
-
-def _write_json(path: Path, payload: dict) -> None:
-    with path.open("w", encoding="utf-8") as handle:
-        _dump_json(handle, payload)
 
 
 def _safe_name(article_id: str) -> str:
@@ -529,7 +468,7 @@ def ontology_stage(
             generation_rows.append(
                 {"article_id": article.id, "attempt": attempt_index, "output": attempt.output}
             )
-        _write_json(
+        write_json(
             ontology_dir / f"{name}.report.json",
             {
                 "article_id": article.id,
@@ -585,7 +524,7 @@ def quality_stage(
 def export_stage(kb: KnowledgeBase, settings: ExportSettings, run_dir: Path) -> dict:
     """Render the KB into export.<format> for every configured format."""
     for format_name in settings.formats:
-        text = export_graph(kb, format_name, settings.options())
+        text = export_graph(kb, format_name, settings)
         (run_dir / f"export.{format_name}").write_text(text, encoding="utf-8")
     return {"formats": list(settings.formats)}
 
@@ -635,6 +574,5 @@ def run_pipeline(config_path: str | Path) -> dict:
     stages["export"] = run("export", export_stage, kb, config.export, run_dir)
 
     manifest = {"config_hash": config.config_hash, "mode": config.mode, "stages": stages}
-    with replacing(manifest_path) as handle:
-        _dump_json(handle, manifest)
+    write_json(manifest_path, manifest)
     return manifest

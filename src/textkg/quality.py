@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .corpus import Article
 from .errors import ConfigMismatchError
-from .kgstore import KnowledgeBase
+from .kgstore import KnowledgeBase, write_json
 
 FORMULA_VERSION = "1"
 
@@ -48,13 +48,17 @@ class QualityConfig:
     tokens counts as phrase-like. functional_predicates: predicates allowed
     at most one object per subject; more is a contradiction. domain_lexicon:
     terms whose presence in a label marks it domain-relevant.
+    domain_lexicon_file: when set, domain_lexicon is read from this file.
     """
 
     conciseness_max_tokens: int = 4
     functional_predicates: tuple[str, ...] = ()
     domain_lexicon: tuple[str, ...] = field(default_factory=load_default_lexicon)
+    domain_lexicon_file: str | None = field(default=None, compare=False)
 
     def __post_init__(self):
+        if self.domain_lexicon_file:
+            object.__setattr__(self, "domain_lexicon", load_lexicon(self.domain_lexicon_file))
         if self.conciseness_max_tokens < 1:
             raise ValueError("conciseness_max_tokens must be positive")
         if not self.domain_lexicon:
@@ -389,9 +393,7 @@ def render_report(report: QualityReport) -> str:
 
 
 def save_report(report: QualityReport, path: str | Path) -> None:
-    with Path(path).open("w", encoding="utf-8") as handle:
-        json.dump(report.to_dict(), handle, ensure_ascii=False, indent=2, sort_keys=True)
-        handle.write("\n")
+    write_json(path, report.to_dict())
 
 
 def load_report(path: str | Path) -> QualityReport:

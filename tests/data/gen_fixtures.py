@@ -229,7 +229,7 @@ def main(out_dir: Path = HERE) -> None:
             prompt = build_prompt(article.body, "triples")
             _write_fixture(triples_dir, prompt, TRIPLES_RESPONSES[article.id])
         else:
-            batches = chunk(article, whitespace_tokenize, BATCH_SIZE)
+            batches = chunk(article, BATCH_SIZE)
             responses = A4_BATCH_RESPONSES
             assert article.id == "a4" and len(batches) == len(responses)
             for batch, response in zip(batches, responses):

@@ -14,7 +14,7 @@ import random
 import time
 from pathlib import Path
 
-from textkg.chunking import chunk, whitespace_tokenize
+from textkg.chunking import chunk
 from textkg.corpus import Article
 from textkg.extraction import (
     Provenance,
@@ -120,7 +120,7 @@ def test_chunking_batch_count_and_reassembly():
             published_at=dt.date(2023, 1, 1),
             language="en",
         )
-        batches = chunk(article, whitespace_tokenize, 256)
+        batches = chunk(article, 256)
         assert len(batches) == math.ceil(n / 256)
         rebuilt: list[str] = []
         for batch in batches:

@@ -85,15 +85,3 @@ def test_chunk_laws(body: str, batch_size: int):
     # only the final batch may be short
     for batch in batches[:-1]:
         assert batch.token_count == batch_size
-
-
-@given(body=token_texts)
-@settings(max_examples=100, deadline=None)
-def test_custom_tokenizer_is_used(body: str):
-    def shouting(text: str) -> list[str]:
-        return [t.upper() for t in text.split()]
-
-    expected = shouting(body)
-    batches = chunk(make_article(body), tokenizer=shouting, batch_size=4)
-    for batch in batches:
-        assert batch.text == " ".join(expected[batch.token_start : batch.token_end])

@@ -321,6 +321,25 @@ class TestExtract:
         ]
         assert rows == [r for r in golden if r["provenance"][0]["article_id"] in ("a1", "a2")]
 
+    @pytest.mark.parametrize("source", ["config", "flag"])
+    def test_ontology_mode_rejects_skip_policy(self, capsys, data_copy, tmp_path, source):
+        config = data_copy / "pipeline_ontology.json"
+        data = json.loads(config.read_text())
+        # a triples-mode config may hold "skip"; --mode ontology must still refuse it
+        data["mode"] = "triples"
+        extra = ["--on-batch-error", "skip"] if source == "flag" else []
+        if source == "config":
+            data["on_batch_error"] = "skip"
+        config.write_text(json.dumps(data), encoding="utf-8")
+        out_dir = tmp_path / "ontologies"
+        code, _, stderr = run(
+            capsys, "extract", "--config", str(config), "--backend", "replay-onto",
+            "--mode", "ontology", *extra, "-o", str(out_dir),
+        )
+        assert code == 2
+        assert "skip is not supported in ontology mode" in stderr
+        assert not out_dir.exists()
+
     def test_unknown_backend_is_config_error(self, capsys, data_copy, tmp_path):
         code, _, stderr = run(
             capsys, "extract", "--config", str(data_copy / "pipeline_triples.json"),
@@ -509,6 +528,14 @@ def seq2seq_limit_below_batch_config(tmp_path: Path) -> str:
     return str(path)
 
 
+def patched_config(tmp_path: Path, section: str, key: str, value) -> str:
+    data = json.loads((DATA_DIR / "pipeline_triples.json").read_text(encoding="utf-8"))
+    data.setdefault(section, {})[key] = value
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
 GOLDEN_KB = str(GOLDEN_DIR / "triples" / "kb.json")
 CORPUS = str(DATA_DIR / "corpus_pipeline.jsonl")
 
@@ -566,6 +593,16 @@ CLI_ERROR_PATHS = {
     ),
     "pipeline-inverted-date-window": (
         lambda t: ["pipeline", "--config", inverted_window_config(t)], 2, "is after"
+    ),
+    "pipeline-export-max-nodes-string": (
+        lambda t: ["pipeline", "--config", patched_config(t, "export", "max_nodes", "150")],
+        2,
+        "config key 'export.max_nodes': expected an integer or null",
+    ),
+    "pipeline-linking-cache-path-number": (
+        lambda t: ["pipeline", "--config", patched_config(t, "linking", "cache_path", 5)],
+        2,
+        "config key 'linking.cache_path': expected a string or null",
     ),
     "pipeline-seq2seq-limit-below-batch-size": (
         lambda t: ["pipeline", "--config", seq2seq_limit_below_batch_config(t)], 2, "is below batch_size"

@@ -148,6 +148,19 @@ class TestLinkCache:
         assert loaded.entries == cache.entries
         assert loaded.get("SOLUNA", now=6.0)["iri"] == SOLUNA_IRI
 
+    def test_failed_save_leaves_the_earlier_file(self, tmp_path):
+        path = tmp_path / "link_cache.json"
+        cache = LinkCache()
+        cache.put("Soluna", SOLUNA_IRI, "Soluna", now=5.0)
+        cache.save(path)
+        before = path.read_bytes()
+        # an entry that cannot be encoded fails the save after it has begun
+        cache.put("mystery", None, None, now=object())
+        with pytest.raises(TypeError):
+            cache.save(path)
+        assert path.read_bytes() == before
+        assert [child.name for child in tmp_path.iterdir()] == ["link_cache.json"]
+
     def test_load_missing_file_is_empty(self, tmp_path):
         cache = LinkCache.load(tmp_path / "absent.json")
         assert cache.entries == {}

@@ -7,18 +7,30 @@ hermetic: no network, no wall-clock dependence, byte-identical artifacts.
 import hashlib
 import json
 import os
+import re
 from collections import Counter
+from dataclasses import fields
 from pathlib import Path
 
 import pytest
 
 from textkg import extraction, pipeline
 from textkg.errors import ConfigError, TextkgError
-from textkg.extraction import build_prompt, fixture_path
+from textkg.extraction import BackendConfig, build_prompt, fixture_path
 from textkg.kgstore import KnowledgeBase
-from textkg.pipeline import StageError, load_config, run_pipeline
+from textkg.quality import QualityConfig
+from textkg.pipeline import (
+    ExportSettings,
+    LinkingSettings,
+    PipelineConfig,
+    StageError,
+    load_config,
+    run_pipeline,
+)
 
 from .conftest import DATA_DIR, GOLDEN_DIR
+
+README = Path(__file__).resolve().parents[1] / "README.md"
 
 
 def snapshot(run_dir: Path) -> dict[str, bytes]:
@@ -268,6 +280,92 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match="quality"):
             load_config(write_config(tmp_path, data))
 
+    @pytest.mark.parametrize(
+        ("section", "key", "value"),
+        [
+            ("export", "max_nodes", "150"),
+            ("export", "formats", 5),
+            ("export", "radius", None),
+            ("linking", "cache_path", 5),
+            ("backends", "fixtures_dir", 7),
+            ("backends", "max_retries", 1.5),
+            ("backends", "temperature", "0"),
+            ("quality", "functional_predicates", "industry"),
+            (None, "batch_size", True),
+            (None, "workers", 2.0),
+            (None, "rate_limit_per_second", True),
+            (None, "date_from", 20230101),
+        ],
+    )
+    def test_wrongly_typed_value_rejected(self, tmp_path, section, key, value):
+        data = triples_config_dict()
+        if section is None:
+            data[key] = value
+            label = key
+        elif section == "backends":
+            data["backends"][0][key] = value
+            label = f"backends[0].{key}"
+        else:
+            data.setdefault(section, {})[key] = value
+            label = f"{section}.{key}"
+        with pytest.raises(ConfigError, match=re.escape(f"config key '{label}': expected")):
+            load_config(write_config(tmp_path, data))
+
+    # every section's accepted keys, as documented in the README
+    ACCEPTED_KEYS = {
+        "": {
+            "mode", "corpus", "run_dir", "backend_id", "backends", "batch_size", "workers",
+            "rate_limit_per_second", "on_batch_error", "date_from", "date_to", "linking",
+            "quality", "export", "max_repair_attempts",
+        },
+        "backends[0]": {
+            "backend_id", "kind", "endpoint", "model_name", "temperature", "max_input_tokens",
+            "request_timeout", "max_retries", "fixtures_dir", "replay_mode",
+        },
+        "linking": {"endpoint", "fixture_file", "cache_path", "match", "on_error"},
+        "quality": {"conciseness_max_tokens", "functional_predicates", "domain_lexicon_file"},
+        "export": {"formats", "max_nodes", "seed_entity", "radius"},
+    }
+
+    @pytest.mark.parametrize("section", sorted(ACCEPTED_KEYS))
+    def test_accepted_key_set(self, tmp_path, section):
+        # offer every field name of every config dataclass plus a stray key;
+        # exactly the ones outside the section's key set must be reported
+        offered = {"stray"} | {
+            f.name
+            for cls in (PipelineConfig, BackendConfig, LinkingSettings, QualityConfig, ExportSettings)
+            for f in fields(cls)
+        }
+        unknown = ", ".join(sorted(offered - self.ACCEPTED_KEYS[section]))
+        data = triples_config_dict()
+        raw = dict.fromkeys(offered)
+        if section == "":
+            data = raw
+        elif section == "backends[0]":
+            data["backends"][0] = raw
+        else:
+            data[section] = raw
+        context = f"config key '{section}'" if section else "config"
+        with pytest.raises(ConfigError, match=re.escape(f"{context}: unknown key(s) {unknown}")):
+            load_config(write_config(tmp_path, data))
+
+    def test_skip_policy_rejected_in_ontology_mode(self, tmp_path):
+        data = ontology_config_dict()
+        data["on_batch_error"] = "skip"
+        with pytest.raises(ConfigError, match="'on_batch_error': skip is not supported in ontology mode"):
+            load_config(write_config(tmp_path, data))
+
+    def test_readme_example_config_loads(self, tmp_path):
+        section = README.read_text(encoding="utf-8").split("## Pipeline config", 1)[1]
+        example = section.split("```json\n", 1)[1].split("```", 1)[0]
+        path = tmp_path / "config.json"
+        path.write_text(example, encoding="utf-8")
+        # a domain lexicon must hold at least one term
+        (tmp_path / "lexicon.txt").write_text("solar\n", encoding="utf-8")
+        config = load_config(path)
+        assert config.quality.domain_lexicon == ("solar",)
+        assert config.backends["replay"].fixtures_dir == str(tmp_path.resolve() / "recorded")
+
 
 def assert_matches_golden(run_dir: Path, golden_dir: Path) -> None:
     got = snapshot(run_dir)
@@ -395,8 +493,13 @@ class TestRunPipeline:
 
         monkeypatch.setattr(os, "replace", recording_replace)
         run_pipeline(data_copy / "pipeline_triples.json")
-        # kb.json is replaced whole too; the manifest comes last
-        assert replaced == [("kb.json.tmp", "kb.json"), ("manifest.json.tmp", "manifest.json")]
+        # the link cache, kb.json and quality.json are replaced whole too; the manifest comes last
+        assert replaced == [
+            ("link_cache.json.tmp", "link_cache.json"),
+            ("kb.json.tmp", "kb.json"),
+            ("quality.json.tmp", "quality.json"),
+            ("manifest.json.tmp", "manifest.json"),
+        ]
         assert not list((data_copy / "run_triples").glob("*.tmp"))
 
     def test_corrupt_link_cache_fails_in_link_stage(self, data_copy):
