@@ -243,8 +243,9 @@ def replacing(path: Path) -> Iterator[TextIO]:
         with temp.open("w", encoding="utf-8") as handle:
             yield handle
         os.replace(temp, path)
-    finally:
+    except BaseException:
         temp.unlink(missing_ok=True)
+        raise
 
 
 def write_json(path: str | Path, payload: object) -> None:
