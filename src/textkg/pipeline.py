@@ -10,11 +10,14 @@ deliberately contains no timestamps.
 from __future__ import annotations
 
 import datetime as dt
+import functools
 import hashlib
 import json
 import logging
+import os
 import re
-from collections.abc import Callable, Iterable
+from collections import deque
+from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
 from pathlib import Path
@@ -176,6 +179,10 @@ def _typed(value: object, hint: object, key: str) -> object:
         raise ConfigError(f"config key '{key}': {exc}") from exc
 
 
+# each annotation string is compiled once per class, not once per load
+_field_types = functools.cache(get_type_hints)
+
+
 def _section(cls, raw: object, name: str, skip: tuple[str, ...] = (), **build: Callable) -> dict:
     """The keyword arguments for dataclass cls held by the config object raw,
     found at config key name ("" for the root). raw's keys must be fields of
@@ -187,7 +194,7 @@ def _section(cls, raw: object, name: str, skip: tuple[str, ...] = (), **build: C
     declared = [f for f in fields(cls) if f.name not in skip]
     unknown = sorted(set(raw) - {f.name for f in declared})
     _require(not unknown, f"{context}: unknown key(s) {', '.join(unknown)}")
-    hints = get_type_hints(cls)
+    hints = _field_types(cls)
     values = {}
     for declared_field in declared:
         key = declared_field.name
@@ -278,28 +285,47 @@ def load_config(path: str | Path) -> PipelineConfig:
     )
 
 
-def _write_lines(path: Path, lines: Iterable[str]) -> None:
-    with path.open("w", encoding="utf-8") as handle:
-        for line in lines:
-            handle.write(line)
-            handle.write("\n")
+def _json_line(row: dict) -> str:
+    return json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
 
 
-def _write_jsonl(path: Path, rows: Iterable[dict]) -> None:
-    _write_lines(path, (json.dumps(row, ensure_ascii=False, sort_keys=True) for row in rows))
+def _open_lines(path: Path | None):
+    """A text handle that writes rows to path, or discards them if path is None."""
+    return open(os.devnull if path is None else path, "w", encoding="utf-8")
 
 
 def _safe_name(article_id: str) -> str:
     return re.sub(r"[^A-Za-z0-9._-]", "_", article_id)
 
 
-def _map_articles(config: PipelineConfig, function: Callable, *iterables: Iterable) -> list:
-    """function over every article in corpus order, on `workers` threads;
-    the iterables are per-article arguments, as for map."""
-    if config.workers > 1:
-        with ThreadPoolExecutor(max_workers=config.workers) as pool:
-            return list(pool.map(function, *iterables))
-    return list(map(function, *iterables))
+# calls per worker that _map_articles keeps submitted and not yet consumed: a
+# slow article at the head blocks new submissions, so the window must hold
+# enough short articles to keep the other workers busy meanwhile
+_WINDOW_PER_WORKER = 8
+
+
+def _map_articles(config: PipelineConfig, function: Callable, *iterables: Iterable) -> Iterator:
+    """function over every article, yielded lazily in corpus order; the
+    iterables are per-article arguments, as for map. With `workers` threads,
+    at most _WINDOW_PER_WORKER * workers calls are submitted and not yet
+    consumed, so finished results cannot pile up, and the first exception
+    cancels the calls not yet started."""
+    if config.workers == 1:
+        yield from map(function, *iterables)
+        return
+    window = _WINDOW_PER_WORKER * config.workers
+    pending = deque()
+    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+        try:
+            for arguments in zip(*iterables):
+                if len(pending) == window:
+                    yield pending.popleft().result()
+                pending.append(pool.submit(function, *arguments))
+            while pending:
+                yield pending.popleft().result()
+        finally:
+            for future in pending:
+                future.cancel()
 
 
 def _rate_limiter(config: PipelineConfig) -> RateLimiter | None:
@@ -337,8 +363,9 @@ def chunk_stage(
     """Write one row per token batch of every article; return each
     article's batches, in corpus order, for extraction to reuse."""
     batches = [chunk(article, batch_size=batch_size) for article in articles]
-    # a row holds exactly the batch's fields
-    _write_jsonl(path, (vars(batch) for article_batches in batches for batch in article_batches))
+    with _open_lines(path) as handle:
+        # a row holds exactly the batch's fields
+        handle.writelines(_json_line(vars(batch)) for article_batches in batches for batch in article_batches)
     return batches, {"batches": sum(map(len, batches))}
 
 
@@ -349,8 +376,10 @@ def extract_stage(
     generations_path: Path | None = None,
     batches: list[list[TokenBatch]] | None = None,
 ) -> tuple[list[Triplet], dict]:
-    """Extract triplets from every article with the configured backend.
-    batches, when given, are chunk_stage's batches of every article."""
+    """Extract triplets from every article with the configured backend,
+    writing each article's triple and generation rows as it completes, in
+    corpus order. batches, when given, are chunk_stage's batches of every
+    article."""
     backend = config.backend
     limiter = _rate_limiter(config)
 
@@ -377,22 +406,18 @@ def extract_stage(
 
     all_triplets: list[Triplet] = []
     total_report = ParseReport()
-    generation_rows: list[dict] = []
-    per_article = batches if batches is not None else [None] * len(articles)
-    for triplets, parse_report, rows in _map_articles(config, extract_one, articles, per_article):
-        all_triplets.extend(triplets)
-        total_report.extend(parse_report)
-        generation_rows.extend(rows)
-    if generations_path is not None:
-        _write_jsonl(generations_path, generation_rows)
     encode = row_encoder()
-    _write_lines(
-        triples_path,
-        (
-            encode((t.subject, t.predicate, t.object), [t.provenance] if t.provenance else [])
-            for t in all_triplets
-        ),
-    )
+    per_article = batches if batches is not None else [None] * len(articles)
+    results = _map_articles(config, extract_one, articles, per_article)
+    with _open_lines(triples_path) as triples, _open_lines(generations_path) as generations:
+        for triplets, parse_report, rows in results:
+            all_triplets.extend(triplets)
+            total_report.extend(parse_report)
+            generations.writelines(map(_json_line, rows))
+            triples.writelines(
+                encode((t.subject, t.predicate, t.object), [t.provenance] if t.provenance else []) + "\n"
+                for t in triplets
+            )
     return all_triplets, {
         "triplets_parsed": total_report.triplets_emitted,
         "segments_skipped": total_report.segments_skipped,
@@ -440,7 +465,16 @@ def ontology_stage(
 ) -> tuple[KnowledgeBase, dict]:
     """Generate, validate and repair one ontology per article, writing
     `<article>.ttl` (valid ones) and `<article>.report.json` into
-    ontology_dir, and flatten the valid ones into one KB."""
+    ontology_dir and the article's triple and generation rows as each
+    article completes, in corpus order, and fold the valid ones into one KB.
+    Article ids that share a file name are refused before any generation."""
+    owners: dict[str, str] = {}
+    for article in articles:
+        name = _safe_name(article.id)
+        if owners.setdefault(name, article.id) != article.id:
+            raise TextkgError(
+                f"article ids {owners[name]!r} and {article.id!r} both map to ontology file name {name!r}"
+            )
     complete = make_completer(config)
 
     def ontology_one(article: Article):
@@ -451,46 +485,41 @@ def ontology_stage(
 
     ontology_dir.mkdir(parents=True, exist_ok=True)
     results = _map_articles(config, ontology_one, articles)
-    generation_rows: list[dict] = []
-    triple_lines: list[str] = []
     encode = row_encoder()
     kb = KnowledgeBase()
     documents = 0
     repair_attempts = 0
     invalid_ids: list[str] = []
-    for article, (doc, attempts) in zip(articles, results):
-        if not attempts:
-            continue
-        documents += 1
-        repair_attempts += len(attempts) - 1
-        name = _safe_name(article.id)
-        for attempt_index, attempt in enumerate(attempts):
-            generation_rows.append(
-                {"article_id": article.id, "attempt": attempt_index, "output": attempt.output}
+    with _open_lines(triples_path) as triples, _open_lines(generations_path) as generations:
+        for article, (doc, attempts) in zip(articles, results):
+            if not attempts:
+                continue
+            documents += 1
+            repair_attempts += len(attempts) - 1
+            name = _safe_name(article.id)
+            generations.writelines(
+                _json_line({"article_id": article.id, "attempt": attempt_index, "output": attempt.output})
+                for attempt_index, attempt in enumerate(attempts)
             )
-        write_json(
-            ontology_dir / f"{name}.report.json",
-            {
-                "article_id": article.id,
-                "valid": doc is not None,
-                "repair_attempts": len(attempts) - 1,
-                "attempts": [attempt.report.to_dict() for attempt in attempts],
-            },
-        )
-        if doc is None:
-            invalid_ids.append(article.id)
-            logger.warning(
-                "article %s: no valid ontology after %d attempt(s)", article.id, len(attempts)
+            write_json(
+                ontology_dir / f"{name}.report.json",
+                {
+                    "article_id": article.id,
+                    "valid": doc is not None,
+                    "repair_attempts": len(attempts) - 1,
+                    "attempts": [attempt.report.to_dict() for attempt in attempts],
+                },
             )
-            continue
-        (ontology_dir / f"{name}.ttl").write_text(serialize_turtle(doc), encoding="utf-8")
-        article_kb = ontology_to_kb(doc, source_id=article.id, backend_id=config.backend_id)
-        triple_lines.extend(encode(*item) for item in sorted(article_kb.triples.items()))
-        kb.update(article_kb)
-    if generations_path is not None:
-        _write_jsonl(generations_path, generation_rows)
-    if triples_path is not None:
-        _write_lines(triples_path, triple_lines)
+            if doc is None:
+                invalid_ids.append(article.id)
+                logger.warning(
+                    "article %s: no valid ontology after %d attempt(s)", article.id, len(attempts)
+                )
+                continue
+            (ontology_dir / f"{name}.ttl").write_text(serialize_turtle(doc), encoding="utf-8")
+            article_kb = ontology_to_kb(doc, source_id=article.id, backend_id=config.backend_id)
+            triples.writelines(encode(*item) + "\n" for item in sorted(article_kb.triples.items()))
+            kb.update(article_kb)
     return kb, {
         "documents": documents,
         "valid_documents": documents - len(invalid_ids),
@@ -551,13 +580,14 @@ def run_pipeline(config_path: str | Path) -> dict:
     )
     triples_path = run_dir / "triples.jsonl"
     generations_path = run_dir / "generations.jsonl"
-    # only extraction reads the batches; drop them once it is done
+    # only extraction reads the batches and only linking the triplets; drop each once used
     if config.mode == "triples":
         triplets, stages["extract"] = run(
             "extract", extract_stage, config, articles, triples_path, generations_path, batches
         )
         del batches
         kb, stages["link"] = run("link", link_stage, config, triplets)
+        del triplets
     else:
         del batches
         kb, stages["ontology"] = run(

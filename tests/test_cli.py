@@ -536,6 +536,21 @@ def patched_config(tmp_path: Path, section: str, key: str, value) -> str:
     return str(path)
 
 
+def colliding_ids_config(tmp_path: Path) -> str:
+    """The bundled ontology config over a corpus whose first two ids share
+    the file name a_1."""
+    rows = [json.loads(line) for line in (DATA_DIR / "corpus_pipeline.jsonl").read_text().splitlines()]
+    rows[0]["id"], rows[1]["id"] = "a/1", "a:1"
+    corpus = tmp_path / "corpus.jsonl"
+    corpus.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+    data = json.loads((DATA_DIR / "pipeline_ontology.json").read_text(encoding="utf-8"))
+    data.update(corpus=str(corpus), run_dir=str(tmp_path / "run"))
+    data["backends"][0]["fixtures_dir"] = str(DATA_DIR / "replay_ontology")
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
 GOLDEN_KB = str(GOLDEN_DIR / "triples" / "kb.json")
 CORPUS = str(DATA_DIR / "corpus_pipeline.jsonl")
 
@@ -603,6 +618,11 @@ CLI_ERROR_PATHS = {
         lambda t: ["pipeline", "--config", patched_config(t, "linking", "cache_path", 5)],
         2,
         "config key 'linking.cache_path': expected a string or null",
+    ),
+    "pipeline-ontology-file-name-collision": (
+        lambda t: ["pipeline", "--config", colliding_ids_config(t)],
+        1,
+        "article ids 'a/1' and 'a:1' both map to ontology file name 'a_1'",
     ),
     "pipeline-seq2seq-limit-below-batch-size": (
         lambda t: ["pipeline", "--config", seq2seq_limit_below_batch_config(t)], 2, "is below batch_size"

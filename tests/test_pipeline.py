@@ -4,17 +4,23 @@ The runs here use the replay backend and the checked-in corpus, so they are
 hermetic: no network, no wall-clock dependence, byte-identical artifacts.
 """
 
+import gc
 import hashlib
 import json
 import os
 import re
+import threading
+import time
+import weakref
 from collections import Counter
 from dataclasses import fields
 from pathlib import Path
+from types import SimpleNamespace
 
 import pytest
 
 from textkg import extraction, pipeline
+from textkg.corpus import load_corpus
 from textkg.errors import ConfigError, TextkgError
 from textkg.extraction import BackendConfig, build_prompt, fixture_path
 from textkg.kgstore import KnowledgeBase
@@ -622,3 +628,140 @@ def test_each_article_is_chunked_once(tmp_path, monkeypatch):
     assert chunked == {"long": 1, "short": 1, "empty": 1}
     assert manifest["stages"]["chunk"]["batches"] == 4
     assert manifest["stages"]["extract"]["triplets_parsed"] == 4
+
+
+def write_corpus(path: Path, rows: list[dict]) -> None:
+    path.write_text("".join(json.dumps(row) + "\n" for row in rows), encoding="utf-8")
+
+
+def corpus_rows(data_dir: Path) -> list[dict]:
+    return [json.loads(line) for line in (data_dir / "corpus_pipeline.jsonl").read_text().splitlines()]
+
+
+@pytest.mark.parametrize("first, second", [("a/1", "a_1"), ("a 1", "a:1")])
+def test_ontology_file_name_collision_fails_before_any_generation(data_copy, monkeypatch, first, second):
+    rows = corpus_rows(data_copy)
+    rows[1]["id"], rows[3]["id"] = first, second
+    write_corpus(data_copy / "corpus_pipeline.jsonl", rows)
+    generated = []
+    monkeypatch.setattr(pipeline, "generate", lambda *args, **kwargs: generated.append(args))
+    with pytest.raises(StageError, match="both map to ontology file name 'a_1'") as info:
+        run_pipeline(data_copy / "pipeline_ontology.json")
+    assert info.value.stage == "ontology"
+    assert f"{first!r} and {second!r}" in str(info.value)
+    assert generated == []
+    assert not (data_copy / "run_ontology" / "manifest.json").exists()
+
+
+def test_ontology_report_is_written_before_the_next_article_is_generated(data_copy, monkeypatch):
+    ontology_dir = data_copy / "run_ontology" / "ontologies"
+    reports_before = []
+    original = pipeline.repair_until_valid
+
+    def recording(*args, **kwargs):
+        reports_before.append(sorted(path.name for path in ontology_dir.glob("*.report.json")))
+        return original(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "repair_until_valid", recording)
+    run_pipeline(data_copy / "pipeline_ontology.json")
+    # workers is 1: article k is generated after articles 1..k-1 are written
+    assert reports_before == [[f"a{i}.report.json" for i in range(1, k)] for k in range(1, 6)]
+
+
+def test_ontology_stage_holds_a_constant_number_of_documents(data_copy, monkeypatch):
+    # eight copies of the five bundled bodies reuse the replay fixtures, which are keyed by prompt
+    rows = corpus_rows(data_copy)
+    write_corpus(
+        data_copy / "corpus_pipeline.jsonl",
+        [{**row, "id": f"{row['id']}-{copy}"} for copy in range(8) for row in rows],
+    )
+    # weak references, not a WeakSet: OntologyDoc compares by value and so is unhashable
+    refs = []
+    peak = []
+    original = pipeline.repair_until_valid
+
+    def tracked(*args, **kwargs):
+        doc, attempts = original(*args, **kwargs)
+        refs.append(weakref.ref(doc))
+        gc.collect()
+        peak.append(sum(ref() is not None for ref in refs))
+        return doc, attempts
+
+    monkeypatch.setattr(pipeline, "repair_until_valid", tracked)
+    manifest = run_pipeline(data_copy / "pipeline_ontology.json")
+    assert manifest["stages"]["ontology"]["valid_documents"] == 40
+    assert max(peak) <= 2
+
+
+@pytest.mark.parametrize(
+    "config_name, stage", [("pipeline_triples.json", "extract"), ("pipeline_ontology.json", "ontology")]
+)
+def test_failure_on_the_last_article_keeps_the_earlier_articles(data_copy, config_name, stage):
+    config = load_config(data_copy / config_name)
+    articles = load_corpus(config.resolve(config.corpus))
+    last = articles[-1].id
+    fixture_path(config.backend, build_prompt(articles[-1].body, config.mode)).unlink()
+    with pytest.raises(StageError) as info:
+        run_pipeline(data_copy / config_name)
+    assert info.value.stage == stage
+    run_dir = config.resolve(config.run_dir)
+    golden = GOLDEN_DIR / config.mode
+    assert not (run_dir / "manifest.json").exists()
+    generations = (golden / "generations.jsonl").read_text(encoding="utf-8").splitlines()
+    assert (run_dir / "generations.jsonl").read_text(encoding="utf-8").splitlines() == [
+        line for line in generations if json.loads(line)["article_id"] != last
+    ]
+    if config.mode == "ontology":
+        want = snapshot(golden / "ontologies")
+        assert snapshot(run_dir / "ontologies") == {
+            name: data for name, data in want.items() if not name.startswith(f"{last}.")
+        }
+
+
+def window_worker(started: list, fail_at: int | None = None):
+    lock = threading.Lock()
+
+    def work(item: int) -> int:
+        with lock:
+            started.append(item)
+        if item == fail_at:
+            raise ValueError(f"item {item} failed")
+        time.sleep(0.001 * (item % 4))  # later items often finish first
+        return item * 10
+
+    return work
+
+
+def test_map_articles_yields_in_order_within_its_window():
+    window = pipeline._WINDOW_PER_WORKER * 3
+    started: list[int] = []
+    results = []
+    for position, result in enumerate(
+        pipeline._map_articles(SimpleNamespace(workers=3), window_worker(started), range(100))
+    ):
+        assert max(started) < position + window
+        results.append(result)
+        time.sleep(0.002)  # a slow consumer: unbounded workers would run far ahead
+    assert results == [item * 10 for item in range(100)]
+
+
+def test_map_articles_with_one_worker_is_lazy():
+    started: list[int] = []
+    results = pipeline._map_articles(SimpleNamespace(workers=1), window_worker(started), range(10))
+    assert started == []
+    assert next(results) == 0
+    assert started == [0]
+
+
+def test_map_articles_stops_submitting_after_a_failure():
+    window = pipeline._WINDOW_PER_WORKER * 3
+    started: list[int] = []
+    results = []
+    with pytest.raises(ValueError, match="item 5 failed"):
+        for result in pipeline._map_articles(
+            SimpleNamespace(workers=3), window_worker(started, fail_at=5), range(100)
+        ):
+            results.append(result)
+            time.sleep(0.01)
+    assert results == [item * 10 for item in range(5)]
+    assert max(started) < 5 + window
