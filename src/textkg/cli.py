@@ -7,7 +7,6 @@ read from the environment only, never from flags or files.
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import datetime as dt
 import json
 import logging
@@ -184,20 +183,11 @@ def _cmd_chunk(args) -> int:
     return 0
 
 
-def _config_for_backend(args) -> PipelineConfig:
-    """The --config file with --backend as its backend."""
-    config = load_config(args.config)
-    if args.backend not in config.backends:
-        raise ConfigError(f"backend {args.backend!r} is not in the config's backends table")
-    return dataclasses.replace(config, backend_id=args.backend)
-
-
 def _cmd_extract(args) -> int:
-    config = _config_for_backend(args)
-    # replacing re-runs the config checks, so ontology mode refuses "skip" here too
-    config = dataclasses.replace(
-        config, mode=args.mode, on_batch_error=args.on_batch_error or config.on_batch_error
-    )
+    # the flags are checked with the file, so --mode ontology refuses "skip" and
+    # --mode triples refuses a backend that answers in Turtle
+    flags = {"on_batch_error": args.on_batch_error} if args.on_batch_error else {}
+    config = load_config(args.config, backend_id=args.backend, mode=args.mode, **flags)
     articles, _ = corpus_stage(config)
     if args.mode == "triples":
         _, counts = extract_stage(config, articles, Path(args.output))
@@ -287,7 +277,8 @@ def _cmd_ttl2kb(args) -> int:
 
 
 def _cmd_repair(args) -> int:
-    config = _config_for_backend(args)
+    # repair runs the ontology repair loop and fails on a backend error
+    config = load_config(args.config, backend_id=args.backend, mode="ontology", on_batch_error="fail")
     text = _read_turtle(args.file)
     doc, report = validate_text(text)
     if report.ok and doc is not None:

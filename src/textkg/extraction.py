@@ -34,6 +34,8 @@ logger = logging.getLogger(__name__)
 API_KEY_ENV = "TEXTKG_API_KEY"
 BACKEND_KINDS = ("seq2seq_tokens", "chat_triples", "chat_ontology", "replay")
 REPLAY_MODES = ("seq2seq", "triples", "ontology")
+# what each non-replay kind's completions are written in; a replay backend's is its replay_mode
+_KIND_GRAMMARS = {"seq2seq_tokens": "seq2seq", "chat_triples": "triples", "chat_ontology": "ontology"}
 DEFAULT_SEED_CONCEPTS = ("organizations", "actions", "practices", "policies")
 RETRY_BACKOFF_SECONDS = 0.5
 # a 429/503 asking for a longer wait than this fails instead of stalling the run
@@ -134,6 +136,11 @@ class BackendConfig:
                 raise ConfigError(f"unknown replay_mode {self.replay_mode!r}")
         elif not self.endpoint:
             raise ConfigError(f"backend {self.backend_id!r} requires an endpoint")
+
+    @property
+    def grammar(self) -> str:
+        """What the backend's completions are written in: "seq2seq", "triples" or "ontology"."""
+        return self.replay_mode if self.kind == "replay" else _KIND_GRAMMARS[self.kind]
 
 
 @dataclass
@@ -463,16 +470,9 @@ def extract_article(
     on. on_generation, when given, observes each raw completion as
     (batch_index, text).
     """
-    if config.kind == "replay":
-        mode = config.replay_mode
-    elif config.kind == "seq2seq_tokens":
-        mode = "seq2seq"
-    elif config.kind == "chat_triples":
-        mode = "triples"
-    else:
-        raise ConfigError(f"extract_article cannot use backend kind {config.kind!r}")
-    if mode not in ("seq2seq", "triples"):
-        raise ConfigError(f"extract_article cannot use replay_mode {mode!r}")
+    mode = config.grammar
+    if mode == "ontology":
+        raise ConfigError(f"extract_article cannot parse the ontology output of backend {config.backend_id!r}")
     if on_batch_error not in ("fail", "skip"):
         raise ValueError(f"on_batch_error must be 'fail' or 'skip', got {on_batch_error!r}")
 

@@ -103,6 +103,11 @@ class PipelineConfig:
             self.backend_id in self.backends,
             f"config key 'backend_id': {self.backend_id!r} is not in the backends table",
         )
+        _require(
+            self.mode != "triples" or self.backend.grammar != "ontology",
+            f"config key 'backend_id': backend {self.backend_id!r} answers in ontology Turtle,"
+            " which triples mode cannot parse",
+        )
         _require(self.linking.match in ("exact", "prefix"), "config key 'linking.match': exact or prefix")
         _require(
             self.linking.on_error in ("fallback", "abort"), "config key 'linking.on_error': fallback or abort"
@@ -259,12 +264,14 @@ def load_quality_config(path: str | Path) -> QualityConfig:
     return _quality(data, path.parent.resolve())
 
 
-def load_config(path: str | Path) -> PipelineConfig:
+def load_config(path: str | Path, **overrides) -> PipelineConfig:
     """Read, validate, and resolve the single pipeline config file.
 
     Relative paths inside the file are resolved against the file's own
     directory, so a config can travel with its fixtures. Keys, defaults and
     types are those of the fields of PipelineConfig and its sections.
+    overrides replace top-level field values before the config is
+    validated, as the CLI's --backend and --mode do.
     """
     path = Path(path)
     raw_bytes, data = _read_config_file(path)
@@ -279,7 +286,8 @@ def load_config(path: str | Path) -> PipelineConfig:
             linking=lambda raw: LinkingSettings(**_section(LinkingSettings, raw, "linking")),
             quality=lambda raw: _quality(raw, base_dir),
             export=lambda raw: _build(ExportSettings, _section(ExportSettings, raw, "export"), "export"),
-        ),
+        )
+        | overrides,
         base_dir=base_dir,
         config_hash=hashlib.sha256(raw_bytes).hexdigest(),
     )

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .corpus import Article
 from .errors import ConfigMismatchError
-from .kgstore import KnowledgeBase, write_json
+from .kgstore import KnowledgeBase, stats, write_json
 
 FORMULA_VERSION = "1"
 
@@ -186,12 +186,7 @@ def _compute_metrics(
     duplicate_ratio = _ratio(duplicate_instances, total_instances)
 
     entity_count = len(kb.entities)
-    connected = set()
-    for subject, _, obj in kb.triples:
-        connected.add(subject)
-        connected.add(obj)
-    isolated = len(kb.entities - connected)
-    isolated_entity_ratio = _ratio(isolated, entity_count)
+    isolated_entity_ratio = _ratio(stats(kb).isolated_entity_count, entity_count)
     mean_degree = _ratio(2 * len(kb.triples), entity_count)
     sizes = _component_sizes(kb)
     largest_component_fraction = _ratio(max(sizes) if sizes else 0, entity_count)
@@ -200,7 +195,6 @@ def _compute_metrics(
         sum(1 for entity in kb.entities if entity in kb.entity_links), entity_count
     )
 
-    contradiction_count = 0
     functional = set(config.functional_predicates)
     objects_by_pair: dict[tuple[str, str], set[str]] = defaultdict(set)
     for subject, predicate, obj in kb.triples:

@@ -112,10 +112,11 @@ def _is_standard(iri: str) -> bool:
 # ---------------------------------------------------------------------------
 # Tokenizer
 #
-# A token is a plain (kind, value, offset) tuple, where offset indexes the
-# text. Line and column are worked out from the offset only when an error is
-# reported. Kinds: prefix_directive, iri, pname, a, string, dot, semi, comma
-# and eof.
+# A token is one match of _TOKEN_RE. Its kind is the name of the alternative
+# that matched (match.lastgroup) and its offset is match.start(kind), past the
+# whitespace and comments the match also spans. Line and column are worked
+# out from the offset only when an error is reported. Kinds:
+# prefix_directive, iri, pname, a, string, dot, semi, comma and eof.
 
 
 def _location(text: str, offset: int) -> str:
@@ -125,10 +126,7 @@ def _location(text: str, offset: int) -> str:
 
 
 class _ParseAbort(Exception):
-    def __init__(self, message: str, text: str, offset: int):
-        self.message = message
-        self.location = _location(text, offset)
-        super().__init__(f"{self.location}: {message}")
+    """A subset violation, raised as _ParseAbort(message, offset in the text)."""
 
 
 _ESCAPES = {"\\": "\\", '"': '"', "n": "\n", "r": "\r", "t": "\t"}
@@ -163,28 +161,18 @@ _TOKEN_RE = re.compile(
 )
 
 
-def _tokenize(text: str) -> list[tuple]:
-    tokens: list[tuple] = []
-    append = tokens.append
+def _tokenize(text: str) -> list[re.Match]:
+    """Every token of text up to and including eof, so that a token error
+    anywhere in the document is raised before any of it is parsed."""
+    tokens: list[re.Match] = []
     match = None
     for match in iter(_TOKEN_RE.scanner(text).match, None):
+        tokens.append(match)
         kind = match.lastgroup
-        if kind == "pname":
-            append((kind, match.group("pfx", "local"), match.start(kind)))
-        elif kind == "iri":
-            append((kind, match["ref"], match.start(kind)))
-        elif kind == "string":
-            body, lang = match.group("body", "lang")
-            if "\\" in body:
-                body = _ESCAPE_RE.sub(lambda escape: _ESCAPES[escape[1]], body)
-            append((kind, Literal(body, lang), match.start(kind)))
-        elif kind == "eof":
-            append((kind, None, match.start(kind)))
+        if kind == "eof":
             return tokens
-        elif kind == "prefix_directive" and text[match.end() : match.end() + 1].isalpha():
+        if kind == "prefix_directive" and text[match.end() : match.end() + 1].isalpha():
             raise _token_error(text, match.start(kind))
-        else:
-            append((kind, match[kind], match.start(kind)))
     # the scan stopped before the end: name what starts after the last token
     raise _token_error(text, _SKIP_RE.match(text, match.end() if match else 0).end())
 
@@ -193,177 +181,75 @@ def _token_error(text: str, pos: int) -> _ParseAbort:
     """Name the subset violation that starts at ``pos``."""
     char, following = text[pos], text[pos + 1 : pos + 2]
     if char == "<":
-        return _ParseAbort("unterminated IRI reference", text, pos)
+        return _ParseAbort("unterminated IRI reference", pos)
     if char == '"':
         if text.startswith('"""', pos):
-            return _ParseAbort("multiline literals are not supported", text, pos)
+            return _ParseAbort("multiline literals are not supported", pos)
         end = _STRING_BODY_RE.match(text, pos + 1).end()
         stop = text[end : end + 1]
         if stop == "\\":
             if end + 1 == len(text):
-                return _ParseAbort("dangling escape at end of input", text, end)
-            return _ParseAbort(f"unsupported escape '\\{text[end + 1]}'", text, end)
+                return _ParseAbort("dangling escape at end of input", end)
+            return _ParseAbort(f"unsupported escape '\\{text[end + 1]}'", end)
         if stop != '"':
-            return _ParseAbort("unterminated string literal", text, pos)
+            return _ParseAbort("unterminated string literal", pos)
         if text.startswith("^^", end + 1):
-            return _ParseAbort("typed literals are not supported", text, end + 1)
-        return _ParseAbort("empty language tag", text, end + 2)
+            return _ParseAbort("typed literals are not supported", end + 1)
+        return _ParseAbort("empty language tag", end + 2)
     if char == "@":
         end = pos + 1
         while end < len(text) and text[end].isalpha():
             end += 1
         word = text[pos + 1 : end]
         message = "@base is not supported" if word == "base" else f"unknown directive '@{word}'"
-        return _ParseAbort(message, text, pos)
+        return _ParseAbort(message, pos)
     if char in "[]" or (char == "_" and following == ":"):
-        return _ParseAbort("blank nodes are not supported", text, pos)
+        return _ParseAbort("blank nodes are not supported", pos)
     if char in "()":
-        return _ParseAbort("collections are not supported", text, pos)
+        return _ParseAbort("collections are not supported", pos)
     if char.isdigit() or (char in "+-" and following.isdigit()):
-        return _ParseAbort("numeric literals are not supported", text, pos)
+        return _ParseAbort("numeric literals are not supported", pos)
     word = _WORD_RE.match(text, pos)[0] if char.isalpha() or char == "_" else ""
-    return _ParseAbort(f"unexpected word {word!r}" if word else f"unexpected character {char!r}", text, pos)
+    return _ParseAbort(f"unexpected word {word!r}" if word else f"unexpected character {char!r}", pos)
 
 
 # ---------------------------------------------------------------------------
 # Parser
 
 
-class _Parser:
-    def __init__(self, text: str):
-        self.text = text
-        self.tokens = _tokenize(text)
-        self.index = 0
-        self.doc = OntologyDoc()
-        self.prefix_errors: dict[str, Issue] = {}
-
-    def peek(self) -> tuple:
-        return self.tokens[self.index]
-
-    def advance(self) -> tuple:
-        token = self.tokens[self.index]
-        if token[0] != "eof":
-            self.index += 1
-        return token
-
-    def abort(self, message: str, token: tuple):
-        raise _ParseAbort(message, self.text, token[2])
-
-    def expect(self, kind: str, what: str) -> tuple:
-        token = self.advance()
-        if token[0] != kind:
-            self.abort(f"expected {what}, found {_describe(token)}", token)
-        return token
-
-    def resolve(self, token: tuple) -> str:
-        kind, value, offset = token
-        if kind == "iri":
-            return value
-        prefix, local = value  # pname
-        base = self.doc.prefixes.get(prefix)
-        if base is None:
-            display = f"{prefix}:"
-            if display not in self.prefix_errors:
-                self.prefix_errors[display] = Issue(
-                    "UndefinedPrefix",
-                    f"prefix '{display}' is used but never declared",
-                    _location(self.text, offset),
-                )
-            return f"urn:undeclared:{prefix}:{local}"
-        return base + local
-
-    def parse(self) -> OntologyDoc:
-        while True:
-            kind = self.peek()[0]
-            if kind == "eof":
-                break
-            if kind == "prefix_directive":
-                self.advance()
-                self.parse_prefix()
-                continue
-            self.parse_statement()
-        return self.doc
-
-    def parse_prefix(self) -> None:
-        name_token = self.expect("pname", "a prefix name like 'ex:'")
-        prefix, local = name_token[1]
-        if local:
-            self.abort(f"prefix declaration must end with ':', got '{prefix}:{local}'", name_token)
-        iri_token = self.expect("iri", "an IRI in angle brackets")
-        self.expect("dot", "'.'")
-        self.doc.prefixes[prefix] = iri_token[1]
-
-    def parse_statement(self) -> None:
-        subject_token = self.advance()
-        if subject_token[0] not in ("iri", "pname"):
-            self.abort(f"expected a subject IRI, found {_describe(subject_token)}", subject_token)
-        subject = self.resolve(subject_token)
-        while True:
-            verb_token = self.advance()
-            if verb_token[0] == "a":
-                predicate = RDF_TYPE
-            elif verb_token[0] in ("iri", "pname"):
-                predicate = self.resolve(verb_token)
-            else:
-                self.abort(f"expected a predicate, found {_describe(verb_token)}", verb_token)
-            while True:
-                object_token = self.advance()
-                if object_token[0] in ("iri", "pname"):
-                    obj: str | Literal = self.resolve(object_token)
-                elif object_token[0] == "string":
-                    obj = object_token[1]
-                else:
-                    self.abort(f"expected an object, found {_describe(object_token)}", object_token)
-                self.record(subject, predicate, obj)
-                if self.peek()[0] == "comma":
-                    self.advance()
-                    continue
-                break
-            separator = self.advance()
-            if separator[0] == "semi":
-                # tolerate a trailing ';' before the final '.'
-                if self.peek()[0] == "dot":
-                    self.advance()
-                    return
-                continue
-            if separator[0] == "dot":
-                return
-            self.abort(f"expected ';', ',' or '.', found {_describe(separator)}", separator)
-
-    def record(self, subject: str, predicate: str, obj: str | Literal) -> None:
-        doc = self.doc
-        is_typing = predicate == RDF_TYPE or local_name(predicate) == "instanceOf"
-        if is_typing and isinstance(obj, str):
-            if obj in _CLASS_TYPES:
-                doc.classes.add(subject)
-            elif obj == _OBJECT_PROPERTY:
-                doc.object_properties.add(subject)
-            elif obj in _DATA_PROPERTY_TYPES:
-                doc.data_properties.add(subject)
-            elif obj == _NAMED_INDIVIDUAL:
-                doc.individuals.add(subject)
-            elif obj == _ONTOLOGY:
-                pass
-            else:
-                doc.class_assertions.add((subject, obj))
-                doc.individuals.add(subject)
-            return
-        if predicate == RDFS_LABEL and isinstance(obj, Literal):
-            doc.labels.setdefault(subject, obj.text)
-            return
-        doc.property_assertions.add((subject, predicate, obj))
-
-
-def _describe(token: tuple) -> str:
-    kind, value, _ = token
+def _expected(token: re.Match, what: str) -> _ParseAbort:
+    """The error for a token that is not the ``what`` the grammar needs there."""
+    kind = token.lastgroup
     if kind == "eof":
-        return "end of input"
-    if kind == "pname":
-        prefix, local = value
-        return f"'{prefix}:{local}'"
-    if kind == "string":
-        return "a string literal"
-    return f"'{value}'"
+        found = "end of input"
+    elif kind == "string":
+        found = "a string literal"
+    else:
+        found = f"'{token['ref' if kind == 'iri' else kind]}'"
+    return _ParseAbort(f"expected {what}, found {found}", token.start(kind))
+
+
+def _record(doc: OntologyDoc, subject: str, predicate: str, obj: str | Literal) -> None:
+    is_typing = predicate == RDF_TYPE or local_name(predicate) == "instanceOf"
+    if is_typing and isinstance(obj, str):
+        if obj in _CLASS_TYPES:
+            doc.classes.add(subject)
+        elif obj == _OBJECT_PROPERTY:
+            doc.object_properties.add(subject)
+        elif obj in _DATA_PROPERTY_TYPES:
+            doc.data_properties.add(subject)
+        elif obj == _NAMED_INDIVIDUAL:
+            doc.individuals.add(subject)
+        elif obj == _ONTOLOGY:
+            pass
+        else:
+            doc.class_assertions.add((subject, obj))
+            doc.individuals.add(subject)
+        return
+    if predicate == RDFS_LABEL and isinstance(obj, Literal):
+        doc.labels.setdefault(subject, obj.text)
+        return
+    doc.property_assertions.add((subject, predicate, obj))
 
 
 def parse_turtle(text: str) -> OntologyDoc | ValidationReport:
@@ -373,14 +259,88 @@ def parse_turtle(text: str) -> OntologyDoc | ValidationReport:
     violation of the subset stops at the first offense with its line and
     column.
     """
+    doc = OntologyDoc()
+    prefixes = doc.prefixes
+    undeclared: dict[str, int] = {}  # prefix -> offset of its first use
+
+    def resolve(token: re.Match) -> str | None:
+        """The full IRI that token names, or None if it is not an IRI or a prefixed name."""
+        kind = token.lastgroup
+        if kind == "iri":
+            return token["ref"]
+        if kind != "pname":
+            return None
+        prefix, local = token.group("pfx", "local")
+        base = prefixes.get(prefix)
+        if base is None:
+            undeclared.setdefault(prefix, token.start("pname"))
+            return f"urn:undeclared:{prefix}:{local}"
+        return base + local
+
+    # Each pass of the outer loop reads one directive or statement through
+    # its '.'. Every place that can read the eof token ends the loop or
+    # raises, so next() never runs past it.
     try:
-        parser = _Parser(text)
-        doc = parser.parse()
+        tokens = iter(_tokenize(text))
+        for token in tokens:
+            kind = token.lastgroup
+            if kind == "eof":
+                break
+            if kind == "prefix_directive":
+                name = next(tokens)
+                if name.lastgroup != "pname":
+                    raise _expected(name, "a prefix name like 'ex:'")
+                prefix, local = name.group("pfx", "local")
+                if local:
+                    raise _ParseAbort(
+                        f"prefix declaration must end with ':', got '{prefix}:{local}'", name.start("pname")
+                    )
+                namespace = next(tokens)
+                if namespace.lastgroup != "iri":
+                    raise _expected(namespace, "an IRI in angle brackets")
+                end = next(tokens)
+                if end.lastgroup != "dot":
+                    raise _expected(end, "'.'")
+                prefixes[prefix] = namespace["ref"]
+                continue
+            subject = resolve(token)
+            if subject is None:
+                raise _expected(token, "a subject IRI")
+            verb = next(tokens)
+            while True:
+                predicate = RDF_TYPE if verb.lastgroup == "a" else resolve(verb)
+                if predicate is None:
+                    raise _expected(verb, "a predicate")
+                while True:
+                    token = next(tokens)
+                    obj: str | Literal | None = resolve(token)
+                    if obj is None:
+                        if token.lastgroup != "string":
+                            raise _expected(token, "an object")
+                        body, lang = token.group("body", "lang")
+                        if "\\" in body:
+                            body = _ESCAPE_RE.sub(lambda escape: _ESCAPES[escape[1]], body)
+                        obj = Literal(body, lang)
+                    _record(doc, subject, predicate, obj)
+                    token = next(tokens)
+                    if token.lastgroup != "comma":
+                        break
+                if token.lastgroup == "dot":
+                    break
+                if token.lastgroup != "semi":
+                    raise _expected(token, "';', ',' or '.'")
+                verb = next(tokens)
+                # tolerate a trailing ';' before the final '.'
+                if verb.lastgroup == "dot":
+                    break
     except _ParseAbort as abort:
-        return ValidationReport(errors=[Issue("ParseError", abort.message, abort.location)])
-    if parser.prefix_errors:
-        return ValidationReport(errors=list(parser.prefix_errors.values()))
-    return doc
+        message, offset = abort.args
+        return ValidationReport(errors=[Issue("ParseError", message, _location(text, offset))])
+    errors = [
+        Issue("UndefinedPrefix", f"prefix '{prefix}:' is used but never declared", _location(text, offset))
+        for prefix, offset in undeclared.items()
+    ]
+    return ValidationReport(errors=errors) if errors else doc
 
 
 # ---------------------------------------------------------------------------

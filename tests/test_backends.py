@@ -375,6 +375,13 @@ class TestExtractArticle:
         with pytest.raises(ConfigError):
             extract_article(make_article("x"), config)
 
+    def test_replay_ontology_mode_rejected(self, tmp_path):
+        config = BackendConfig(
+            backend_id="o", kind="replay", fixtures_dir=str(tmp_path), replay_mode="ontology"
+        )
+        with pytest.raises(ConfigError, match="ontology output of backend 'o'"):
+            extract_article(make_article("x"), config)
+
     def test_on_generation_observes_raw_output(self, tmp_path):
         article = make_article("short text here")
         config = self.seq2seq_replay(tmp_path)

@@ -340,6 +340,16 @@ class TestExtract:
         assert "skip is not supported in ontology mode" in stderr
         assert not out_dir.exists()
 
+    def test_triples_mode_rejects_backend_answering_in_turtle(self, capsys, data_copy, tmp_path):
+        out = tmp_path / "triples.jsonl"
+        code, _, stderr = run(
+            capsys, "extract", "--config", str(data_copy / "pipeline_ontology.json"),
+            "--backend", "replay-onto", "--mode", "triples", "-o", str(out),
+        )
+        assert code == 2
+        assert stderr.startswith("config error: config key 'backend_id': backend 'replay-onto' answers in ontology")
+        assert not out.exists()
+
     def test_unknown_backend_is_config_error(self, capsys, data_copy, tmp_path):
         code, _, stderr = run(
             capsys, "extract", "--config", str(data_copy / "pipeline_triples.json"),
@@ -384,6 +394,21 @@ class TestRepair:
         )
         assert code == 0
         assert "repaired after 1 attempt(s)" in stdout
+        assert out.read_bytes() == (GOLDEN_DIR / "ontology" / "ontologies" / "a2.ttl").read_bytes()
+
+    def test_repairs_with_a_triples_mode_config(self, capsys, data_copy, tmp_path):
+        # repair is ontology work whatever mode and batch policy the file sets
+        config = data_copy / "pipeline_ontology.json"
+        data = json.loads(config.read_text())
+        data.update(mode="triples", on_batch_error="skip")
+        config.write_text(json.dumps(data), encoding="utf-8")
+        broken = tmp_path / "broken.ttl"
+        broken.write_text(invalid_ontology_text(), encoding="utf-8")
+        out = tmp_path / "fixed.ttl"
+        code, _, _ = run(
+            capsys, "repair", str(broken), "--config", str(config), "--backend", "replay-onto", "-o", str(out),
+        )
+        assert code == 0
         assert out.read_bytes() == (GOLDEN_DIR / "ontology" / "ontologies" / "a2.ttl").read_bytes()
 
     def test_unrepairable_is_stage_failure(self, capsys, data_copy, tmp_path):
@@ -528,6 +553,15 @@ def seq2seq_limit_below_batch_config(tmp_path: Path) -> str:
     return str(path)
 
 
+def triples_mode_turtle_backend_config(tmp_path: Path) -> str:
+    """The bundled triples config with a backend that answers in ontology Turtle."""
+    data = json.loads((DATA_DIR / "pipeline_triples.json").read_text(encoding="utf-8"))
+    data["backends"][0]["replay_mode"] = "ontology"
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(data), encoding="utf-8")
+    return str(path)
+
+
 def patched_config(tmp_path: Path, section: str, key: str, value) -> str:
     data = json.loads((DATA_DIR / "pipeline_triples.json").read_text(encoding="utf-8"))
     data.setdefault(section, {})[key] = value
@@ -623,6 +657,11 @@ CLI_ERROR_PATHS = {
         lambda t: ["pipeline", "--config", colliding_ids_config(t)],
         1,
         "article ids 'a/1' and 'a:1' both map to ontology file name 'a_1'",
+    ),
+    "pipeline-triples-mode-turtle-backend": (
+        lambda t: ["pipeline", "--config", triples_mode_turtle_backend_config(t)],
+        2,
+        "config key 'backend_id': backend 'replay-chat' answers in ontology Turtle",
     ),
     "pipeline-seq2seq-limit-below-batch-size": (
         lambda t: ["pipeline", "--config", seq2seq_limit_below_batch_config(t)], 2, "is below batch_size"

@@ -355,6 +355,20 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=re.escape(f"{context}: unknown key(s) {unknown}")):
             load_config(write_config(tmp_path, data))
 
+    @pytest.mark.parametrize(
+        "backend",
+        [
+            {"kind": "chat_ontology", "endpoint": "http://127.0.0.1:9"},
+            {"kind": "replay", "fixtures_dir": "replay_ontology", "replay_mode": "ontology"},
+        ],
+        ids=["chat-ontology", "replay-ontology"],
+    )
+    def test_triples_mode_rejects_backend_answering_in_turtle(self, tmp_path, backend):
+        data = triples_config_dict()
+        data.update(backend_id="onto", backends=[{"backend_id": "onto", **backend}])
+        with pytest.raises(ConfigError, match="config key 'backend_id': backend 'onto' answers in ontology Turtle"):
+            load_config(write_config(tmp_path, data))
+
     def test_skip_policy_rejected_in_ontology_mode(self, tmp_path):
         data = ontology_config_dict()
         data["on_batch_error"] = "skip"

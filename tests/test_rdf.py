@@ -208,6 +208,15 @@ class TestParseErrors:
                 id="no-dot-trailing-comment",
             ),
             pytest.param("ex:S ex:p ex:O ex:T .", "expected ';', ',' or '.', found 'ex:T'", "2:16", id="two-objects"),
+            pytest.param(
+                "ex:S ex:p <http://e/o> <http://e/x> .",
+                "expected ';', ',' or '.', found 'http://e/x'",
+                "2:24",
+                id="two-iri-objects",
+            ),
+            pytest.param("ex:S ex:p @prefix .", "expected an object, found '@prefix'", "2:11", id="prefix-object"),
+            pytest.param("ex:S @prefix ex:O .", "expected a predicate, found '@prefix'", "2:6", id="prefix-predicate"),
+            pytest.param("ex:S ex:p ex:O ;", "expected a predicate, found end of input", "2:17", id="semicolon-at-end"),
             pytest.param("@prefix", "expected a prefix name like 'ex:', found end of input", "2:8", id="prefix-at-end"),
             pytest.param(
                 "@prefix <http://e/> .",
@@ -225,6 +234,13 @@ class TestParseErrors:
                 "@prefix ex: ex:foo .", "expected an IRI in angle brackets, found 'ex:foo'", "2:13", id="prefix-pname"
             ),
             pytest.param("@prefix ex: <http://e/>", "expected '.', found end of input", "2:24", id="prefix-no-dot"),
+            pytest.param("@prefix ex: <http://e/> ;", "expected '.', found ';'", "2:25", id="prefix-semicolon"),
+            pytest.param(
+                '@prefix ex: "x" .',
+                "expected an IRI in angle brackets, found a string literal",
+                "2:13",
+                id="prefix-literal",
+            ),
             # the whole document is tokenized before parsing, so a token error wins
             pytest.param("ex:S . ex:T ex:p 42 .", "numeric literals are not supported", "2:18", id="token-error-first"),
             pytest.param("# note\n\tex:S ex:p 42 .", "numeric literals are not supported", "3:12", id="tab-and-comment"),
@@ -332,6 +348,21 @@ class TestTokenizerGuards:
         assert [error.to_dict() for error in result.errors] == [
             {"code": "ParseError", "message": message, "location": f"line {line}, column {column}"}
         ]
+
+    # any order of the tokens, however ungrammatical, reads to a result: the
+    # parser never runs past the eof token or lets another exception out
+    @given(
+        st.lists(
+            st.sampled_from(sorted({token for statement in STATEMENTS for token in statement}))
+            | st.sampled_from([defect for defect, _, _ in DEFECTS]),
+            max_size=16,
+        ),
+        st.lists(st.sampled_from(SEPARATORS), min_size=16, max_size=16),
+    )
+    @settings(max_examples=500, deadline=None)
+    def test_any_token_order_parses_to_a_result(self, tokens, separators):
+        text = HEADER + "".join(token + separator for token, separator in zip(tokens, separators))
+        assert isinstance(parse_turtle(text), (OntologyDoc, ValidationReport))
 
 
 SOLUNA_TEXT = (DATA_DIR / "soluna.ttl").read_text(encoding="utf-8")
