@@ -22,7 +22,7 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable
+from typing import Callable, NamedTuple
 
 from . import transport
 from .chunking import TokenBatch, chunk, whitespace_tokenize
@@ -81,16 +81,16 @@ class EmptyArticleError(TextkgError):
     pass
 
 
-@dataclass(frozen=True)
-class Provenance:
-    """Where a triplet came from. batch_index is None for whole-article calls."""
+class Provenance(NamedTuple):
+    """Where a triplet came from. batch_index is None for whole-article calls.
+    A named tuple, so hashing and equality run in C."""
 
     article_id: str
     batch_index: int | None
     backend_id: str
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Triplet:
     subject: str
     predicate: str
@@ -98,9 +98,9 @@ class Triplet:
     provenance: Provenance | None = None
 
     def __post_init__(self):
-        for name in ("subject", "predicate", "object"):
-            if not getattr(self, name).strip():
-                raise ValueError(f"triplet {name} must be non-empty")
+        if not (self.subject.strip() and self.predicate.strip() and self.object.strip()):
+            name = next(name for name in ("subject", "predicate", "object") if not getattr(self, name).strip())
+            raise ValueError(f"triplet {name} must be non-empty")
 
 
 @dataclass(frozen=True)

@@ -181,7 +181,9 @@ def merge(kb1: KnowledgeBase, kb2: KnowledgeBase) -> KnowledgeBase:
 
 
 def _scalar(value: object) -> str:
-    return encode_basestring(value) if isinstance(value, str) else json.dumps(value)
+    if isinstance(value, str):
+        return encode_basestring(value)
+    return "null" if value is None else int.__repr__(value) if type(value) is int else json.dumps(value)
 
 
 def _block(opening: str, closing: str, items: list[str], indent: str | None) -> str:
@@ -201,34 +203,27 @@ def row_encoder(indent: str | None = None) -> Callable[[Key, Iterable[Provenance
     json.dumps(triple_row(key, provenance), ensure_ascii=False, sort_keys=True),
     or into its indent=2 layout for a row that opens at ``indent``.
 
-    The encoder keeps the text of every distinct provenance entry it has
-    encoded, so an entry shared by many rows is encoded once.
+    Each row and each provenance entry fills one template. The encoder keeps
+    the text of every distinct entry, so an entry shared by rows is encoded once.
     """
-    provenance_indent = None if indent is None else indent + "  "
-    entry_indent = None if indent is None else indent + "    "
+    inner = None if indent is None else indent + "  "
+    # % templates of a row and of a provenance entry, filled with encoded values
+    row = _block("{", "}", ['"object": %s', '"predicate": %s', '"provenance": %s', '"subject": %s'], indent)
+    entry = _block("{", "}", ['"article_id": %s', '"backend_id": %s', '"batch_index": %s'], inner and inner + "  ")
+    # the text that opens, separates and closes a non-empty provenance list
+    opening, separator, closing = _block("[", "]", ["%s", "%s"], inner).split("%s")
     encoded: dict[Provenance, str] = {}
 
-    def entry(p: Provenance) -> str:
-        text = encoded.get(p)
-        if text is None:
-            fields = [
-                f'"article_id": {_scalar(p.article_id)}',
-                f'"backend_id": {_scalar(p.backend_id)}',
-                f'"batch_index": {_scalar(p.batch_index)}',
-            ]
-            text = encoded[p] = _block("{", "}", fields, entry_indent)
-        return text
-
     def encode(key: Key, provenance: Iterable[Provenance]) -> str:
+        entries = []
+        for p in provenance:
+            text = encoded.get(p)
+            if text is None:
+                text = encoded[p] = entry % (_scalar(p.article_id), _scalar(p.backend_id), _scalar(p.batch_index))
+            entries.append(text)
         subject, predicate, obj = key
-        entries = [entry(p) for p in provenance]
-        fields = [
-            f'"object": {_scalar(obj)}',
-            f'"predicate": {_scalar(predicate)}',
-            f'"provenance": {_block("[", "]", entries, provenance_indent)}',
-            f'"subject": {_scalar(subject)}',
-        ]
-        return _block("{", "}", fields, indent)
+        entries_text = opening + separator.join(entries) + closing if entries else "[]"
+        return row % (_scalar(obj), _scalar(predicate), entries_text, _scalar(subject))
 
     return encode
 

@@ -20,6 +20,7 @@ from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import MISSING, dataclass, field, fields
+from json.encoder import encode_basestring
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -38,7 +39,7 @@ from .extraction import (
 )
 # merge is unused here but stays importable from this module, where the
 # benchmark tracer (perfbench/spans.py) wraps it
-from .kgstore import KnowledgeBase, add_triples, merge, row_encoder, save_kb, stats, write_json  # noqa: F401
+from .kgstore import KnowledgeBase, _scalar, add_triples, merge, row_encoder, save_kb, stats, write_json  # noqa: F401
 from .linking import FileLookupClient, LinkCache, LookupClient, canonicalize
 from .quality import QualityConfig, evaluate, render_report, save_report
 from .rdf import ontology_to_kb, repair_until_valid, serialize_turtle
@@ -294,7 +295,9 @@ def load_config(path: str | Path, **overrides) -> PipelineConfig:
 
 
 def _json_line(row: dict) -> str:
-    return json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
+    """json.dumps(row, ensure_ascii=False, sort_keys=True) plus a newline,
+    for a row whose values are strings, numbers, booleans or None."""
+    return "{" + ", ".join([f"{encode_basestring(k)}: {_scalar(v)}" for k, v in sorted(row.items())]) + "}\n"
 
 
 def _open_lines(path: Path | None):

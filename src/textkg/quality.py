@@ -10,6 +10,7 @@ use the convention 0/0 := 0 so reports stay total on empty inputs.
 from __future__ import annotations
 
 import json
+import re
 from collections import defaultdict, deque
 from dataclasses import dataclass, field
 from importlib import resources
@@ -218,9 +219,9 @@ def _compute_metrics(
     else:
         date_range = None
 
-    lexicon = config.domain_lexicon
+    lexicon = re.compile("|".join(map(re.escape, config.domain_lexicon)))
     labels = list(kb.entities) + list(kb.predicates)
-    relevant = sum(1 for label in labels if any(term in label.casefold() for term in lexicon))
+    relevant = sum(1 for label in labels if lexicon.search(label.casefold()))
     domain_relevance_ratio = _ratio(relevant, len(labels))
 
     metrics = {

@@ -109,6 +109,12 @@ def _is_standard(iri: str) -> bool:
     return iri.startswith(STANDARD_NAMESPACES)
 
 
+def _entity_label(doc: OntologyDoc, iri: str) -> str:
+    """An IRI's KB label: its rdfs:label text unless blank, else its local name."""
+    label = doc.labels.get(iri, "")
+    return label if label.strip() else local_name(iri)
+
+
 # ---------------------------------------------------------------------------
 # Tokenizer
 #
@@ -230,7 +236,7 @@ def _expected(token: re.Match, what: str) -> _ParseAbort:
 
 
 def _record(doc: OntologyDoc, subject: str, predicate: str, obj: str | Literal) -> None:
-    is_typing = predicate == RDF_TYPE or local_name(predicate) == "instanceOf"
+    is_typing = predicate == RDF_TYPE or (predicate.endswith("instanceOf") and local_name(predicate) == "instanceOf")
     if is_typing and isinstance(obj, str):
         if obj in _CLASS_TYPES:
             doc.classes.add(subject)
@@ -430,7 +436,8 @@ def serialize_turtle(doc: OntologyDoc) -> str:
 
 
 def validate_owl(doc: OntologyDoc) -> ValidationReport:
-    """Declaration hygiene: every used property/class declared, individuals typed.
+    """Declaration hygiene: every used property/class declared, individuals typed,
+    and no term or literal object that would be blank in the KB.
 
     Terms from the standard RDF/RDFS/OWL/XSD namespaces are exempt. One error
     per distinct offending IRI; untyped individuals are warnings.
@@ -457,9 +464,20 @@ def validate_owl(doc: OntologyDoc) -> ValidationReport:
                     _compact(cls, doc.prefixes),
                 )
             )
-    typed = doc.individuals | doc.classes | declared_properties
     referenced = {subject for subject, _, _ in doc.property_assertions}
     referenced.update(obj for _, _, obj in doc.property_assertions if isinstance(obj, str))
+    # a local name can be blank only where the IRI is empty or ends in whitespace
+    entities = (*doc.classes, *doc.individuals, *referenced)
+    blank = {iri for iri in entities if (not iri or iri[-1].isspace()) and not _entity_label(doc, iri).strip()}
+    blank.update(p for p in used_properties if (not p or p[-1].isspace()) and not local_name(p).strip())
+    for iri in sorted(blank):
+        term = _compact(iri, doc.prefixes)
+        report.errors.append(Issue("BlankLabel", f"{term} would have a blank KB label: its local name is blank", term))
+    literals = {(s, p) for s, p, obj in doc.property_assertions if isinstance(obj, Literal) and not obj.text.strip()}
+    for subject, predicate in sorted(literals):
+        term = f"{_compact(subject, doc.prefixes)} {_compact(predicate, doc.prefixes)}"
+        report.errors.append(Issue("BlankLiteral", f"{term} has a blank literal object", term))
+    typed = doc.individuals | doc.classes | declared_properties
     for iri in sorted(referenced):
         if iri not in typed and not _is_standard(iri):
             report.warnings.append(
@@ -552,18 +570,15 @@ def ontology_to_kb(doc: OntologyDoc, *, source_id: str, backend_id: str = "ontol
             f"document has {len(report.errors)} validation error(s); repair it first"
         )
     kb = KnowledgeBase()
-
-    def entity_label(iri: str) -> str:
-        return doc.labels.get(iri) or local_name(iri)
-
     for iri in sorted(doc.classes | doc.individuals):
-        kb.add_entity(entity_label(iri))
+        kb.add_entity(_entity_label(doc, iri))
     provenance = Provenance(source_id, None, backend_id)
     for individual, cls in sorted(doc.class_assertions):
-        kb.add_triple(Triplet(entity_label(individual), "instanceOf", entity_label(cls), provenance))
+        kb.add_triple(Triplet(_entity_label(doc, individual), "instanceOf", _entity_label(doc, cls), provenance))
+    predicates = {predicate: local_name(predicate) for predicate in {p for _, p, _ in doc.property_assertions}}
     for subject, predicate, obj in sorted(
         doc.property_assertions, key=lambda a: (a[0], a[1], _object_key(a[2]))
     ):
-        object_label = obj.text if isinstance(obj, Literal) else entity_label(obj)
-        kb.add_triple(Triplet(entity_label(subject), local_name(predicate), object_label, provenance))
+        object_label = obj.text if isinstance(obj, Literal) else _entity_label(doc, obj)
+        kb.add_triple(Triplet(_entity_label(doc, subject), predicates[predicate], object_label, provenance))
     return kb

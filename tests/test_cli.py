@@ -35,6 +35,22 @@ def invalid_ontology_text() -> str:
     raise AssertionError("fixture row missing")
 
 
+# documents that parse but would give a blank KB label, and the error's fragment
+BLANK_TERM_DOCS = {
+    "empty-iri": ("ex:C a owl:Class .\n<> a ex:C .\n", "<> would have a blank KB label"),
+    "empty-literal": (
+        'ex:P a owl:DatatypeProperty .\nex:a a owl:NamedIndividual ; ex:P "" .\n',
+        "ex:a ex:P has a blank literal object",
+    ),
+}
+
+
+def blank_term_file(tmp_path: Path, case: str) -> str:
+    path = tmp_path / "doc.ttl"
+    path.write_text("@prefix ex: <http://example.org/kg#> .\n" + BLANK_TERM_DOCS[case][0], encoding="utf-8")
+    return str(path)
+
+
 class TestParser:
     def test_version(self, capsys):
         with pytest.raises(SystemExit) as info:
@@ -109,6 +125,14 @@ class TestValidate:
         assert "[ParseError]" in stdout
 
 
+    @pytest.mark.parametrize("case", sorted(BLANK_TERM_DOCS))
+    def test_blank_kb_label_fails(self, capsys, tmp_path, case):
+        code, stdout, _ = run(capsys, "validate", blank_term_file(tmp_path, case))
+        assert code == 1
+        assert BLANK_TERM_DOCS[case][1] in stdout
+        assert "invalid (1 error(s))" in stdout
+
+
 class TestTtl2kb:
     def test_converts_with_stem_as_source(self, capsys, tmp_path):
         out = tmp_path / "kb.json"
@@ -130,6 +154,16 @@ class TestTtl2kb:
         kb = load_kb(out)
         stamps = {(p.article_id, p.backend_id) for row in kb.triples.values() for p in row}
         assert stamps == {("doc-9", "manual")}
+
+    def test_blank_label_falls_back_to_local_name(self, capsys, tmp_path):
+        path = tmp_path / "doc.ttl"
+        path.write_text(
+            '@prefix ex: <http://example.org/kg#> .\nex:C a owl:Class ; rdfs:label "  " .\nex:x a ex:C .\n',
+            encoding="utf-8",
+        )
+        code, _, _ = run(capsys, "ttl2kb", str(path), "-o", str(tmp_path / "kb.json"))
+        assert code == 0
+        assert ("x", "instanceOf", "C") in load_kb(tmp_path / "kb.json").triples
 
     def test_invalid_input_rejected(self, capsys, tmp_path):
         path = tmp_path / "bad.ttl"
@@ -633,6 +667,16 @@ CLI_ERROR_PATHS = {
     "validate-non-utf8": (lambda t: ["validate", non_utf8_file(t)], 1, "doc.ttl is not UTF-8"),
     "ttl2kb-non-utf8": (
         lambda t: ["ttl2kb", non_utf8_file(t), "-o", str(t / "kb.json")], 1, "doc.ttl is not UTF-8"
+    ),
+    "ttl2kb-empty-iri": (
+        lambda t: ["ttl2kb", blank_term_file(t, "empty-iri"), "-o", str(t / "kb.json")],
+        1,
+        BLANK_TERM_DOCS["empty-iri"][1],
+    ),
+    "ttl2kb-empty-literal": (
+        lambda t: ["ttl2kb", blank_term_file(t, "empty-literal"), "-o", str(t / "kb.json")],
+        1,
+        BLANK_TERM_DOCS["empty-literal"][1],
     ),
     "repair-non-utf8": (
         lambda t: ["repair", non_utf8_file(t), "--config", str(DATA_DIR / "pipeline_ontology.json"),

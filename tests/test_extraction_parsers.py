@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import dataclasses
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -190,3 +192,36 @@ class TestTripletValidation:
         for bad in (("", "b", "c"), ("a", " ", "c"), ("a", "b", "")):
             with pytest.raises(ValueError):
                 Triplet(*bad)
+
+
+class TestRecordTypes:
+    def test_provenance_is_a_named_tuple_with_the_field_tuple_hash(self):
+        prov = Provenance("a1", 3, "chat")
+        assert (prov.article_id, prov.batch_index, prov.backend_id) == ("a1", 3, "chat")
+        assert repr(prov) == "Provenance(article_id='a1', batch_index=3, backend_id='chat')"
+        assert hash(prov) == hash(("a1", 3, "chat"))
+        assert hash(Provenance("a1", None, "chat")) == hash(("a1", None, "chat"))
+        with pytest.raises(AttributeError):
+            prov.article_id = "a2"
+
+    @pytest.mark.parametrize(
+        "fields, name",
+        [
+            (("", "b", "c"), "subject"),
+            (("a", " \t", "c"), "predicate"),
+            (("a", "b", "\n"), "object"),
+            (("", "", ""), "subject"),
+            (("a", "", ""), "predicate"),
+        ],
+    )
+    def test_triplet_names_the_first_blank_field(self, fields, name):
+        with pytest.raises(ValueError, match=f"^triplet {name} must be non-empty$"):
+            Triplet(*fields)
+
+    def test_triplet_is_frozen_and_slotted(self):
+        triplet = Triplet("A", "b", "C", Provenance("a1", 0, "chat"))
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            triplet.subject = "D"
+        assert not hasattr(triplet, "__dict__")
+        assert triplet == Triplet("A", "b", "C", Provenance("a1", 0, "chat"))
+        assert hash(triplet) == hash(Triplet("A", "b", "C", Provenance("a1", 0, "chat")))

@@ -18,6 +18,8 @@ from pathlib import Path
 from types import SimpleNamespace
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from textkg import extraction, pipeline
 from textkg.corpus import load_corpus
@@ -35,6 +37,7 @@ from textkg.pipeline import (
 )
 
 from .conftest import DATA_DIR, GOLDEN_DIR
+from .test_kgstore import json_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
 
@@ -779,3 +782,16 @@ def test_map_articles_stops_submitting_after_a_failure():
             time.sleep(0.01)
     assert results == [item * 10 for item in range(5)]
     assert max(started) < 5 + window
+
+
+# the flat rows of batches.jsonl and generations.jsonl
+flat_rows = st.dictionaries(
+    json_text, json_text | st.integers(-3, 2**64) | st.none() | st.booleans(), max_size=6
+)
+
+
+@given(flat_rows)
+@example({"b": True, "a": False, "c": None, "d": 2**63, "e": -3, "\u2028": '"\\\x00'})
+@settings(max_examples=300, deadline=None)
+def test_json_line_writes_the_json_dumps_line(row):
+    assert pipeline._json_line(row) == json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"

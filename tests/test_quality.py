@@ -3,6 +3,8 @@ from __future__ import annotations
 import datetime as dt
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textkg.corpus import Article
 from textkg.errors import ConfigMismatchError
@@ -200,6 +202,24 @@ class TestEdgeCases:
         kb.add_triple(Triplet("A", "r", "B"))
         report = evaluate(kb, [])
         assert report.metrics["duplicate_ratio"] == 0.0
+
+
+# regex metacharacters, a character that casefolds to two, and upper case
+lexicon_text = st.text(alphabet="ab.*+?()[]|\\^$ ßA", min_size=1, max_size=4)
+
+
+@given(
+    entities=st.sets(lexicon_text.filter(str.strip), min_size=1, max_size=6),
+    predicates=st.sets(lexicon_text, max_size=3),
+    lexicon=st.lists(lexicon_text, min_size=1, max_size=4),
+)
+@settings(max_examples=300, deadline=None)
+def test_domain_relevance_counts_labels_that_contain_a_term(entities, predicates, lexicon):
+    kb = KnowledgeBase(entities=set(entities), predicates=set(predicates))
+    ratio = evaluate(kb, [], QualityConfig(domain_lexicon=tuple(lexicon))).metrics["domain_relevance_ratio"]
+    labels = list(kb.entities) + list(kb.predicates)
+    relevant = sum(1 for label in labels if any(term in label.casefold() for term in lexicon))
+    assert ratio == relevant / len(labels)
 
 
 class TestConfig:

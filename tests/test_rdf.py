@@ -559,6 +559,81 @@ class TestValidateOwl:
         assert [e.location for e in report.errors] == ["ex:aa", "ex:zz"]
 
 
+BLANK_TERM_CASES = {
+    "empty-iri": ("ex:C a owl:Class .\n<> a ex:C .", [("BlankLabel", "<>")]),
+    "whitespace-local-name": (
+        f"ex:C a owl:Class .\n<{EX} > a ex:C .", [("BlankLabel", f"<{EX} >")]
+    ),
+    "blank-labelled-empty-iri": (
+        '<> a owl:Class ; rdfs:label " " .\nex:x a <> .', [("BlankLabel", "<>")]
+    ),
+    "blank-predicate": (
+        "<> a owl:ObjectProperty .\nex:a a owl:NamedIndividual ; <> ex:a .", [("BlankLabel", "<>")]
+    ),
+    "empty-literal": (
+        'ex:P a owl:DatatypeProperty .\nex:a a owl:NamedIndividual ; ex:P "" .',
+        [("BlankLiteral", "ex:a ex:P")],
+    ),
+    "whitespace-literal": (
+        'ex:P a owl:DatatypeProperty .\nex:a a owl:NamedIndividual ; ex:P " \\t"@en .',
+        [("BlankLiteral", "ex:a ex:P")],
+    ),
+}
+
+
+class TestBlankTerms:
+    @pytest.mark.parametrize("case", sorted(BLANK_TERM_CASES))
+    def test_blank_kb_labels_are_errors(self, case):
+        text, expected = BLANK_TERM_CASES[case]
+        report = validate_owl(parse_ok(HEADER + text))
+        assert [(e.code, e.location) for e in report.errors] == expected
+        with pytest.raises(InvalidDocError):
+            ontology_to_kb(parse_ok(HEADER + text), source_id="a1")
+
+    def test_labelled_blank_iri_is_valid(self):
+        doc = parse_ok(HEADER + '<> a owl:Class ; rdfs:label "Thing" .\nex:x a <> .')
+        assert validate_owl(doc).ok
+        assert ("x", "instanceOf", "Thing") in ontology_to_kb(doc, source_id="a1").triples
+
+    @pytest.mark.parametrize("label", ['""', '" "', '"\\t\\n"@en'])
+    def test_blank_label_falls_back_to_local_name(self, label):
+        doc = parse_ok(HEADER + f"ex:Org a owl:Class ; rdfs:label {label} .\nex:x a ex:Org .")
+        assert validate_owl(doc).ok
+        kb = ontology_to_kb(doc, source_id="a1")
+        assert ("x", "instanceOf", "Org") in kb.triples
+        assert kb.entities == {"x", "Org"}
+
+    @given(
+        st.lists(
+            st.tuples(
+                st.sampled_from(["ex:A", "<>", "< >", f"<{EX} >", f"<{EX}B>"]),
+                st.sampled_from([None, '""', '" "', '"Alpha"']),
+                st.sampled_from([None, '""', '"\\t"', '"x"']),
+            ),
+            max_size=4,
+        )
+    )
+    @settings(max_examples=200, deadline=None)
+    def test_validate_flags_exactly_the_docs_that_cannot_convert(self, statements):
+        text = HEADER + "ex:C a owl:Class .\nex:p a owl:DatatypeProperty .\n" + "".join(
+            f"{term} a ex:C"
+            + (f" ; rdfs:label {label}" if label else "")
+            + (f" ; ex:p {literal}" if literal else "")
+            + " .\n"
+            for term, label, literal in statements
+        )
+        doc, report = validate_text(text)
+        assert {e.code for e in report.errors} <= {"BlankLabel", "BlankLiteral"}
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rdf, "validate_owl", lambda _: ValidationReport())
+            try:
+                ontology_to_kb(doc, source_id="a1")
+                converts = True
+            except ValueError:
+                converts = False
+        assert report.ok == converts
+
+
 class TestDefectInjection:
     def build_valid_text(self, property_count: int) -> tuple[str, list[str]]:
         lines = [HEADER.rstrip(), "ex:Org a owl:Class ."]
@@ -637,6 +712,13 @@ class TestRepairLoop:
         assert "not turtle at all" in prompts[2]
         assert not attempts[0].report.ok
         assert attempts[2].report.ok
+
+    def test_blank_kb_label_is_sent_back_for_repair(self):
+        blank = HEADER + 'ex:p a owl:DatatypeProperty .\nex:S a owl:NamedIndividual ; ex:p "" .'
+        complete, prompts = self.scripted([blank, self.VALID])
+        doc, attempts = repair_until_valid("start", complete, max_attempts=2)
+        assert doc is not None
+        assert "[BlankLiteral] at ex:S ex:p: ex:S ex:p has a blank literal object" in prompts[1]
 
     def test_gives_up_after_max_attempts(self):
         complete, prompts = self.scripted([self.INVALID] * 2)
