@@ -36,7 +36,7 @@ from .kgstore import (
 )
 from .linking import LinkCache, LinkedEntity, canonicalize, link_entity, normalize_surface
 from .pipeline import load_config, run_pipeline
-from .quality import QualityConfig, QualityReport, compare, evaluate
+from .quality import QualityConfig, QualityReport, evaluate
 from .rdf import (
     Literal,
     OntologyDoc,
@@ -74,7 +74,6 @@ __all__ = [
     "build_repair_prompt",
     "canonicalize",
     "chunk",
-    "compare",
     "comparison_table",
     "corpus_report",
     "evaluate",

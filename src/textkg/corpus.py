@@ -67,13 +67,9 @@ class Article:
 
 @dataclass(frozen=True)
 class CorpusReport:
-    """Summary statistics of a loaded corpus, including empty-body flags."""
+    """Size of a loaded corpus and the ids of its empty-body articles."""
 
     article_count: int
-    date_min: dt.date | None
-    date_max: dt.date | None
-    word_count_min: int | None
-    word_count_max: int | None
     empty_body_ids: tuple[str, ...]
 
 
@@ -131,15 +127,9 @@ def load_corpus(path: str | Path) -> list[Article]:
 
 
 def corpus_report(articles: list[Article]) -> CorpusReport:
-    """Corpus statistics: size, date window, word-count range, empty bodies."""
-    dates = [a.published_at for a in articles]
-    counts = [a.word_count for a in articles]
+    """Corpus statistics: size and empty bodies."""
     return CorpusReport(
         article_count=len(articles),
-        date_min=min(dates) if dates else None,
-        date_max=max(dates) if dates else None,
-        word_count_min=min(counts) if counts else None,
-        word_count_max=max(counts) if counts else None,
         empty_body_ids=tuple(a.id for a in articles if a.word_count == 0),
     )
 

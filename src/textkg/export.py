@@ -8,12 +8,12 @@ classes and individuals differently. Output ordering is fully deterministic.
 
 from __future__ import annotations
 
-from collections import Counter, deque
+from collections import Counter
 from dataclasses import dataclass
 from xml.sax.saxutils import escape, quoteattr
 
 from .errors import TextkgError
-from .kgstore import KnowledgeBase, _block, _scalar
+from .kgstore import KnowledgeBase, _block, _scalar, neighbours, reach
 
 FORMATS = ("dot", "graphml", "json")
 INSTANCE_OF = "instanceOf"
@@ -44,14 +44,14 @@ class ExportOptions:
 
 
 def _node_kinds(kb: KnowledgeBase) -> dict[str, str]:
-    kinds = {entity: "plain" for entity in kb.entities}
-    for subject, predicate, _ in kb.triples:
-        if predicate == INSTANCE_OF and kinds.get(subject) == "plain":
-            kinds[subject] = "instance"
-    # concept wins when an entity is both typed and used as a type
-    for _, predicate, obj in kb.triples:
-        if predicate == INSTANCE_OF and obj in kinds:
-            kinds[obj] = "concept"
+    kinds = dict.fromkeys(kb.entities, "plain")
+    for subject, predicate, obj in kb.triples:
+        if predicate == INSTANCE_OF:
+            # concept wins when an entity is both typed and used as a type
+            if obj in kinds:
+                kinds[obj] = "concept"
+            if kinds.get(subject) == "plain":
+                kinds[subject] = "instance"
     return kinds
 
 
@@ -59,21 +59,7 @@ def _select_nodes(kb: KnowledgeBase, options: ExportOptions) -> set[str]:
     if options.seed_entity is not None:
         if options.seed_entity not in kb.entities:
             raise UnknownSeedEntityError(f"seed entity {options.seed_entity!r} is not in the KB")
-        neighbors: dict[str, set[str]] = {}
-        for subject, _, obj in kb.triples:
-            neighbors.setdefault(subject, set()).add(obj)
-            neighbors.setdefault(obj, set()).add(subject)
-        selected = {options.seed_entity}
-        frontier = deque([(options.seed_entity, 0)])
-        while frontier:
-            current, depth = frontier.popleft()
-            if depth == options.radius:
-                continue
-            for neighbor in neighbors.get(current, ()):
-                if neighbor not in selected:
-                    selected.add(neighbor)
-                    frontier.append((neighbor, depth + 1))
-        return selected
+        return reach(neighbours(kb), options.seed_entity, options.radius)
     if options.max_nodes is None or len(kb.entities) <= options.max_nodes:
         return set(kb.entities)
     degree = Counter()

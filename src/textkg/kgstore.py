@@ -165,6 +165,35 @@ def stats(kb: KnowledgeBase) -> KBStats:
     )
 
 
+def neighbours(kb: KnowledgeBase) -> dict[str, set[str]]:
+    """The undirected view of the KB: every entity that occurs in a triple,
+    mapped to the entities it shares a triple with (itself, for a self-loop).
+    An isolated entity has no entry."""
+    adjacency: dict[str, set[str]] = {}
+    for subject, _, obj in kb.triples:
+        adjacency.setdefault(subject, set()).add(obj)
+        adjacency.setdefault(obj, set()).add(subject)
+    return adjacency
+
+
+def reach(adjacency: dict[str, set[str]], start: str, radius: int | None = None) -> set[str]:
+    """The entities at most radius hops from start, start included, walked
+    breadth-first one hop at a time; the whole component when radius is None."""
+    reached = {start}
+    frontier = [start]
+    hops = 0
+    while frontier and hops != radius:
+        hops += 1
+        next_frontier = []
+        for entity in frontier:
+            for neighbour in adjacency.get(entity, ()):
+                if neighbour not in reached:
+                    reached.add(neighbour)
+                    next_frontier.append(neighbour)
+        frontier = next_frontier
+    return reached
+
+
 def top_relations(kb: KnowledgeBase, k: int) -> list[tuple[str, int]]:
     """Top-k predicates by triple frequency, ties broken lexicographically."""
     if k < 1:

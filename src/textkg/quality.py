@@ -11,14 +11,13 @@ from __future__ import annotations
 
 import json
 import re
-from collections import defaultdict, deque
-from dataclasses import dataclass, field
+from collections import defaultdict
+from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
 from .corpus import Article
-from .errors import ConfigMismatchError
-from .kgstore import KnowledgeBase, stats, write_json
+from .kgstore import KnowledgeBase, neighbours, reach, write_json
 
 FORMULA_VERSION = "1"
 
@@ -84,16 +83,6 @@ class PrincipleEntry:
     value: object
     note: str
 
-    def to_dict(self) -> dict:
-        return {
-            "number": self.number,
-            "title": self.title,
-            "status": self.status,
-            "metric": self.metric,
-            "value": self.value,
-            "note": self.note,
-        }
-
 
 @dataclass
 class QualityReport:
@@ -108,29 +97,9 @@ class QualityReport:
             "version": self.version,
             "config": self.config,
             "metrics": self.metrics,
-            "principles": [entry.to_dict() for entry in self.principles],
+            "principles": [asdict(entry) for entry in self.principles],
             "warnings": self.warnings,
         }
-
-    @classmethod
-    def from_dict(cls, data: dict) -> QualityReport:
-        return cls(
-            version=data["version"],
-            config=data["config"],
-            metrics=data["metrics"],
-            principles=[
-                PrincipleEntry(
-                    number=entry["number"],
-                    title=entry["title"],
-                    status=entry["status"],
-                    metric=entry["metric"],
-                    value=entry["value"],
-                    note=entry["note"],
-                )
-                for entry in data["principles"]
-            ],
-            warnings=list(data.get("warnings", [])),
-        )
 
 
 def _ratio(numerator: float, denominator: float) -> float:
@@ -142,31 +111,21 @@ def _multiplicity(provenance_list: list) -> int:
     return max(1, len(provenance_list))
 
 
-def _component_sizes(kb: KnowledgeBase) -> list[int]:
-    """Connected component sizes of the undirected entity graph (isolated
-    entities are singleton components)."""
-    neighbors: dict[str, set[str]] = defaultdict(set)
-    for subject, _, obj in kb.triples:
-        if subject != obj:
-            neighbors[subject].add(obj)
-            neighbors[obj].add(subject)
-    sizes = []
+def _connectivity(kb: KnowledgeBase) -> tuple[float, float]:
+    """The isolated entity ratio and the largest component fraction. The
+    adjacency lives only in this call: left alive while the report is built,
+    it raises the peak RSS of a triples-replay run by about 1 MB."""
+    adjacency = neighbours(kb)
+    isolated_count = len(kb.entities) - len(adjacency)
+    # an isolated entity is a component of one
+    largest_component = 1 if isolated_count else 0
     seen: set[str] = set()
-    for entity in kb.entities:
-        if entity in seen:
-            continue
-        size = 0
-        queue = deque([entity])
-        seen.add(entity)
-        while queue:
-            current = queue.popleft()
-            size += 1
-            for neighbor in neighbors[current]:
-                if neighbor not in seen:
-                    seen.add(neighbor)
-                    queue.append(neighbor)
-        sizes.append(size)
-    return sizes
+    for entity in adjacency:
+        if entity not in seen:
+            component = reach(adjacency, entity)
+            seen |= component
+            largest_component = max(largest_component, len(component))
+    return _ratio(isolated_count, len(kb.entities)), _ratio(largest_component, len(kb.entities))
 
 
 def _compute_metrics(
@@ -187,10 +146,8 @@ def _compute_metrics(
     duplicate_ratio = _ratio(duplicate_instances, total_instances)
 
     entity_count = len(kb.entities)
-    isolated_entity_ratio = _ratio(stats(kb).isolated_entity_count, entity_count)
+    isolated_entity_ratio, largest_component_fraction = _connectivity(kb)
     mean_degree = _ratio(2 * len(kb.triples), entity_count)
-    sizes = _component_sizes(kb)
-    largest_component_fraction = _ratio(max(sizes) if sizes else 0, entity_count)
 
     linked_entity_ratio = _ratio(
         sum(1 for entity in kb.entities if entity in kb.entity_links), entity_count
@@ -353,23 +310,6 @@ def evaluate(kb: KnowledgeBase, corpus_meta: list[Article], config: QualityConfi
     )
 
 
-def compare(report_a: QualityReport, report_b: QualityReport) -> list[dict]:
-    """Side-by-side rows with deltas for every shared numeric metric."""
-    if report_a.config != report_b.config or report_a.version != report_b.version:
-        raise ConfigMismatchError("reports were produced under different quality configurations")
-    rows = []
-    for name in report_a.metrics:
-        value_a = report_a.metrics[name]
-        value_b = report_b.metrics[name]
-        row = {"metric": name, "a": value_a, "b": value_b}
-        if isinstance(value_a, (int, float)) and isinstance(value_b, (int, float)):
-            row["delta"] = value_b - value_a
-        else:
-            row["delta"] = None
-        rows.append(row)
-    return rows
-
-
 def render_report(report: QualityReport) -> str:
     """Plain-text rendering: metrics block, then one line per principle."""
     lines = [f"quality report (formula version {report.version})", "", "metrics:"]
@@ -390,7 +330,3 @@ def render_report(report: QualityReport) -> str:
 def save_report(report: QualityReport, path: str | Path) -> None:
     write_json(path, report.to_dict())
 
-
-def load_report(path: str | Path) -> QualityReport:
-    with Path(path).open(encoding="utf-8") as handle:
-        return QualityReport.from_dict(json.load(handle))

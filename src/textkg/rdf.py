@@ -569,16 +569,21 @@ def ontology_to_kb(doc: OntologyDoc, *, source_id: str, backend_id: str = "ontol
         raise InvalidDocError(
             f"document has {len(report.errors)} validation error(s); repair it first"
         )
+    # every named IRI's KB label, resolved once however many assertions name it
+    named = {*doc.classes, *doc.individuals, *(cls for _, cls in doc.class_assertions)}
+    named.update(subject for subject, _, _ in doc.property_assertions)
+    named.update(obj for _, _, obj in doc.property_assertions if isinstance(obj, str))
+    labels = {iri: _entity_label(doc, iri) for iri in named}
     kb = KnowledgeBase()
-    for iri in sorted(doc.classes | doc.individuals):
-        kb.add_entity(_entity_label(doc, iri))
+    for iri in doc.classes | doc.individuals:
+        kb.add_entity(labels[iri])
     provenance = Provenance(source_id, None, backend_id)
     for individual, cls in sorted(doc.class_assertions):
-        kb.add_triple(Triplet(_entity_label(doc, individual), "instanceOf", _entity_label(doc, cls), provenance))
+        kb.add_triple(Triplet(labels[individual], "instanceOf", labels[cls], provenance))
     predicates = {predicate: local_name(predicate) for predicate in {p for _, p, _ in doc.property_assertions}}
     for subject, predicate, obj in sorted(
         doc.property_assertions, key=lambda a: (a[0], a[1], _object_key(a[2]))
     ):
-        object_label = obj.text if isinstance(obj, Literal) else _entity_label(doc, obj)
-        kb.add_triple(Triplet(_entity_label(doc, subject), predicates[predicate], object_label, provenance))
+        object_label = obj.text if isinstance(obj, Literal) else labels[obj]
+        kb.add_triple(Triplet(labels[subject], predicates[predicate], object_label, provenance))
     return kb

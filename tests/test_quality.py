@@ -1,23 +1,21 @@
 from __future__ import annotations
 
 import datetime as dt
+import json
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from textkg.corpus import Article
-from textkg.errors import ConfigMismatchError
 from textkg.extraction import Provenance, Triplet
 from textkg.kgstore import KnowledgeBase
 from textkg.quality import (
     FORMULA_VERSION,
     QualityConfig,
-    compare,
     evaluate,
     load_default_lexicon,
     load_lexicon,
-    load_report,
     render_report,
     save_report,
 )
@@ -241,37 +239,15 @@ class TestConfig:
 
 
 class TestCompareAndSerialization:
-    def test_compare_deltas(self):
-        kb, corpus_meta, config = build_quality_fixture()
-        report_a = evaluate(kb, corpus_meta, config)
-        other = kb.copy()
-        other.add_triple(Triplet("Extra", "links", "Soluna", Provenance("a1", 9, "fx")))
-        report_b = evaluate(other, corpus_meta, config)
-        rows = {row["metric"]: row for row in compare(report_a, report_b)}
-        assert rows["predicate_diversity"]["delta"] == 1
-        assert rows["date_range"]["delta"] is None
-
-    def test_compare_refuses_config_mismatch(self):
-        kb, corpus_meta, config = build_quality_fixture()
-        report_a = evaluate(kb, corpus_meta, config)
-        report_b = evaluate(kb, corpus_meta, QualityConfig(
-            conciseness_max_tokens=5,
-            functional_predicates=("industry",),
-            domain_lexicon=("solar",),
-        ))
-        with pytest.raises(ConfigMismatchError):
-            compare(report_a, report_b)
-
     def test_save_load_roundtrip(self, tmp_path):
         kb, corpus_meta, config = build_quality_fixture()
         report = evaluate(kb, corpus_meta, config)
         path = tmp_path / "q.json"
         save_report(report, path)
-        loaded = load_report(path)
-        assert loaded.version == FORMULA_VERSION
-        assert loaded.metrics == report.metrics
-        assert loaded.principles == report.principles
-        assert loaded.to_dict() == report.to_dict()
+        with path.open(encoding="utf-8") as handle:
+            loaded = json.load(handle)
+        assert loaded["version"] == FORMULA_VERSION
+        assert loaded == report.to_dict()
 
     def test_render_report_lists_everything(self):
         kb, corpus_meta, config = build_quality_fixture()

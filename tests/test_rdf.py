@@ -775,3 +775,24 @@ class TestOntologyToKb:
         )
         kb = ontology_to_kb(parse_ok(text), source_id="a1")
         assert ("NoLabel", "instanceOf", "Org") in kb.triples
+
+    def test_each_entity_label_resolved_once(self):
+        lines = ["ex:Org a owl:Class .", "ex:links a owl:ObjectProperty .", "ex:Hub a ex:Org ."]
+        for index in range(5):
+            lines += [f"ex:N{index} a ex:Org .", f"ex:Hub ex:links ex:N{index} .", f"ex:N{index} ex:links ex:Hub ."]
+        doc = parse_ok(HEADER + "\n".join(lines))
+        expected = ontology_to_kb(doc, source_id="a1")
+        calls = Counter()
+        resolve = rdf.local_name
+
+        def counting(iri):
+            calls[iri] += 1
+            return resolve(iri)
+
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(rdf, "local_name", counting)
+            kb = ontology_to_kb(doc, source_id="a1")
+        assert kb == expected
+        assert len([key for key in kb.triples if "Hub" in key]) == 11
+        assert calls[EX + "Hub"] == 1
+        assert max(calls.values()) == 1
