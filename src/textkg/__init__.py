@@ -7,7 +7,7 @@ toolchain with a repair loop, quality scoring, and graph exports."""
 __version__ = "0.1.0"
 
 from .chunking import TokenBatch, chunk, whitespace_tokenize
-from .corpus import Article, corpus_report, filter_by_date, load_corpus, write_corpus
+from .corpus import Article, filter_by_date, load_corpus, write_corpus
 from .errors import ConfigError, ConfigMismatchError, TextkgError
 from .export import ExportOptions, export_graph
 from .extraction import (
@@ -75,7 +75,6 @@ __all__ = [
     "canonicalize",
     "chunk",
     "comparison_table",
-    "corpus_report",
     "evaluate",
     "export_graph",
     "extract_article",

@@ -19,7 +19,7 @@ from .corpus import fetch_articles, load_corpus, write_corpus
 from .errors import ConfigError, TextkgError
 from .export import FORMATS, ExportOptions, export_graph
 from .extraction import Triplet
-from .kgstore import load_kb, merge, provenance_from_row, stats, top_relations
+from .kgstore import load_kb, merge, row_triplets, stats, top_relations
 from .pipeline import (
     MODES,
     PipelineConfig,
@@ -212,11 +212,7 @@ def _load_triples_file(path: str) -> list[Triplet]:
             for number, line in enumerate(handle, 1):
                 if not line.strip():
                     continue
-                row = json.loads(line)
-                key = (row["subject"], row["predicate"], row["object"])
-                for provenance in row.get("provenance") or [None]:
-                    stamp = provenance_from_row(provenance) if provenance else None
-                    triplets.append(Triplet(*key, stamp))
+                triplets.extend(row_triplets(json.loads(line)))
         except (ValueError, KeyError, TypeError, AttributeError) as exc:
             raise TextkgError(f"{path}, line {number}: not a triple row: {exc!r}") from exc
     return triplets

@@ -65,14 +65,6 @@ class Article:
         object.__setattr__(self, "word_count", len(self.body.split()))
 
 
-@dataclass(frozen=True)
-class CorpusReport:
-    """Size of a loaded corpus and the ids of its empty-body articles."""
-
-    article_count: int
-    empty_body_ids: tuple[str, ...]
-
-
 def _parse_record(record: object, line_number: int) -> Article:
     if not isinstance(record, dict):
         raise MalformedRecordError(line_number, "record is not a JSON object")
@@ -103,7 +95,7 @@ def load_corpus(path: str | Path) -> list[Article]:
 
     Word counts are recomputed, duplicate ids are rejected, blank lines are
     skipped. Articles with an empty body are accepted (chunking will emit no
-    batches for them) but logged as a warning; see :func:`corpus_report`.
+    batches for them) but logged as a warning.
     """
     path = Path(path)
     articles: list[Article] = []
@@ -124,14 +116,6 @@ def load_corpus(path: str | Path) -> list[Article]:
                 logger.warning("article %s has an empty body", article.id)
             articles.append(article)
     return articles
-
-
-def corpus_report(articles: list[Article]) -> CorpusReport:
-    """Corpus statistics: size and empty bodies."""
-    return CorpusReport(
-        article_count=len(articles),
-        empty_body_ids=tuple(a.id for a in articles if a.word_count == 0),
-    )
 
 
 def article_to_dict(article: Article) -> dict:

@@ -413,9 +413,10 @@ def generate(
     """
     if config.kind == "replay":
         path = fixture_path(config, input_text)
-        if not path.is_file():
-            raise MissingFixtureError(path.stem, path)
-        return path.read_text(encoding="utf-8")
+        try:
+            return path.read_text(encoding="utf-8")
+        except (FileNotFoundError, IsADirectoryError) as exc:
+            raise MissingFixtureError(path.stem, path) from exc
 
     if config.kind == "seq2seq_tokens":
         token_count = len(whitespace_tokenize(input_text))

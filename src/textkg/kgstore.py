@@ -5,7 +5,8 @@ allowed), predicate labels, and (subject, predicate, object) triples. Exact
 duplicates are stored once; their provenance records accumulate, so the
 original multiplicity stays recoverable for quality scoring. Each triple's
 provenance is an insertion-ordered dict used as a set, so adding a record
-costs the same however many the triple already has.
+costs the same however many the triple already has. add_triple (one fact)
+and update (a whole KB) are the only writers of a KB's triples.
 """
 
 from __future__ import annotations
@@ -54,15 +55,6 @@ class KnowledgeBase:
         self.entities.add(triplet.object)
         self.predicates.add(triplet.predicate)
 
-    def copy(self) -> KnowledgeBase:
-        return KnowledgeBase(
-            entities=set(self.entities),
-            predicates=set(self.predicates),
-            triples={key: dict(value) for key, value in self.triples.items()},
-            link_config=self.link_config,
-            entity_links=dict(self.entity_links),
-        )
-
     def update(self, other: KnowledgeBase) -> None:
         """Set-union other into this KB in place, in time proportional to
         other. Shared triples union their provenance, keeping this KB's
@@ -106,14 +98,9 @@ class KnowledgeBase:
             kb.add_entity(label)
         kb.predicates.update(data.get("predicates", []))
         kb.entity_links.update(data.get("entity_links", {}))
-        for item in data.get("triples", []):
-            key = (item["subject"], item["predicate"], item["object"])
-            kb.triples[key] = dict.fromkeys(
-                provenance_from_row(p) for p in item.get("provenance", [])
-            )
-            kb.entities.add(key[0])
-            kb.entities.add(key[2])
-            kb.predicates.add(key[1])
+        for row in data.get("triples", []):
+            for triplet in row_triplets(row):
+                kb.add_triple(triplet)
         return kb
 
 
@@ -131,9 +118,14 @@ def triple_row(key: Key, provenance: Iterable[Provenance]) -> dict:
     }
 
 
-def provenance_from_row(row: dict) -> Provenance:
-    """Inverse of one provenance entry of triple_row."""
-    return Provenance(row["article_id"], row.get("batch_index"), row["backend_id"])
+def row_triplets(row: dict) -> list[Triplet]:
+    """Inverse of triple_row: one triplet per provenance entry, or one
+    without provenance when the row has none. A blank field is a ValueError."""
+    key = (row["subject"], row["predicate"], row["object"])
+    return [
+        Triplet(*key, Provenance(p["article_id"], p.get("batch_index"), p["backend_id"]))
+        for p in row.get("provenance") or ()
+    ] or [Triplet(*key)]
 
 
 @dataclass(frozen=True)
@@ -145,11 +137,10 @@ class KBStats:
 
 
 def add_triples(kb: KnowledgeBase, triplets: list[Triplet]) -> KnowledgeBase:
-    """Return a new KB with the triplets folded in (input KB untouched)."""
-    result = kb.copy()
+    """Fold the triplets into kb in place and return it."""
     for triplet in triplets:
-        result.add_triple(triplet)
-    return result
+        kb.add_triple(triplet)
+    return kb
 
 
 def stats(kb: KnowledgeBase) -> KBStats:
@@ -203,8 +194,10 @@ def top_relations(kb: KnowledgeBase, k: int) -> list[tuple[str, int]]:
 
 
 def merge(kb1: KnowledgeBase, kb2: KnowledgeBase) -> KnowledgeBase:
-    """Set-union two KBs into a new one (inputs untouched); see update."""
-    result = kb1.copy()
+    """Set-union two KBs into a new one (inputs untouched): an empty KB
+    updated with kb1 and then kb2."""
+    result = KnowledgeBase()
+    result.update(kb1)
     result.update(kb2)
     return result
 

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .chunking import TokenBatch, chunk
-from .corpus import Article, corpus_report, filter_by_date, load_corpus
+from .corpus import Article, filter_by_date, load_corpus
 from .errors import ConfigError, TextkgError
 from .export import FORMATS, ExportOptions, export_graph
 from .extraction import (
@@ -37,9 +37,7 @@ from .extraction import (
     extract_article,
     generate,
 )
-# merge is unused here but stays importable from this module, where the
-# benchmark tracer (perfbench/spans.py) wraps it
-from .kgstore import KnowledgeBase, _scalar, add_triples, merge, row_encoder, save_kb, stats, write_json  # noqa: F401
+from .kgstore import KnowledgeBase, _scalar, add_triples, row_encoder, save_kb, stats, write_json
 from .linking import FileLookupClient, LinkCache, LookupClient, canonicalize
 from .quality import QualityConfig, evaluate, render_report, save_report
 from .rdf import ontology_to_kb, repair_until_valid, serialize_turtle
@@ -364,8 +362,8 @@ def corpus_stage(config: PipelineConfig) -> tuple[list[Article], dict]:
     articles = filter_by_date(
         load_corpus(config.resolve(config.corpus)), config.date_from, config.date_to
     )
-    report = corpus_report(articles)
-    return articles, {"articles": report.article_count, "empty_bodies": len(report.empty_body_ids)}
+    empty_bodies = sum(1 for article in articles if article.word_count == 0)
+    return articles, {"articles": len(articles), "empty_bodies": empty_bodies}
 
 
 def chunk_stage(
@@ -456,9 +454,9 @@ def link_stage(config: PipelineConfig, triplets: list[Triplet]) -> tuple[Knowled
     )
     if cache is not None:
         cache.save(cache_path)
+    # every label in the table is the subject or object of a linked triplet
     kb = add_triples(KnowledgeBase(link_config=settings.identity()), linked)
     for label, entity in table.items():
-        kb.add_entity(label)
         if entity.canonical_iri is not None:
             kb.entity_links[label] = entity.canonical_iri
     return kb, {

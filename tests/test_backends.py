@@ -3,6 +3,7 @@ from __future__ import annotations
 import datetime as dt
 import email.utils
 import json
+from pathlib import Path
 
 import pytest
 
@@ -215,6 +216,16 @@ class TestReplayBackend:
         with pytest.raises(MissingFixtureError) as exc_info:
             generate(self.config(tmp_path), "absent")
         assert exc_info.value.fingerprint in str(exc_info.value.path)
+
+    def test_fixture_gone_after_existence_check(self, tmp_path, monkeypatch):
+        # a fixture removed between a check and the read must still be a
+        # BackendError, which on_batch_error "skip" can skip, not an OSError
+        monkeypatch.setattr(Path, "is_file", lambda self: True)
+        with pytest.raises(MissingFixtureError) as exc_info:
+            generate(self.config(tmp_path), "absent")
+        assert str(exc_info.value) == (
+            f"no replay fixture for request {exc_info.value.fingerprint} (expected {exc_info.value.path})"
+        )
 
     def test_fingerprint_stable_and_float_normalized(self):
         a = request_fingerprint("p", "m", 0)

@@ -545,6 +545,14 @@ def bad_kb(tmp_path: Path) -> str:
     return str(path)
 
 
+def blank_subject_kb(tmp_path: Path) -> str:
+    """A kb.json whose one triple row has a blank subject."""
+    path = tmp_path / "kb.json"
+    row = {"subject": "", "predicate": "p", "object": "B", "provenance": []}
+    path.write_text(json.dumps({"entities": ["B"], "predicates": ["p"], "triples": [row]}), encoding="utf-8")
+    return str(path)
+
+
 def triples_without_predicate(tmp_path: Path) -> str:
     path = tmp_path / "triples.jsonl"
     path.write_text(
@@ -647,6 +655,7 @@ CLI_ERROR_PATHS = {
         "at least 1",
     ),
     "stats-bad-kb": (lambda t: ["stats", bad_kb(t)], 1, "is not a KB file"),
+    "stats-blank-triple-subject": (lambda t: ["stats", blank_subject_kb(t)], 1, "is not a KB file"),
     "merge-bad-kb": (
         lambda t: ["merge", GOLDEN_KB, bad_kb(t), "-o", str(t / "m.json")], 1, "is not a KB file"
     ),

@@ -13,14 +13,15 @@ from textkg.corpus import (
     InvalidRangeError,
     MalformedRecordError,
     article_to_dict,
-    corpus_report,
     fetch_articles,
     filter_by_date,
     load_corpus,
     write_corpus,
 )
 
-from .conftest import NEWS_PAYLOAD
+from textkg.pipeline import corpus_stage, load_config
+
+from .conftest import DATA_DIR, NEWS_PAYLOAD
 
 GOOD_RECORD = {
     "id": "a1",
@@ -132,11 +133,15 @@ def _article(article_id: str, day: int, body: str = "one two three") -> Article:
     )
 
 
-def test_corpus_report_counts():
+def test_corpus_stage_counts_empty_bodies(tmp_path):
     articles = [_article("a1", 1), _article("a2", 9, body=""), _article("a3", 5, body="x y")]
-    report = corpus_report(articles)
-    assert report.article_count == 3
-    assert list(report.empty_body_ids) == ["a2"]
+    write_corpus(articles, tmp_path / "corpus.jsonl")
+    data = json.loads((DATA_DIR / "pipeline_triples.json").read_text(encoding="utf-8"))
+    data["corpus"] = str(tmp_path / "corpus.jsonl")
+    (tmp_path / "config.json").write_text(json.dumps(data), encoding="utf-8")
+    loaded, counts = corpus_stage(load_config(tmp_path / "config.json"))
+    assert [article.id for article in loaded] == ["a1", "a2", "a3"]
+    assert counts == {"articles": 3, "empty_bodies": 1}
 
 
 def test_filter_by_date_inclusive():

@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import copy
 import json
 
 import pytest
@@ -7,7 +8,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from textkg import kgstore
-from textkg.errors import ConfigMismatchError
+from textkg.errors import ConfigMismatchError, TextkgError
 from textkg.extraction import Provenance, Triplet
 from textkg.kgstore import (
     KnowledgeBase,
@@ -43,11 +44,10 @@ def test_add_entity_validates():
         kb.add_entity("")
 
 
-def test_add_triples_leaves_input_untouched():
+def test_add_triples_folds_in_place():
     kb = KnowledgeBase()
-    grown = add_triples(kb, [Triplet("A", "r", "B", P1)])
-    assert kb.triples == {}
-    assert len(grown.triples) == 1
+    assert add_triples(kb, [Triplet("A", "r", "B", P1), Triplet("A", "r", "B", P2)]) is kb
+    assert list(kb.triples[("A", "r", "B")]) == [P1, P2]
 
 
 def test_stats_counts_isolated_entities():
@@ -173,6 +173,16 @@ def test_save_load_roundtrip(tmp_path_factory, a):
     }
 
 
+@pytest.mark.parametrize("field", ["subject", "predicate", "object"])
+def test_load_kb_refuses_a_blank_triple_field(tmp_path, field):
+    # no writer can produce such a row: add_triple refuses a blank field
+    row = triple_row(("A", "r", "B"), [P1]) | {field: " "}
+    path = tmp_path / "kb.json"
+    path.write_text(json.dumps({"entities": ["A", "B"], "predicates": ["r"], "triples": [row]}), encoding="utf-8")
+    with pytest.raises(TextkgError, match=f"is not a KB file.*triplet {field} must be non-empty"):
+        load_kb(path)
+
+
 def kb_exact(kb: KnowledgeBase):
     """Everything save_kb writes, provenance order included."""
     return (
@@ -195,7 +205,7 @@ def test_update_fold_equals_chained_merge(parts):
         kb = add_triples(KnowledgeBase(link_config=link_config), triplets)
         kb.entity_links.update(links)
         kbs.append(kb)
-    before = [kb_exact(kb.copy()) for kb in kbs]
+    before = [copy.deepcopy(kb_exact(kb)) for kb in kbs]
     chained = KnowledgeBase()
     folded = KnowledgeBase()
     for kb in kbs:

@@ -201,6 +201,26 @@ class TestLookupClientParsing:
         with pytest.raises(LookupUnavailableError):
             client.lookup("soluna")
 
+    def test_ranked_results_from_the_endpoint(self, server):
+        results = [{"uri": "http://e/Soluna", "label": "Soluna"}, {"label": "no uri"}]
+        server.script = [(200, json.dumps({"results": results}))]
+        assert LookupClient(server.url, max_results=3).lookup("soluna") == results[:1]
+        request = server.requests[0]
+        assert request["method"] == "GET"
+        assert request["params"] == {"query": ["soluna"], "maxResults": ["3"]}
+        assert request["headers"]["Accept"] == "application/json"
+
+    @pytest.mark.parametrize(
+        "status, body, message",
+        [(404, "{}", "lookup failed: HTTP 404"), (503, "busy", "lookup failed: HTTP 503"),
+         (200, "<html>", "non-JSON lookup response")],
+    )
+    def test_unusable_answers_become_unavailable(self, server, status, body, message):
+        server.script = [(status, body)]
+        with pytest.raises(LookupUnavailableError, match=message):
+            LookupClient(server.url).lookup("soluna")
+        assert len(server.requests) == 1
+
 
 class TestCanonicalize:
     def fixture_client(self) -> FileLookupClient:

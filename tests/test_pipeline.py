@@ -25,8 +25,10 @@ from textkg import extraction, pipeline
 from textkg.corpus import load_corpus
 from textkg.errors import ConfigError, TextkgError
 from textkg.extraction import BackendConfig, build_prompt, fixture_path
-from textkg.kgstore import KnowledgeBase
+from textkg.kgstore import KnowledgeBase, load_kb
+from textkg.linking import normalize_surface
 from textkg.quality import QualityConfig
+from textkg.rdf import build_repair_prompt, validate_text
 from textkg.pipeline import (
     ExportSettings,
     LinkingSettings,
@@ -461,6 +463,49 @@ class TestRunPipeline:
         assert manifest["stages"] == golden_manifest["stages"]
         assert got == want
 
+    def test_lookup_endpoint_links_as_the_fixture_table_does(self, data_copy, server):
+        # the server answers each lookup, in first-seen order, as the bundled
+        # lookup table would, so the KB must equal the golden one
+        fixture = json.loads((DATA_DIR / "lookup_fixture.json").read_text(encoding="utf-8"))
+        table = {normalize_surface(query): results for query, results in fixture.items()}
+        queries = []
+        for line in (GOLDEN_DIR / "triples" / "triples.jsonl").read_text(encoding="utf-8").splitlines():
+            row = json.loads(line)
+            for surface in (row["subject"], row["object"]):
+                if normalize_surface(surface) not in queries:
+                    queries.append(normalize_surface(surface))
+        server.script = [(200, json.dumps(table.get(query, []))) for query in queries]
+        data = triples_config_dict()
+        data["linking"] = {"endpoint": server.url}
+        manifest = run_pipeline(write_config(data_copy, data))
+        assert [request["params"]["query"] for request in server.requests] == [[query] for query in queries]
+        golden = json.loads((GOLDEN_DIR / "triples" / "manifest.json").read_text(encoding="utf-8"))
+        assert manifest["stages"] == golden["stages"]
+        kb = json.loads((data_copy / "run_triples" / "kb.json").read_text(encoding="utf-8"))
+        want = json.loads((GOLDEN_DIR / "triples" / "kb.json").read_text(encoding="utf-8"))
+        assert kb.pop("link_config") == f"match=exact;source={server.url}"
+        assert want.pop("link_config") == "match=exact;source=lookup_fixture.json"
+        assert kb == want
+
+    def test_article_without_a_valid_ontology_is_reported_not_folded(self, data_copy):
+        config_path = data_copy / "pipeline_ontology.json"
+        config = load_config(config_path)
+        first = load_corpus(config.resolve(config.corpus))[0]
+        # the first generation and every repair of it answer the same invalid text
+        invalid = "this is not turtle"
+        for prompt in (build_prompt(first.body, "ontology"), build_repair_prompt(invalid, validate_text(invalid)[1])):
+            fixture_path(config.backend, prompt).write_text(invalid, encoding="utf-8")
+        counts = run_pipeline(config_path)["stages"]["ontology"]
+        assert counts["invalid_article_ids"] == [first.id]
+        assert counts["documents"] - counts["valid_documents"] == 1
+        ontologies = data_copy / "run_ontology" / "ontologies"
+        report = json.loads((ontologies / f"{first.id}.report.json").read_text(encoding="utf-8"))
+        assert report["valid"] is False
+        assert len(report["attempts"]) == config.max_repair_attempts
+        assert not (ontologies / f"{first.id}.ttl").exists()
+        kb = load_kb(data_copy / "run_ontology" / "kb.json")
+        assert first.id not in {p.article_id for provenance in kb.triples.values() for p in provenance}
+
     def test_date_filter_limits_corpus(self, data_copy):
         data = json.loads((data_copy / "pipeline_triples.json").read_text())
         data["date_from"] = "2023-02-20"
@@ -597,19 +642,21 @@ def test_stages_call_traced_helpers_through_pipeline_module(data_copy, monkeypat
 
 
 def test_ontology_stage_folds_articles_without_copying_the_kb(data_copy, monkeypatch):
-    # copying the accumulated KB once per article made the ontology stage
-    # quadratic in the corpus size
-    copies = Counter()
-    original = KnowledgeBase.copy
+    # copying the accumulated KB once per article (kb = merge(kb, article_kb))
+    # made the ontology stage quadratic in the corpus size
+    targets = []
+    original = KnowledgeBase.update
 
-    def counted(self):
-        copies["copy"] += 1
-        return original(self)
+    def recorded(self, other):
+        targets.append(self)
+        return original(self, other)
 
-    monkeypatch.setattr(KnowledgeBase, "copy", counted)
+    monkeypatch.setattr(KnowledgeBase, "update", recorded)
     manifest = run_pipeline(data_copy / "pipeline_ontology.json")
-    assert manifest["stages"]["ontology"]["valid_documents"] > 1
-    assert copies["copy"] == 0
+    valid_documents = manifest["stages"]["ontology"]["valid_documents"]
+    assert valid_documents > 1
+    assert len(targets) == valid_documents
+    assert all(target is targets[0] for target in targets)
 
 
 def test_each_article_is_chunked_once(tmp_path, monkeypatch):
