@@ -6,7 +6,7 @@ toolchain with a repair loop, quality scoring, and graph exports."""
 # set before the submodule imports: transport reads it for its User-Agent
 __version__ = "0.1.0"
 
-from .chunking import TokenBatch, chunk, whitespace_tokenize
+from .chunking import TokenBatch, chunk
 from .corpus import Article, filter_by_date, load_corpus, write_corpus
 from .errors import ConfigError, ConfigMismatchError, TextkgError
 from .export import ExportOptions, export_graph

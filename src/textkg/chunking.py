@@ -12,11 +12,6 @@ from dataclasses import dataclass
 from .corpus import Article
 
 
-def whitespace_tokenize(text: str) -> list[str]:
-    """Split on runs of whitespace, drop empties."""
-    return text.split()
-
-
 @dataclass(frozen=True)
 class TokenBatch:
     """A contiguous run of tokens from one article."""
@@ -40,7 +35,7 @@ def chunk(article: Article, batch_size: int = 256) -> list[TokenBatch]:
     """
     if batch_size <= 0:
         raise ValueError(f"batch_size must be positive, got {batch_size}")
-    tokens = whitespace_tokenize(article.body)
+    tokens = article.body.split()
     batches: list[TokenBatch] = []
     for start in range(0, len(tokens), batch_size):
         end = min(start + batch_size, len(tokens))

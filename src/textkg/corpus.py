@@ -11,7 +11,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import logging
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 from pathlib import Path
 from urllib.parse import urlparse
 
@@ -100,13 +100,14 @@ def load_corpus(path: str | Path) -> list[Article]:
     path = Path(path)
     articles: list[Article] = []
     seen: set[str] = set()
-    with path.open(encoding="utf-8") as handle:
+    with path.open("rb") as handle:
         for line_number, line in enumerate(handle, start=1):
-            if not line.strip():
-                continue
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
+            try:  # decoded here, so a line that is not UTF-8 is named like one that is not JSON
+                text = line.decode("utf-8")
+                if not text.strip():
+                    continue
+                record = json.loads(text)
+            except ValueError as exc:
                 raise MalformedRecordError(line_number, f"invalid JSON: {exc}") from exc
             article = _parse_record(record, line_number)
             if article.id in seen:
@@ -119,15 +120,7 @@ def load_corpus(path: str | Path) -> list[Article]:
 
 
 def article_to_dict(article: Article) -> dict:
-    return {
-        "id": article.id,
-        "title": article.title,
-        "body": article.body,
-        "source_domain": article.source_domain,
-        "published_at": article.published_at.isoformat(),
-        "language": article.language,
-        "word_count": article.word_count,
-    }
+    return asdict(article) | {"published_at": article.published_at.isoformat()}
 
 
 def write_corpus(articles: list[Article], path: str | Path) -> None:

@@ -25,7 +25,7 @@ from pathlib import Path
 from typing import Callable, NamedTuple
 
 from . import transport
-from .chunking import TokenBatch, chunk, whitespace_tokenize
+from .chunking import TokenBatch, chunk
 from .corpus import Article
 from .errors import ConfigError, TextkgError
 
@@ -36,7 +36,6 @@ BACKEND_KINDS = ("seq2seq_tokens", "chat_triples", "chat_ontology", "replay")
 REPLAY_MODES = ("seq2seq", "triples", "ontology")
 # what each non-replay kind's completions are written in; a replay backend's is its replay_mode
 _KIND_GRAMMARS = {"seq2seq_tokens": "seq2seq", "chat_triples": "triples", "chat_ontology": "ontology"}
-DEFAULT_SEED_CONCEPTS = ("organizations", "actions", "practices", "policies")
 RETRY_BACKOFF_SECONDS = 0.5
 # a 429/503 asking for a longer wait than this fails instead of stalling the run
 MAX_RETRY_AFTER_SECONDS = 60
@@ -271,7 +270,7 @@ _TRIPLES_INSTRUCTIONS = (
 
 _ONTOLOGY_INSTRUCTIONS = (
     "Read the article below and explicitly generate an OWL ontology describing\n"
-    "the sustainability efforts it reports. Start from these concepts: {concepts}.\n"
+    "the sustainability efforts it reports. Start from these concepts: organizations, actions, practices, policies.\n"
     "You may create additional classes and properties where the article supports\n"
     "them. Declare every class and property you use, give each individual a type,\n"
     "and relate individuals to each other with object properties.\n"
@@ -279,17 +278,14 @@ _ONTOLOGY_INSTRUCTIONS = (
 )
 
 
-def build_prompt(article_text: str, mode: str, seed_concepts: list[str] | None = None) -> str:
+def build_prompt(article_text: str, mode: str) -> str:
     """Build the deterministic extraction prompt for one article or batch."""
     if not article_text.strip():
         raise EmptyArticleError("cannot build a prompt for empty article text")
     if mode == "triples":
         instructions = _TRIPLES_INSTRUCTIONS
     elif mode == "ontology":
-        concepts = tuple(seed_concepts) if seed_concepts is not None else DEFAULT_SEED_CONCEPTS
-        if not concepts:
-            raise ValueError("ontology mode requires at least one seed concept")
-        instructions = _ONTOLOGY_INSTRUCTIONS.format(concepts=", ".join(concepts))
+        instructions = _ONTOLOGY_INSTRUCTIONS
     else:
         raise ValueError(f"unknown prompt mode {mode!r}")
     return f"{instructions}\nArticle:\n{article_text}"
@@ -417,9 +413,11 @@ def generate(
             return path.read_text(encoding="utf-8")
         except (FileNotFoundError, IsADirectoryError) as exc:
             raise MissingFixtureError(path.stem, path) from exc
+        except UnicodeDecodeError as exc:
+            raise BackendError(f"replay fixture {path} is not UTF-8: {exc}") from exc
 
     if config.kind == "seq2seq_tokens":
-        token_count = len(whitespace_tokenize(input_text))
+        token_count = len(input_text.split())
         if token_count > config.max_input_tokens:
             raise TokenLimitExceededError(token_count, config.max_input_tokens)
         payload: dict = {"inputs": input_text}

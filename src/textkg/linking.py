@@ -21,7 +21,10 @@ from .kgstore import write_json
 
 logger = logging.getLogger(__name__)
 
-DEFAULT_TTL_SECONDS = 7 * 24 * 3600.0
+TTL_SECONDS = 7 * 24 * 3600.0  # how long a cached lookup result, hit or miss, is used
+QUERY_PARAM = "query"
+MAX_RESULTS = 5
+TIMEOUT_SECONDS = 10.0  # per lookup request
 
 
 class LookupUnavailableError(TextkgError):
@@ -40,28 +43,35 @@ class LinkedEntity:
     surface: str
     canonical_iri: str | None
     label: str
-    status: str
 
     def __post_init__(self):
-        if self.status not in ("linked", "unlinked"):
-            raise ValueError(f"bad status {self.status!r}")
-        if (self.status == "linked") != (self.canonical_iri is not None):
-            raise ValueError("status must be linked exactly when an IRI is present")
         if not self.label:
             raise ValueError("label must be non-empty")
+
+    @property
+    def status(self) -> str:
+        return "unlinked" if self.canonical_iri is None else "linked"
+
+
+def _read_json(path: str | Path, what: str) -> object:
+    """path's JSON value; TextkgError naming the file if unreadable or not UTF-8 JSON."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            return json.load(handle)
+    except (OSError, ValueError) as exc:
+        raise TextkgError(f"{what} {path} is unreadable: {exc}") from exc
 
 
 class LinkCache:
     """Lookup results keyed by normalized surface, with expiry.
 
     A cached entry, positive or negative, suppresses the network call until
-    it expires. Entries store the IRI (None for negative results), the
-    service label, and the fetch time.
+    it expires, TTL_SECONDS after its fetch. Entries store the IRI (None for
+    negative results), the service label, and the fetch time.
     """
 
-    def __init__(self, entries: dict[str, dict] | None = None, ttl_seconds: float = DEFAULT_TTL_SECONDS):
+    def __init__(self, entries: dict[str, dict] | None = None):
         self.entries = entries if entries is not None else {}
-        self.ttl_seconds = ttl_seconds
 
     def get(self, surface: str, now: float | None = None) -> dict | None:
         key = normalize_surface(surface)
@@ -69,7 +79,7 @@ class LinkCache:
         if entry is None:
             return None
         now = time.time() if now is None else now
-        if now - entry["fetched_at"] > self.ttl_seconds:
+        if now - entry["fetched_at"] > TTL_SECONDS:
             return None
         return entry
 
@@ -79,7 +89,7 @@ class LinkCache:
         self.entries[key] = {"iri": iri, "label": label, "fetched_at": now}
 
     @classmethod
-    def load(cls, path: str | Path, ttl_seconds: float = DEFAULT_TTL_SECONDS) -> LinkCache:
+    def load(cls, path: str | Path) -> LinkCache:
         """Read a cache file; a missing file is an empty cache.
 
         Raises TextkgError naming the file when it cannot be read, is not
@@ -88,11 +98,8 @@ class LinkCache:
         """
         path = Path(path)
         if not path.exists():
-            return cls(ttl_seconds=ttl_seconds)
-        try:
-            entries = json.loads(path.read_bytes().decode("utf-8"))
-        except (OSError, ValueError) as exc:
-            raise TextkgError(f"link cache {path} is unreadable: {exc}") from exc
+            return cls()
+        entries = _read_json(path, "link cache")
         if not isinstance(entries, dict) or not all(
             isinstance(entry, dict)
             and isinstance(entry.get("fetched_at"), (int, float))
@@ -103,7 +110,7 @@ class LinkCache:
                 f"link cache {path} must be a JSON object of entries with a string or null"
                 " iri and label and a numeric fetched_at"
             )
-        return cls(entries=entries, ttl_seconds=ttl_seconds)
+        return cls(entries)
 
     def save(self, path: str | Path) -> None:
         write_json(path, self.entries)
@@ -112,17 +119,14 @@ class LinkCache:
 class LookupClient:
     """HTTP client for a lookup endpoint returning ranked {uri, label} results."""
 
-    def __init__(self, base_url: str, *, query_param: str = "query", max_results: int = 5, timeout: float = 10.0):
+    def __init__(self, base_url: str):
         self.base_url = base_url
-        self.query_param = query_param
-        self.max_results = max_results
-        self.timeout = timeout
 
     def lookup(self, query: str) -> list[dict]:
-        params = {self.query_param: query, "maxResults": str(self.max_results)}
+        params = {QUERY_PARAM: query, "maxResults": str(MAX_RESULTS)}
         try:
             response = transport.request(
-                "GET", self.base_url, params=params, headers={"Accept": "application/json"}, timeout=self.timeout
+                "GET", self.base_url, params=params, headers={"Accept": "application/json"}, timeout=TIMEOUT_SECONDS
             )
         except transport.TransportError as exc:
             raise LookupUnavailableError(f"lookup failed: {exc}") from exc
@@ -139,11 +143,13 @@ class FileLookupClient:
     """Lookup stub backed by a JSON file mapping normalized query → result list.
 
     Keeps linking fully offline and deterministic for tests and replay runs.
+    Raises TextkgError naming a file that is unreadable, not UTF-8 JSON, or not an object.
     """
 
     def __init__(self, path: str | Path):
-        with Path(path).open(encoding="utf-8") as handle:
-            raw = json.load(handle)
+        raw = _read_json(path, "lookup fixture")
+        if not isinstance(raw, dict):
+            raise TextkgError(f"lookup fixture {path} must be a JSON object of query -> results")
         self.table = {normalize_surface(key): _ranked_results(value) for key, value in raw.items()}
 
     def lookup(self, query: str) -> list[dict]:
@@ -206,11 +212,11 @@ def link_entity(
         entry = cache.get(normalized, now)
         if entry is not None:
             if entry["iri"]:
-                return LinkedEntity(surface, entry["iri"], entry["label"] or normalized, "linked")
-            return LinkedEntity(surface, None, normalized, "unlinked")
+                return LinkedEntity(surface, entry["iri"], entry["label"] or normalized)
+            return LinkedEntity(surface, None, normalized)
 
     if client is None:
-        return LinkedEntity(surface, None, normalized, "unlinked")
+        return LinkedEntity(surface, None, normalized)
 
     try:
         results = client.lookup(normalized)
@@ -218,7 +224,7 @@ def link_entity(
         if on_error == "abort":
             raise
         logger.warning("lookup unavailable, leaving %r unlinked", surface)
-        return LinkedEntity(surface, None, normalized, "unlinked")
+        return LinkedEntity(surface, None, normalized)
 
     if results:
         top = results[0]
@@ -226,10 +232,10 @@ def link_entity(
             label = " ".join(top["label"].split())
             if cache is not None:
                 cache.put(normalized, top["uri"], label, now)
-            return LinkedEntity(surface, top["uri"], label, "linked")
+            return LinkedEntity(surface, top["uri"], label)
     if cache is not None:
         cache.put(normalized, None, None, now)
-    return LinkedEntity(surface, None, normalized, "unlinked")
+    return LinkedEntity(surface, None, normalized)
 
 
 def canonicalize(
@@ -281,7 +287,7 @@ def canonicalize(
         if entity.canonical_iri is not None:
             # first label seen for an IRI wins, so co-linked mentions agree
             label = iri_labels.setdefault(entity.canonical_iri, entity.label)
-            table.setdefault(label, LinkedEntity(entity.surface, entity.canonical_iri, label, "linked"))
+            table.setdefault(label, LinkedEntity(entity.surface, entity.canonical_iri, label))
         else:
             label = entity.label
             table.setdefault(label, entity)

@@ -19,7 +19,7 @@ import re
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import MISSING, dataclass, field, fields
+from dataclasses import MISSING, asdict, dataclass, field, fields
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import get_args, get_type_hints
@@ -110,6 +110,10 @@ class PipelineConfig:
         _require(self.linking.match in ("exact", "prefix"), "config key 'linking.match': exact or prefix")
         _require(
             self.linking.on_error in ("fallback", "abort"), "config key 'linking.on_error': fallback or abort"
+        )
+        _require(
+            not (self.linking.endpoint and self.linking.fixture_file),
+            "config key 'linking': endpoint and fixture_file are exclusive, set at most one",
         )
         _require(
             self.export.formats and set(self.export.formats) <= set(FORMATS),
@@ -516,7 +520,7 @@ def ontology_stage(
                     "article_id": article.id,
                     "valid": doc is not None,
                     "repair_attempts": len(attempts) - 1,
-                    "attempts": [attempt.report.to_dict() for attempt in attempts],
+                    "attempts": [asdict(attempt.report) for attempt in attempts],
                 },
             )
             if doc is None:

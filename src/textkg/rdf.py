@@ -58,9 +58,6 @@ class Issue:
     message: str
     location: str = ""
 
-    def to_dict(self) -> dict:
-        return {"code": self.code, "message": self.message, "location": self.location}
-
 
 @dataclass
 class ValidationReport:
@@ -70,12 +67,6 @@ class ValidationReport:
     @property
     def ok(self) -> bool:
         return not self.errors
-
-    def to_dict(self) -> dict:
-        return {
-            "errors": [issue.to_dict() for issue in self.errors],
-            "warnings": [issue.to_dict() for issue in self.warnings],
-        }
 
 
 @dataclass

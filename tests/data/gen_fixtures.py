@@ -21,7 +21,7 @@ import shutil
 import sys
 from pathlib import Path
 
-from textkg.chunking import chunk, whitespace_tokenize
+from textkg.chunking import chunk
 from textkg.corpus import Article, load_corpus, write_corpus
 from textkg.extraction import build_prompt, request_fingerprint
 from textkg.rdf import build_repair_prompt, validate_text
@@ -224,7 +224,7 @@ def main(out_dir: Path = HERE) -> None:
         directory.mkdir(parents=True)
 
     for article in articles:
-        tokens = whitespace_tokenize(article.body)
+        tokens = article.body.split()
         if len(tokens) <= MAX_INPUT_TOKENS:
             prompt = build_prompt(article.body, "triples")
             _write_fixture(triples_dir, prompt, TRIPLES_RESPONSES[article.id])

@@ -349,6 +349,17 @@ class TestExtractArticle:
         assert report.failed_batches == [None]
         assert report.skip_reasons[0][0] == "batch None"
 
+    def test_skip_policy_records_a_non_utf8_fixture_as_failed(self, tmp_path):
+        article = make_article("Soluna soaks up excess energy.")
+        config = self.seq2seq_replay(tmp_path, replay_mode="triples")
+        path = fixture_path(config, build_prompt(article.body, "triples"))
+        path.write_bytes(b"\xff\xfeSoluna | utilizes | Excess Energy\n")
+
+        triplets, report = extract_article(article, config, on_batch_error="skip")
+        assert triplets == []
+        assert report.failed_batches == [None]
+        assert f"replay fixture {path} is not UTF-8" in report.skip_reasons[0][1]
+
     def test_fail_policy_raises(self, tmp_path):
         article = make_article("one two three")
         with pytest.raises(MissingFixtureError):
@@ -421,7 +432,7 @@ class TestBuildPrompt:
 
     def test_ontology_prompt_contains_concepts(self):
         concepts = ["organizations", "actions", "practices", "policies"]
-        prompt = build_prompt("Some text", "ontology", concepts)
+        prompt = build_prompt("Some text", "ontology")
         for concept in concepts:
             assert concept in prompt
         assert "Turtle" in prompt

@@ -7,7 +7,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from textkg.chunking import TokenBatch, chunk, whitespace_tokenize
+from textkg.chunking import TokenBatch, chunk
 from textkg.corpus import Article
 
 
@@ -20,12 +20,6 @@ def make_article(body: str) -> Article:
         published_at=dt.date(2023, 1, 1),
         language="en",
     )
-
-
-def test_whitespace_tokenize_collapses_runs():
-    assert whitespace_tokenize("  a \t b\n\nc ") == ["a", "b", "c"]
-    assert whitespace_tokenize("") == []
-    assert whitespace_tokenize("   ") == []
 
 
 def test_empty_body_yields_no_batches():
@@ -63,7 +57,7 @@ token_texts = st.lists(
 @settings(max_examples=200, deadline=None)
 def test_chunk_laws(body: str, batch_size: int):
     article = make_article(body)
-    tokens = whitespace_tokenize(body)
+    tokens = body.split()
     batches = chunk(article, batch_size=batch_size)
 
     # batch count is the ceiling of tokens / batch_size
@@ -76,8 +70,8 @@ def test_chunk_laws(body: str, batch_size: int):
         assert batch.token_start == index * batch_size
         assert batch.token_end - batch.token_start == batch.token_count
         assert 0 < batch.token_count <= batch_size
-        assert whitespace_tokenize(batch.text) == tokens[batch.token_start : batch.token_end]
-        rebuilt.extend(whitespace_tokenize(batch.text))
+        assert batch.text.split() == tokens[batch.token_start : batch.token_end]
+        rebuilt.extend(batch.text.split())
 
     # concatenating every batch reproduces the token stream exactly
     assert rebuilt == tokens

@@ -5,6 +5,7 @@ from __future__ import annotations
 
 import json
 import os
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -15,6 +16,7 @@ import textkg
 from textkg import __version__
 from textkg.cli import main
 from textkg.corpus import load_corpus
+from textkg.extraction import build_prompt, request_fingerprint
 from textkg.kgstore import load_kb
 
 from .conftest import DATA_DIR, GOLDEN_DIR, NEWS_PAYLOAD
@@ -575,6 +577,28 @@ def non_utf8_file(tmp_path: Path) -> str:
     return str(path)
 
 
+def non_utf8_corpus(tmp_path: Path) -> str:
+    path = tmp_path / "corpus.jsonl"
+    path.write_bytes(b"\xff\xfe" + Path(CORPUS).read_bytes())
+    return str(path)
+
+
+def first_replay_fixture() -> str:
+    """The replay_triples file that answers the first corpus article."""
+    prompt = build_prompt(load_corpus(CORPUS)[0].body, "triples")
+    return f"replay_triples/{request_fingerprint(prompt, 'fixture-model', 0.0)}.txt"
+
+
+def broken_data_config(tmp_path: Path, name: str, content: bytes) -> str:
+    """The bundled triples config in a copy of tests/data whose file name
+    holds content instead."""
+    target = tmp_path / "data"
+    shutil.copytree(DATA_DIR, target)
+    assert (target / name).is_file()
+    (target / name).write_bytes(content)
+    return str(target / "pipeline_triples.json")
+
+
 def inverted_window_config(tmp_path: Path) -> str:
     data = json.loads((DATA_DIR / "pipeline_triples.json").read_text(encoding="utf-8"))
     data.update(date_from="2023-03-01", date_to="2023-02-01")
@@ -628,7 +652,9 @@ def colliding_ids_config(tmp_path: Path) -> str:
 
 
 GOLDEN_KB = str(GOLDEN_DIR / "triples" / "kb.json")
+GOLDEN_TRIPLES = str(GOLDEN_DIR / "triples" / "triples.jsonl")
 CORPUS = str(DATA_DIR / "corpus_pipeline.jsonl")
+NOT_UTF8 = "line 1: invalid JSON: 'utf-8' codec can't decode byte 0xff"
 
 # (argv builder, exit code, stderr fragment)
 CLI_ERROR_PATHS = {
@@ -718,6 +744,50 @@ CLI_ERROR_PATHS = {
     ),
     "pipeline-seq2seq-limit-below-batch-size": (
         lambda t: ["pipeline", "--config", seq2seq_limit_below_batch_config(t)], 2, "is below batch_size"
+    ),
+    "pipeline-non-utf8-corpus": (
+        lambda t: ["pipeline", "--config", broken_data_config(
+            t, "corpus_pipeline.jsonl", b"\xff\xfe" + Path(CORPUS).read_bytes())],
+        1,
+        f"stage 'corpus' failed: {NOT_UTF8}",
+    ),
+    "chunk-non-utf8-corpus": (
+        lambda t: ["chunk", non_utf8_corpus(t), "-o", str(t / "b.jsonl")], 1, f"error: {NOT_UTF8}"
+    ),
+    "eval-non-utf8-corpus": (
+        lambda t: ["eval", GOLDEN_KB, "--corpus", non_utf8_corpus(t)], 1, f"error: {NOT_UTF8}"
+    ),
+    "pipeline-non-json-lookup-fixture": (
+        lambda t: ["pipeline", "--config", broken_data_config(t, "lookup_fixture.json", b"soluna = 1\n")],
+        1,
+        "stage 'link' failed: lookup fixture ",
+    ),
+    "pipeline-list-lookup-fixture": (
+        lambda t: ["pipeline", "--config", broken_data_config(t, "lookup_fixture.json", b"[]")],
+        1,
+        "lookup_fixture.json must be a JSON object",
+    ),
+    "link-non-json-lookup-fixture": (
+        lambda t: ["link", GOLDEN_TRIPLES, "--config",
+                   broken_data_config(t, "lookup_fixture.json", b"soluna = 1\n"), "-o", str(t / "kb.json")],
+        1,
+        "lookup_fixture.json is unreadable: Expecting value",
+    ),
+    "link-list-lookup-fixture": (
+        lambda t: ["link", GOLDEN_TRIPLES, "--config",
+                   broken_data_config(t, "lookup_fixture.json", b"[]"), "-o", str(t / "kb.json")],
+        1,
+        "lookup_fixture.json must be a JSON object",
+    ),
+    "pipeline-non-utf8-replay-fixture": (
+        lambda t: ["pipeline", "--config", broken_data_config(t, first_replay_fixture(), b"\xff\xfeA | r | B\n")],
+        1,
+        "stage 'extract' failed: replay fixture ",
+    ),
+    "pipeline-both-lookup-sources": (
+        lambda t: ["pipeline", "--config", patched_config(t, "linking", "endpoint", "http://127.0.0.1:9")],
+        2,
+        "config key 'linking': endpoint and fixture_file are exclusive",
     ),
 }
 

@@ -17,6 +17,7 @@ from textkg.linking import (
     LinkedEntity,
     LookupClient,
     LookupUnavailableError,
+    TTL_SECONDS,
     canonicalize,
     link_entity,
     normalize_surface,
@@ -50,20 +51,14 @@ def test_normalize_surface():
 
 def test_linked_entity_validation():
     with pytest.raises(ValueError):
-        LinkedEntity("x", None, "x", "linked")
-    with pytest.raises(ValueError):
-        LinkedEntity("x", "http://e", "x", "unlinked")
-    with pytest.raises(ValueError):
-        LinkedEntity("x", "http://e", "", "linked")
-    with pytest.raises(ValueError):
-        LinkedEntity("x", "http://e", "x", "maybe")
+        LinkedEntity("x", "http://e", "")
 
 
 class TestLinkEntity:
     def test_exact_match_accepted(self):
         client = FakeClient({"soluna": [{"uri": SOLUNA_IRI, "label": "Soluna"}]})
         entity = link_entity("Soluna", client)
-        assert entity == LinkedEntity("Soluna", SOLUNA_IRI, "Soluna", "linked")
+        assert entity == LinkedEntity("Soluna", SOLUNA_IRI, "Soluna")
 
     def test_top_result_label_mismatch_rejected(self):
         # service returns a different concept as its top hit
@@ -89,7 +84,7 @@ class TestLinkEntity:
 
     def test_no_client_degrades_to_normalization(self):
         entity = link_entity("  Excess   Energy ", None)
-        assert entity == LinkedEntity("  Excess   Energy ", None, "excess energy", "unlinked")
+        assert entity == LinkedEntity("  Excess   Energy ", None, "excess energy")
 
     def test_empty_surface_rejected(self):
         with pytest.raises(ValueError):
@@ -113,9 +108,9 @@ class TestLinkEntity:
 
     def test_cache_expiry_refetches(self):
         client = FakeClient()
-        cache = LinkCache(ttl_seconds=10.0)
+        cache = LinkCache()
         link_entity("Mystery", client, cache, now=0.0)
-        link_entity("Mystery", client, cache, now=11.0)
+        link_entity("Mystery", client, cache, now=TTL_SECONDS + 1)
         assert client.calls == ["mystery", "mystery"]
 
     def test_outage_fallback_not_cached(self):
@@ -166,10 +161,10 @@ class TestLinkCache:
         assert cache.entries == {}
 
     def test_get_respects_ttl(self):
-        cache = LinkCache(ttl_seconds=100.0)
+        cache = LinkCache()
         cache.put("x", "http://e", "X", now=0.0)
-        assert cache.get("x", now=100.0) is not None
-        assert cache.get("x", now=101.0) is None
+        assert cache.get("x", now=TTL_SECONDS) is not None
+        assert cache.get("x", now=TTL_SECONDS + 1) is None
 
 
 class TestFileLookupClient:
@@ -204,10 +199,10 @@ class TestLookupClientParsing:
     def test_ranked_results_from_the_endpoint(self, server):
         results = [{"uri": "http://e/Soluna", "label": "Soluna"}, {"label": "no uri"}]
         server.script = [(200, json.dumps({"results": results}))]
-        assert LookupClient(server.url, max_results=3).lookup("soluna") == results[:1]
+        assert LookupClient(server.url).lookup("soluna") == results[:1]
         request = server.requests[0]
         assert request["method"] == "GET"
-        assert request["params"] == {"query": ["soluna"], "maxResults": ["3"]}
+        assert request["params"] == {"query": ["soluna"], "maxResults": ["5"]}
         assert request["headers"]["Accept"] == "application/json"
 
     @pytest.mark.parametrize(
@@ -340,7 +335,7 @@ def reference_canonicalize(triplets, client, match):
         entity = resolved[key]
         if entity.canonical_iri is not None:
             label = iri_labels.setdefault(entity.canonical_iri, entity.label)
-            table.setdefault(label, LinkedEntity(entity.surface, entity.canonical_iri, label, "linked"))
+            table.setdefault(label, LinkedEntity(entity.surface, entity.canonical_iri, label))
             return label
         table.setdefault(entity.label, entity)
         return entity.label

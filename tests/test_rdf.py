@@ -1,6 +1,7 @@
 from __future__ import annotations
 
 from collections import Counter
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -251,14 +252,14 @@ class TestParseErrors:
         result = parse_turtle(HEADER + text)
         assert isinstance(result, ValidationReport)
         line, column = location.split(":")
-        assert [error.to_dict() for error in result.errors] == [
+        assert [asdict(error) for error in result.errors] == [
             {"code": "ParseError", "message": message, "location": f"line {line}, column {column}"}
         ]
 
     def test_undefined_prefix_locations(self):
         text = HEADER + "ex:S foo:p foo:O .\n# c\n\tex:T ex:q bar:U , foo:V .\n:x ex:p ex:O ."
         result = parse_turtle(text)
-        assert [error.to_dict() for error in result.errors] == [
+        assert [asdict(error) for error in result.errors] == [
             {
                 "code": "UndefinedPrefix",
                 "message": "prefix 'foo:' is used but never declared",
@@ -345,7 +346,7 @@ class TestTokenizerGuards:
         line, column = before.count("\n") + 1, len(before.split("\n")[-1]) + 1
         result = parse_turtle(text)
         assert isinstance(result, ValidationReport)
-        assert [error.to_dict() for error in result.errors] == [
+        assert [asdict(error) for error in result.errors] == [
             {"code": "ParseError", "message": message, "location": f"line {line}, column {column}"}
         ]
 
