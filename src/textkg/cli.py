@@ -22,12 +22,12 @@ from .extraction import Triplet
 from .kgstore import load_kb, merge, row_triplets, stats, top_relations
 from .pipeline import (
     MODES,
+    LinkStage,
     PipelineConfig,
     chunk_stage,
     corpus_stage,
     extract_stage,
     kb_stage,
-    link_stage,
     load_config,
     load_quality_config,
     make_completer,
@@ -178,7 +178,7 @@ def _cmd_fetch(args) -> int:
 
 
 def _cmd_chunk(args) -> int:
-    _, counts = chunk_stage(load_corpus(args.corpus), args.batch_size, Path(args.output))
+    counts = chunk_stage(load_corpus(args.corpus, lazy=True), args.batch_size, Path(args.output))
     print(f"wrote {counts['batches']} batches to {args.output}")
     return 0
 
@@ -206,21 +206,24 @@ def _cmd_extract(args) -> int:
 
 def _load_triples_file(path: str) -> list[Triplet]:
     triplets = []
-    number = 0
-    with Path(path).open(encoding="utf-8") as handle:
-        try:
-            for number, line in enumerate(handle, 1):
-                if not line.strip():
-                    continue
-                triplets.extend(row_triplets(json.loads(line)))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise TextkgError(f"{path}, line {number}: not a triple row: {exc!r}") from exc
+    with Path(path).open("rb") as handle:
+        for number, line in enumerate(handle, 1):
+            try:  # decoded here, so a line that is not UTF-8 is named by its number
+                text = line.decode("utf-8")
+                if text.strip():
+                    triplets.extend(row_triplets(json.loads(text)))
+            except UnicodeDecodeError as exc:  # its repr holds the whole line
+                raise TextkgError(f"{path}, line {number}: not UTF-8: {exc}") from exc
+            except (ValueError, KeyError, TypeError, AttributeError) as exc:
+                raise TextkgError(f"{path}, line {number}: not a triple row: {exc!r}") from exc
     return triplets
 
 
 def _cmd_link(args) -> int:
     config = load_config(args.config)
-    kb, counts = link_stage(config, _load_triples_file(args.triples))
+    link = LinkStage(config)
+    link.fold(_load_triples_file(args.triples))
+    kb, counts = link.finish()
     kb_stage(kb, Path(args.output))
     print(f"wrote KB to {args.output} ({counts['entities']} entities, {counts['linked']} linked)")
     return 0

@@ -11,8 +11,10 @@ from __future__ import annotations
 import datetime as dt
 import json
 import logging
+from collections.abc import Iterable, Iterator
 from dataclasses import asdict, dataclass, field
 from pathlib import Path
+from typing import NamedTuple
 from urllib.parse import urlparse
 
 from . import transport
@@ -65,6 +67,14 @@ class Article:
         object.__setattr__(self, "word_count", len(self.body.split()))
 
 
+class ArticleMeta(NamedTuple):
+    """What the quality stage reads of an article."""
+
+    id: str
+    source_domain: str
+    published_at: dt.date
+
+
 def _parse_record(record: object, line_number: int) -> Article:
     if not isinstance(record, dict):
         raise MalformedRecordError(line_number, "record is not a JSON object")
@@ -90,15 +100,20 @@ def _parse_record(record: object, line_number: int) -> Article:
     )
 
 
-def load_corpus(path: str | Path) -> list[Article]:
+def load_corpus(path: str | Path, *, lazy: bool = False) -> list[Article] | Iterator[Article]:
     """Load a newline-delimited JSON corpus file, in file order.
 
     Word counts are recomputed, duplicate ids are rejected, blank lines are
     skipped. Articles with an empty body are accepted (chunking will emit no
-    batches for them) but logged as a warning.
+    batches for them) but logged as a warning. With lazy, the articles come
+    from an iterator that reads one line per article it yields, so a bad line
+    raises only when the iterator reaches it.
     """
-    path = Path(path)
-    articles: list[Article] = []
+    articles = _read_corpus(Path(path))
+    return articles if lazy else list(articles)
+
+
+def _read_corpus(path: Path) -> Iterator[Article]:
     seen: set[str] = set()
     with path.open("rb") as handle:
         for line_number, line in enumerate(handle, start=1):
@@ -115,8 +130,7 @@ def load_corpus(path: str | Path) -> list[Article]:
             seen.add(article.id)
             if article.word_count == 0:
                 logger.warning("article %s has an empty body", article.id)
-            articles.append(article)
-    return articles
+            yield article
 
 
 def article_to_dict(article: Article) -> dict:
@@ -133,18 +147,18 @@ def write_corpus(articles: list[Article], path: str | Path) -> None:
 
 
 def filter_by_date(
-    articles: list[Article], date_from: dt.date | None, date_to: dt.date | None
-) -> list[Article]:
-    """Keep articles with date_from <= published_at <= date_to, preserving
+    articles: Iterable[Article], date_from: dt.date | None, date_to: dt.date | None
+) -> Iterator[Article]:
+    """The articles with date_from <= published_at <= date_to, lazily and in
     order. A bound that is None leaves that side of the window open."""
     if date_from and date_to and date_from > date_to:
         raise InvalidRangeError(f"empty date window: {date_from} > {date_to}")
-    return [
+    return (
         a
         for a in articles
         if (date_from is None or date_from <= a.published_at)
         and (date_to is None or a.published_at <= date_to)
-    ]
+    )
 
 
 def fetch_articles(

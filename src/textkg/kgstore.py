@@ -12,6 +12,7 @@ and update (a whole KB) are the only writers of a KB's triples.
 from __future__ import annotations
 
 import json
+import math
 import os
 from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
@@ -205,6 +206,8 @@ def merge(kb1: KnowledgeBase, kb2: KnowledgeBase) -> KnowledgeBase:
 def _scalar(value: object) -> str:
     if isinstance(value, str):
         return encode_basestring(value)
+    if type(value) is float and math.isfinite(value):
+        return float.__repr__(value)
     return "null" if value is None else int.__repr__(value) if type(value) is int else json.dumps(value)
 
 
@@ -245,7 +248,7 @@ def row_encoder(indent: str | None = None) -> Callable[[Key, Iterable[Provenance
             entries.append(text)
         subject, predicate, obj = key
         entries_text = opening + separator.join(entries) + closing if entries else "[]"
-        return row % (_scalar(obj), _scalar(predicate), entries_text, _scalar(subject))
+        return row % (encode_basestring(obj), encode_basestring(predicate), entries_text, encode_basestring(subject))
 
     return encode
 
@@ -309,11 +312,13 @@ def save_kb(kb: KnowledgeBase, path: str | Path) -> None:
 
 def load_kb(path: str | Path) -> KnowledgeBase:
     """Read a KB written by save_kb; a malformed file is a TextkgError."""
-    with Path(path).open(encoding="utf-8") as handle:
-        try:
-            return KnowledgeBase.from_dict(json.load(handle))
-        except (ValueError, KeyError, TypeError, AttributeError) as exc:
-            raise TextkgError(f"{path} is not a KB file: {exc!r}") from exc
+    raw = Path(path).read_bytes()
+    try:
+        return KnowledgeBase.from_dict(json.loads(raw.decode("utf-8")))
+    except UnicodeDecodeError as exc:  # its repr holds the whole file
+        raise TextkgError(f"{path} is not a KB file: {exc}") from exc
+    except (ValueError, KeyError, TypeError, AttributeError) as exc:
+        raise TextkgError(f"{path} is not a KB file: {exc!r}") from exc
 
 
 def comparison_table(named_kbs: list[tuple[str, KnowledgeBase]]) -> str:

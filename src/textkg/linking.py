@@ -7,8 +7,10 @@ normalized surfaces are equal. Predicates are never linked, only normalized.
 
 from __future__ import annotations
 
+import functools
 import json
 import logging
+import threading
 import time
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
@@ -17,7 +19,7 @@ from pathlib import Path
 from . import transport
 from .errors import TextkgError
 from .extraction import Triplet
-from .kgstore import write_json
+from .kgstore import _block, _scalar, replacing
 
 logger = logging.getLogger(__name__)
 
@@ -113,7 +115,21 @@ class LinkCache:
         return cls(entries)
 
     def save(self, path: str | Path) -> None:
-        write_json(path, self.entries)
+        """Write the bytes of json.dumps(entries, ensure_ascii=False, indent=2,
+        sort_keys=True) plus a newline through ``replacing``. An entry of
+        exactly iri, label and fetched_at fills one template; one with other
+        keys is encoded by json."""
+        entry = _block("{", "}", ['"fetched_at": %s', '"iri": %s', '"label": %s'], "  ")
+        items = [
+            _scalar(key) + ": " + (
+                entry % (_scalar(value["fetched_at"]), _scalar(value["iri"]), _scalar(value["label"]))
+                if len(value) == 3
+                else json.dumps(value, ensure_ascii=False, indent=2, sort_keys=True).replace("\n", "\n  ")
+            )
+            for key, value in sorted(self.entries.items())
+        ]
+        with replacing(Path(path)) as handle:
+            handle.write(_block("{", "}", items, "") + "\n")
 
 
 class LookupClient:
@@ -238,6 +254,99 @@ def link_entity(
     return LinkedEntity(surface, None, normalized)
 
 
+class Linker:
+    """canonicalize continued over successive lists of triplets: link
+    rewrites each list as one canonicalize call over all the lists so far
+    would. resolve may run on several threads at once; they share the
+    lookups in flight, so each normalized surface is still looked up once."""
+
+    def __init__(self, client=None, cache: LinkCache | None = None, *, match="exact", on_error="fallback", now=None):
+        self._lookup = functools.partial(
+            link_entity, client=client, cache=cache, match=match, on_error=on_error, now=now
+        )
+        # normalized surface -> its lookup result, or a lock held while it is looked up
+        self._resolved: dict[str, LinkedEntity | threading.Lock] = {}
+        self._lock = threading.Lock()
+        self._labels: dict[str, str] = {}  # raw subject or object -> canonical label
+        self._key_labels: dict[str, str] = {}  # normalized surface -> canonical label
+        self._iri_labels: dict[str, str] = {}  # the first label given to each IRI
+        self._predicates: dict[str, str] = {}
+        self.table: dict[str, LinkedEntity] = {}  # canonical label -> entity, in first-seen order
+
+    def resolve(self, triplets: list[Triplet], workers: int = 1) -> None:
+        """Look up the subjects and objects whose normalized surface is
+        neither looked up nor being looked up, on up to workers threads. The
+        first lookup that raises cancels the lookups not yet started."""
+        todo: dict[str, str] = {}  # normalized -> first surface seen
+        for triplet in triplets:
+            for surface in (triplet.subject, triplet.object):
+                if surface not in self._labels:
+                    key = normalize_surface(surface)
+                    if key not in self._resolved:
+                        todo.setdefault(key, surface)
+        if workers > 1 and len(todo) > 1:
+            with ThreadPoolExecutor(max_workers=workers) as pool:
+                # map cancels the pending lookups once a result it yields raises
+                list(pool.map(self._resolve, todo, todo.values()))
+        else:
+            list(map(self._resolve, todo, todo.values()))
+
+    def _resolve(self, key: str, surface: str) -> LinkedEntity:
+        """key's lookup result: the one known, the one another thread is
+        making, or else a lookup of surface made here."""
+        with self._lock:
+            result = self._resolved.get(key)
+            if result is None:
+                busy = self._resolved[key] = threading.Lock()
+                busy.acquire()
+        if isinstance(result, LinkedEntity):
+            return result
+        if result is not None:
+            with result:  # released when that lookup ends
+                pass
+            return self._resolve(key, surface)  # its result, or a lookup here if it raised
+        try:
+            entity = self._resolved[key] = self._lookup(surface)
+        except BaseException:
+            with self._lock:
+                del self._resolved[key]
+            raise
+        finally:
+            busy.release()
+        return entity
+
+    def link(self, triplets: list[Triplet], workers: int = 1) -> list[Triplet]:
+        """The triplets with canonical subjects and objects and normalized
+        predicates. With workers above 1, the surfaces not yet looked up
+        are looked up first, that many at a time."""
+        if workers > 1:
+            self.resolve(triplets, workers)
+        labels = self._labels
+        for triplet in triplets:
+            for surface in (triplet.subject, triplet.object):
+                if surface not in labels:
+                    labels[surface] = self._label(normalize_surface(surface), surface)
+        predicates = self._predicates
+        predicates.update((p, normalize_surface(p)) for p in {t.predicate for t in triplets} - predicates.keys())
+        return [
+            Triplet(labels[t.subject], predicates[t.predicate], labels[t.object], t.provenance)
+            for t in triplets
+        ]
+
+    def _label(self, key: str, surface: str) -> str:
+        """key's canonical label, given when surface is the first surface
+        seen for it."""
+        label = self._key_labels.get(key)
+        if label is None:
+            entity = self._resolve(key, surface)
+            iri = entity.canonical_iri
+            # first label seen for an IRI wins, so co-linked mentions agree
+            label = entity.label if iri is None else self._iri_labels.setdefault(iri, entity.label)
+            self._key_labels[key] = label
+            self.table.setdefault(label, LinkedEntity(surface, iri, label))
+        return label
+
+
 def canonicalize(
     triplets: list[Triplet],
     client=None,
@@ -247,6 +356,7 @@ def canonicalize(
     on_error: str = "fallback",
     now: float | None = None,
     workers: int = 1,
+    linker: Linker | None = None,
 ) -> tuple[list[Triplet], dict[str, LinkedEntity]]:
     """Rewrite subjects and objects to canonical labels; return the entity table.
 
@@ -259,44 +369,10 @@ def canonicalize(
     Each distinct normalized surface is resolved once, on up to ``workers``
     threads; the result does not depend on ``workers``. The first lookup
     that raises (an outage under on_error="abort") cancels the lookups not
-    yet started.
+    yet started. linker, when given, continues that Linker's labels and
+    lookups in place of a new one over client, cache, match, on_error and
+    now, and the table returned is all of its entities so far.
     """
-    normalized: dict[str, str] = {}  # raw subject or object -> normalized surface
-    surfaces: dict[str, str] = {}  # normalized -> first surface seen, subject before object
-    for triplet in triplets:
-        for surface in (triplet.subject, triplet.object):
-            if surface not in normalized:
-                key = normalized[surface] = normalize_surface(surface)
-                surfaces.setdefault(key, surface)
-
-    def resolve(surface: str) -> LinkedEntity:
-        return link_entity(surface, client, cache, match=match, on_error=on_error, now=now)
-
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            # map cancels the pending lookups once a result it yields raises
-            entities = list(pool.map(resolve, surfaces.values()))
-    else:
-        entities = [resolve(surface) for surface in surfaces.values()]
-
-    # one label per normalized surface, assigned in first-seen order
-    iri_labels: dict[str, str] = {}
-    table: dict[str, LinkedEntity] = {}
-    labels: dict[str, str] = {}
-    for key, entity in zip(surfaces, entities):
-        if entity.canonical_iri is not None:
-            # first label seen for an IRI wins, so co-linked mentions agree
-            label = iri_labels.setdefault(entity.canonical_iri, entity.label)
-            table.setdefault(label, LinkedEntity(entity.surface, entity.canonical_iri, label))
-        else:
-            label = entity.label
-            table.setdefault(label, entity)
-        labels[key] = label
-
-    canonical = {surface: labels[key] for surface, key in normalized.items()}
-    predicates = {p: normalize_surface(p) for p in {t.predicate for t in triplets}}
-    rewritten = [
-        Triplet(canonical[t.subject], predicates[t.predicate], canonical[t.object], t.provenance)
-        for t in triplets
-    ]
-    return rewritten, table
+    if linker is None:
+        linker = Linker(client, cache, match=match, on_error=on_error, now=now)
+    return linker.link(triplets, workers), linker.table

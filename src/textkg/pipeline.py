@@ -19,13 +19,14 @@ import re
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing, contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from json.encoder import encode_basestring
 from pathlib import Path
 from typing import get_args, get_type_hints
 
 from .chunking import TokenBatch, chunk
-from .corpus import Article, filter_by_date, load_corpus
+from .corpus import Article, ArticleMeta, filter_by_date, load_corpus
 from .errors import ConfigError, TextkgError
 from .export import FORMATS, ExportOptions, export_graph
 from .extraction import (
@@ -38,7 +39,7 @@ from .extraction import (
     generate,
 )
 from .kgstore import KnowledgeBase, _scalar, add_triples, row_encoder, save_kb, stats, write_json
-from .linking import FileLookupClient, LinkCache, LookupClient, canonicalize
+from .linking import FileLookupClient, LinkCache, Linker, LookupClient, canonicalize
 from .quality import QualityConfig, evaluate, render_report, save_report
 from .rdf import ontology_to_kb, repair_until_valid, serialize_turtle
 
@@ -302,6 +303,21 @@ def _json_line(row: dict) -> str:
     return "{" + ", ".join([f"{encode_basestring(k)}: {_scalar(v)}" for k, v in sorted(row.items())]) + "}\n"
 
 
+# the rows of batches.jsonl (exactly a batch's fields) and of a triples run's
+# generations.jsonl, laid out as json.dumps(row, ensure_ascii=False, sort_keys=True)
+_BATCH_ROW = '{"article_id": %s, "batch_index": %d, "text": %s, "token_end": %d, "token_start": %d}\n'
+_GENERATION_ROW = '{"article_id": %s, "batch_index": %s, "output": %s}\n'
+
+
+def _batch_lines(batches: list[TokenBatch]) -> Iterator[str]:
+    """json.dumps(vars(batch), ensure_ascii=False, sort_keys=True) plus a
+    newline for each batch, filled into one template."""
+    for b in batches:
+        yield _BATCH_ROW % (
+            encode_basestring(b.article_id), b.batch_index, encode_basestring(b.text), b.token_end, b.token_start
+        )
+
+
 def _open_lines(path: Path | None):
     """A text handle that writes rows to path, or discards them if path is None."""
     return open(os.devnull if path is None else path, "w", encoding="utf-8")
@@ -357,115 +373,147 @@ def make_completer(config: PipelineConfig) -> Callable[[str], str]:
     return complete
 
 
+@contextmanager
+def _stage(name: str) -> Iterator[None]:
+    """A TextkgError raised in the block fails stage name, unless a stage
+    inside the block has already claimed it."""
+    try:
+        yield
+    except StageError:
+        raise
+    except TextkgError as exc:
+        raise StageError(name, exc) from exc
+
+
 # Stages. Each one returns its manifest counts (after its result, when it has
 # one). run_pipeline drives them; the CLI subcommands call them directly.
 
 
+def read_corpus(config: PipelineConfig, counts: dict, metadata: list[ArticleMeta]) -> Iterator[Article]:
+    """The articles inside the date window, read one at a time in corpus
+    order. Each one read is counted into counts and its metadata appended to
+    metadata; a bad line fails the corpus stage when it is reached."""
+    counts.update(articles=0, empty_bodies=0)
+    with _stage("corpus"):
+        corpus = load_corpus(config.resolve(config.corpus), lazy=True)
+        for article in filter_by_date(corpus, config.date_from, config.date_to):
+            counts["articles"] += 1
+            counts["empty_bodies"] += article.word_count == 0
+            metadata.append(ArticleMeta(article.id, article.source_domain, article.published_at))
+            yield article
+
+
 def corpus_stage(config: PipelineConfig) -> tuple[list[Article], dict]:
     """Load the corpus and keep the articles inside the date window."""
-    articles = filter_by_date(
-        load_corpus(config.resolve(config.corpus)), config.date_from, config.date_to
-    )
-    empty_bodies = sum(1 for article in articles if article.word_count == 0)
-    return articles, {"articles": len(articles), "empty_bodies": empty_bodies}
+    counts: dict = {}
+    return list(read_corpus(config, counts, [])), counts
 
 
-def chunk_stage(
-    articles: list[Article], batch_size: int, path: Path
-) -> tuple[list[list[TokenBatch]], dict]:
-    """Write one row per token batch of every article; return each
-    article's batches, in corpus order, for extraction to reuse."""
-    batches = [chunk(article, batch_size=batch_size) for article in articles]
+def chunk_stage(articles: Iterable[Article], batch_size: int, path: Path) -> dict:
+    """Write one row per token batch of every article."""
+    count = 0
     with _open_lines(path) as handle:
-        # a row holds exactly the batch's fields
-        handle.writelines(_json_line(vars(batch)) for article_batches in batches for batch in article_batches)
-    return batches, {"batches": sum(map(len, batches))}
+        for article in articles:
+            batches = chunk(article, batch_size=batch_size)
+            count += len(batches)
+            handle.writelines(_batch_lines(batches))
+    return {"batches": count}
+
+
+class LinkStage:
+    """The link stage, fed one article's triplets at a time; each feed is
+    canonicalized as one call over all the triplets fed so far would be."""
+
+    def __init__(self, config: PipelineConfig):
+        settings = config.linking
+        client = None
+        if settings.fixture_file:
+            client = FileLookupClient(config.resolve(settings.fixture_file))
+        elif settings.endpoint:
+            client = LookupClient(settings.endpoint)
+        self.cache_path = config.resolve(settings.cache_path) if settings.cache_path else None
+        self.cache = LinkCache.load(self.cache_path) if self.cache_path else None
+        self.linker = Linker(client, self.cache, match=settings.match, on_error=settings.on_error)
+        self.workers = config.workers
+        self.kb = KnowledgeBase(link_config=settings.identity())
+
+    def fold(self, triplets: list[Triplet]) -> None:
+        add_triples(self.kb, canonicalize(triplets, linker=self.linker, workers=self.workers)[0])
+
+    def finish(self) -> tuple[KnowledgeBase, dict]:
+        """Save the link cache and give the KB its entity links."""
+        if self.cache is not None:
+            self.cache.save(self.cache_path)
+        # every label in the table is the subject or object of a linked triplet
+        links = {label: e.canonical_iri for label, e in self.linker.table.items() if e.canonical_iri}
+        self.kb.entity_links.update(links)
+        return self.kb, {"entities": len(self.linker.table), "linked": len(links)}
 
 
 def extract_stage(
     config: PipelineConfig,
-    articles: list[Article],
+    articles: Iterable[Article],
     triples_path: Path,
     generations_path: Path | None = None,
-    batches: list[list[TokenBatch]] | None = None,
-) -> tuple[list[Triplet], dict]:
-    """Extract triplets from every article with the configured backend,
-    writing each article's triple and generation rows as it completes, in
-    corpus order. batches, when given, are chunk_stage's batches of every
-    article."""
+    batches_path: Path | None = None,
+    link: LinkStage | None = None,
+) -> tuple[dict, dict]:
+    """Chunk every article and extract its triplets with the configured
+    backend. As each article completes, in corpus order, write its batch,
+    generation and triple rows and, given link, fold its triplets in, their
+    lookups made on the article's worker. Returns the chunk and extract
+    stages' counts."""
     backend = config.backend
     limiter = _rate_limiter(config)
 
-    def extract_one(
-        article: Article, article_batches: list[TokenBatch] | None
-    ) -> tuple[list[Triplet], ParseReport, list[dict]]:
-        rows: list[dict] = []
+    def extract_one(article: Article) -> tuple[list[TokenBatch], list[Triplet], ParseReport, list[str]]:
+        rows: list[str] = []
 
         def on_generation(batch_index: int | None, output: str) -> None:
             rows.append(
-                {"article_id": article.id, "batch_index": batch_index, "output": output}
+                _GENERATION_ROW % (encode_basestring(article.id), _scalar(batch_index), encode_basestring(output))
             )
 
+        batches = chunk(article, batch_size=config.batch_size)
         triplets, parse_report = extract_article(
             article,
             backend,
-            batches=article_batches,
+            batches=batches,
             batch_size=config.batch_size,
             on_batch_error=config.on_batch_error,
             limiter=limiter,
             on_generation=on_generation,
         )
-        return triplets, parse_report, rows
+        if link is not None and config.workers > 1:
+            with _stage("link"):
+                link.linker.resolve(triplets)
+        return batches, triplets, parse_report, rows
 
-    all_triplets: list[Triplet] = []
+    batch_count = 0
     total_report = ParseReport()
     encode = row_encoder()
-    per_article = batches if batches is not None else [None] * len(articles)
-    results = _map_articles(config, extract_one, articles, per_article)
-    with _open_lines(triples_path) as triples, _open_lines(generations_path) as generations:
-        for triplets, parse_report, rows in results:
-            all_triplets.extend(triplets)
+    with (
+        _open_lines(batches_path) as batch_rows,
+        _open_lines(triples_path) as triples,
+        _open_lines(generations_path) as generations,
+        closing(_map_articles(config, extract_one, articles)) as results,
+    ):
+        for batches, triplets, parse_report, rows in results:
+            batch_count += len(batches)
+            batch_rows.writelines(_batch_lines(batches))
             total_report.extend(parse_report)
-            generations.writelines(map(_json_line, rows))
+            generations.writelines(rows)
             triples.writelines(
                 encode((t.subject, t.predicate, t.object), [t.provenance] if t.provenance else []) + "\n"
                 for t in triplets
             )
-    return all_triplets, {
+            if link is not None:
+                with _stage("link"):
+                    link.fold(triplets)
+    return {"batches": batch_count}, {
         "triplets_parsed": total_report.triplets_emitted,
         "segments_skipped": total_report.segments_skipped,
         "failed_batches": len(total_report.failed_batches),
-    }
-
-
-def link_stage(config: PipelineConfig, triplets: list[Triplet]) -> tuple[KnowledgeBase, dict]:
-    """Canonicalize entity mentions and fold the triplets into a KB."""
-    settings = config.linking
-    client = None
-    if settings.fixture_file:
-        client = FileLookupClient(config.resolve(settings.fixture_file))
-    elif settings.endpoint:
-        client = LookupClient(settings.endpoint)
-    cache_path = config.resolve(settings.cache_path) if settings.cache_path else None
-    cache = LinkCache.load(cache_path) if cache_path else None
-    linked, table = canonicalize(
-        triplets,
-        client,
-        cache,
-        match=settings.match,
-        on_error=settings.on_error,
-        workers=config.workers,
-    )
-    if cache is not None:
-        cache.save(cache_path)
-    # every label in the table is the subject or object of a linked triplet
-    kb = add_triples(KnowledgeBase(link_config=settings.identity()), linked)
-    for label, entity in table.items():
-        if entity.canonical_iri is not None:
-            kb.entity_links[label] = entity.canonical_iri
-    return kb, {
-        "entities": len(table),
-        "linked": sum(1 for entity in table.values() if entity.canonical_iri),
     }
 
 
@@ -554,7 +602,7 @@ def kb_stage(kb: KnowledgeBase, path: Path) -> dict:
 
 
 def quality_stage(
-    kb: KnowledgeBase, articles: list[Article], quality: QualityConfig, run_dir: Path
+    kb: KnowledgeBase, articles: list[Article] | list[ArticleMeta], quality: QualityConfig, run_dir: Path
 ) -> dict:
     """Score the KB and write quality.json and quality.txt."""
     report = evaluate(kb, articles, quality)
@@ -582,27 +630,27 @@ def run_pipeline(config_path: str | Path) -> dict:
     stages: dict = {}
 
     def run(stage: str, function: Callable, *args):
-        try:
+        with _stage(stage):
             return function(*args)
-        except TextkgError as exc:
-            raise StageError(stage, exc) from exc
 
-    articles, stages["corpus"] = run("corpus", corpus_stage, config)
-    batches, stages["chunk"] = run(
-        "chunk", chunk_stage, articles, config.batch_size, run_dir / "batches.jsonl"
-    )
     triples_path = run_dir / "triples.jsonl"
     generations_path = run_dir / "generations.jsonl"
-    # only extraction reads the batches and only linking the triplets; drop each once used
+    batches_path = run_dir / "batches.jsonl"
     if config.mode == "triples":
-        triplets, stages["extract"] = run(
-            "extract", extract_stage, config, articles, triples_path, generations_path, batches
+        # one pass: each article is read, chunked, extracted, linked and folded
+        # into the KB in corpus order, so that only the KB, the linker's
+        # tables and the articles' metadata outlive the loop
+        link = run("link", LinkStage, config)
+        articles: list[ArticleMeta] = []
+        corpus = read_corpus(config, stages.setdefault("corpus", {}), articles)
+        stages["chunk"], stages["extract"] = run(
+            "extract", extract_stage, config, corpus, triples_path, generations_path, batches_path, link
         )
-        del batches
-        kb, stages["link"] = run("link", link_stage, config, triplets)
-        del triplets
+        kb, stages["link"] = run("link", link.finish)
     else:
-        del batches
+        # the file names of all articles are checked before any generation
+        articles, stages["corpus"] = run("corpus", corpus_stage, config)
+        stages["chunk"] = run("chunk", chunk_stage, articles, config.batch_size, batches_path)
         kb, stages["ontology"] = run(
             "ontology",
             ontology_stage,

@@ -16,7 +16,7 @@ from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
 
-from .corpus import Article
+from .corpus import Article, ArticleMeta
 from .kgstore import KnowledgeBase, neighbours, reach, write_json
 
 FORMULA_VERSION = "1"
@@ -129,7 +129,7 @@ def _connectivity(kb: KnowledgeBase) -> tuple[float, float]:
 
 
 def _compute_metrics(
-    kb: KnowledgeBase, corpus_meta: list[Article], config: QualityConfig
+    kb: KnowledgeBase, corpus_meta: list[Article] | list[ArticleMeta], config: QualityConfig
 ) -> tuple[dict, list[str]]:
     warnings: list[str] = []
     total_instances = 0
@@ -198,7 +198,9 @@ def _compute_metrics(
     return metrics, warnings
 
 
-def evaluate(kb: KnowledgeBase, corpus_meta: list[Article], config: QualityConfig | None = None) -> QualityReport:
+def evaluate(
+    kb: KnowledgeBase, corpus_meta: list[Article] | list[ArticleMeta], config: QualityConfig | None = None
+) -> QualityReport:
     """Produce the full 18-principle report for one KB."""
     config = config if config is not None else QualityConfig()
     metrics, warnings = _compute_metrics(kb, corpus_meta, config)

@@ -651,6 +651,22 @@ def colliding_ids_config(tmp_path: Path) -> str:
     return str(path)
 
 
+def prefixed_file(tmp_path: Path, source: str, prefix: bytes) -> str:
+    """A copy of source, under the same name, with prefix before its bytes."""
+    path = tmp_path / Path(source).name
+    path.write_bytes(prefix + Path(source).read_bytes())
+    return str(path)
+
+
+def non_utf8_line(tmp_path: Path, source: str, number: int) -> str:
+    """A copy of source, under the same name, whose line number starts with 0xff."""
+    lines = Path(source).read_bytes().splitlines(keepends=True)
+    lines[number - 1] = b"\xff" + lines[number - 1]
+    path = tmp_path / Path(source).name
+    path.write_bytes(b"".join(lines))
+    return str(path)
+
+
 GOLDEN_KB = str(GOLDEN_DIR / "triples" / "kb.json")
 GOLDEN_TRIPLES = str(GOLDEN_DIR / "triples" / "triples.jsonl")
 CORPUS = str(DATA_DIR / "corpus_pipeline.jsonl")
@@ -784,6 +800,15 @@ CLI_ERROR_PATHS = {
         1,
         "stage 'extract' failed: replay fixture ",
     ),
+    "stats-non-utf8-kb": (
+        lambda t: ["stats", prefixed_file(t, GOLDEN_KB, b"\xff")], 1, "kb.json is not a KB file: 'utf-8' codec"
+    ),
+    "link-non-utf8-line-13": (
+        lambda t: ["link", non_utf8_line(t, GOLDEN_TRIPLES, 13), "--config",
+                   str(DATA_DIR / "pipeline_triples.json"), "-o", str(t / "kb.json")],
+        1,
+        "triples.jsonl, line 13: not UTF-8: 'utf-8' codec can't decode byte 0xff",
+    ),
     "pipeline-both-lookup-sources": (
         lambda t: ["pipeline", "--config", patched_config(t, "linking", "endpoint", "http://127.0.0.1:9")],
         2,
@@ -803,6 +828,8 @@ def test_error_paths_exit_without_traceback(case, tmp_path):
     assert result.returncode == exit_code, result.stderr
     assert fragment in result.stderr
     assert "Traceback" not in result.stderr
+    # one message, without the contents of the file it names
+    assert len(result.stderr.encode("utf-8")) < 300, result.stderr
 
 
 def test_radius_zero_is_accepted(capsys):

@@ -6,8 +6,11 @@ import sys
 import threading
 import time
 from collections import Counter
+from concurrent.futures import ThreadPoolExecutor
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from textkg.errors import TextkgError
 from textkg.extraction import Triplet
@@ -15,6 +18,7 @@ from textkg.linking import (
     FileLookupClient,
     LinkCache,
     LinkedEntity,
+    Linker,
     LookupClient,
     LookupUnavailableError,
     TTL_SECONDS,
@@ -492,3 +496,158 @@ class TestLinkCacheCorruption:
         path.write_bytes(raw)
         with pytest.raises(TextkgError, match="link_cache.json"):
             LinkCache.load(path)
+
+
+# surfaces that collide once normalized, two spellings whose service labels
+# differ for one IRI, and surfaces the service does not know
+LINKER_SURFACES = [
+    "Acme", " acme", "ACME  Inc", "Globex", "globex corp", "Soluna", "soluna ", "Kentucky", "x y", "X  Y"
+]
+LINKER_TABLE = {
+    "acme": [{"uri": "http://e/Acme", "label": "Acme"}],
+    "acme inc": [{"uri": "http://e/Acme", "label": "ACME Inc"}],
+    "globex": [{"uri": "http://e/Globex", "label": "Globex"}],
+    "soluna": [{"uri": SOLUNA_IRI, "label": "Soluna"}],
+}
+triplet_lists = st.lists(
+    st.builds(
+        Triplet,
+        st.sampled_from(LINKER_SURFACES),
+        st.sampled_from(["uses", "Uses ", "hosts"]),
+        st.sampled_from(LINKER_SURFACES),
+    ),
+    max_size=30,
+)
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    triplets=triplet_lists, cuts=st.lists(st.integers(0, 30), max_size=5), workers=st.sampled_from([1, 2])
+)
+def test_linking_article_by_article_equals_one_call(triplets, cuts, workers):
+    bounds = [0, *sorted(min(cut, len(triplets)) for cut in cuts), len(triplets)]
+    articles = [triplets[start:end] for start, end in zip(bounds, bounds[1:])]
+    whole_client, client = FakeClient(LINKER_TABLE), FakeClient(LINKER_TABLE)
+    expected, expected_table = canonicalize(triplets, whole_client, match="prefix")
+
+    linker = Linker(client, match="prefix")
+    linked = []
+    # as the pipeline runs it: each article's lookups on a worker, then its
+    # triplets linked in corpus order
+    with ThreadPoolExecutor(max_workers=workers) as pool:
+        resolving = [pool.submit(linker.resolve, article) for article in articles]
+        for article, resolved in zip(articles, resolving):
+            resolved.result()
+            linked += canonicalize(article, linker=linker, workers=workers)[0]
+
+    assert linked == expected
+    assert list(linker.table.items()) == list(expected_table.items())
+    links = {label: entity.canonical_iri for label, entity in linker.table.items() if entity.canonical_iri}
+    assert links == {label: entity.canonical_iri for label, entity in expected_table.items() if entity.canonical_iri}
+    keys = {normalize_surface(surface) for t in triplets for surface in (t.subject, t.object)}
+    assert Counter(client.calls) == Counter(whole_client.calls) == Counter(keys)
+
+
+class BlockingClient(FakeClient):
+    """Holds every lookup until released, counting the calls."""
+
+    def __init__(self):
+        super().__init__()
+        self.started = threading.Event()
+        self.release = threading.Event()
+
+    def lookup(self, query: str) -> list[dict]:
+        self.calls.append(query)
+        self.started.set()
+        assert self.release.wait(timeout=10)
+        return []
+
+
+class TestSharedLookups:
+    def test_key_in_flight_is_looked_up_once(self):
+        client = BlockingClient()
+        linker = Linker(client)
+        first_article = [Triplet("Acme", "p", "ACME ")]
+        second_article = [Triplet(" acme", "q", "Acme")]
+        first = threading.Thread(target=linker.resolve, args=(first_article,))
+        first.start()
+        assert client.started.wait(timeout=10)
+        # a second worker leaves the key to the lookup in flight
+        second = threading.Thread(target=linker.resolve, args=(second_article,))
+        second.start()
+        second.join(timeout=10)
+        assert not second.is_alive()
+        # and linking its article waits for that lookup's result
+        linked = []
+        linking = threading.Thread(target=lambda: linked.extend(canonicalize(second_article, linker=linker)[0]))
+        linking.start()
+        linking.join(timeout=0.2)
+        assert linking.is_alive()
+        client.release.set()
+        for thread in (first, linking):
+            thread.join(timeout=10)
+            assert not thread.is_alive()
+        assert client.calls == ["acme"]
+        assert linked == [Triplet("acme", "q", "acme")]
+
+    def test_stress_overlapping_articles_on_many_threads(self):
+        articles = [[Triplet(f"Entity {n % 37}", "p", f"Thing {(n * 7) % 41}")] * 3 for n in range(400)]
+        expected = {normalize_surface(t.subject) for a in articles for t in a} | {
+            normalize_surface(t.object) for a in articles for t in a
+        }
+        previous = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        try:
+            deadline = time.monotonic() + 2.0
+            rounds = 0
+            while rounds < 5 and time.monotonic() < deadline:
+                client, cache = FakeClient(), CountingCache()
+                linker = Linker(client, cache)
+                with ThreadPoolExecutor(max_workers=8) as pool:
+                    list(pool.map(linker.resolve, articles))
+                assert sorted(client.calls) == sorted(expected)
+                assert set(cache.puts.values()) == {1}
+                rounds += 1
+        finally:
+            sys.setswitchinterval(previous)
+        assert rounds >= 1
+
+    def test_failed_lookup_in_flight_is_raised_and_not_kept(self):
+        client = SlowFailingClient()
+        linker = Linker(client, on_error="abort")
+        with pytest.raises(LookupUnavailableError):
+            linker.resolve([Triplet("Acme", "p", "Globex")])
+        with pytest.raises(LookupUnavailableError):
+            linker.resolve([Triplet("Acme", "p", "Globex")])
+        assert client.calls == ["acme", "acme"]
+
+
+cache_entries = st.dictionaries(
+    st.text(max_size=8),
+    st.fixed_dictionaries(
+        {
+            "iri": st.none() | st.text(max_size=8),
+            "label": st.none() | st.text(max_size=8),
+            "fetched_at": st.integers(-(2**40), 2**40) | st.floats(allow_nan=False, allow_infinity=False),
+        },
+        # extra keys, as LinkCache.load accepts them, are encoded by json
+        optional={
+            "extra": st.recursive(
+                st.none() | st.booleans() | st.text(max_size=4),
+                lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
+                max_leaves=6,
+            )
+        },
+    ),
+    max_size=6,
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(entries=cache_entries)
+def test_link_cache_save_writes_the_bytes_of_json_dumps(tmp_path_factory, entries):
+    path = tmp_path_factory.mktemp("cache") / "link_cache.json"
+    LinkCache(entries).save(path)
+    want = json.dumps(entries, ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == want.encode("utf-8")
+    assert LinkCache.load(path).entries == entries

@@ -22,6 +22,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from textkg import extraction, pipeline
+from textkg.chunking import TokenBatch
 from textkg.corpus import load_corpus
 from textkg.errors import ConfigError, TextkgError
 from textkg.extraction import BackendConfig, build_prompt, fixture_path
@@ -782,6 +783,77 @@ def test_failure_on_the_last_article_keeps_the_earlier_articles(data_copy, confi
         }
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_corpus_is_read_no_further_ahead_of_extraction_than_its_window(tmp_path, monkeypatch, workers):
+    count = 3 * pipeline._WINDOW_PER_WORKER * workers
+    write_corpus(
+        tmp_path / "corpus.jsonl",
+        [{"id": f"a{n}", "title": "t", "body": f"Acme recycles {n} cans.", "source_domain": "x.example",
+          "published_at": "2023-02-20", "language": "en"} for n in range(count)],
+    )
+    data = triples_config_dict()
+    data.update(corpus=str(tmp_path / "corpus.jsonl"), run_dir=str(tmp_path / "run"), workers=workers)
+    del data["linking"]
+    reads: list[str] = []
+    ahead: list[int] = []
+    load_corpus = pipeline.load_corpus
+
+    def counted_reads(path, lazy=False):
+        for article in load_corpus(path, lazy=lazy):
+            reads.append(article.id)
+            yield article
+
+    def extracted(article, backend, **kwargs):
+        # how many articles past this one the reader has read
+        ahead.append(len(reads) - int(article.id[1:]) - 1)
+        time.sleep(0.001)
+        return [extraction.Triplet("Acme", "recycles", article.id)], extraction.ParseReport(triplets_emitted=1)
+
+    monkeypatch.setattr(pipeline, "load_corpus", counted_reads)
+    monkeypatch.setattr(pipeline, "extract_article", extracted)
+    manifest = run_pipeline(write_config(tmp_path, data))
+    assert manifest["stages"]["corpus"]["articles"] == len(ahead) == count
+    assert manifest["stages"]["link"]["entities"] == count + 1
+    assert min(ahead) >= 0
+    assert max(ahead) <= (1 if workers == 1 else pipeline._WINDOW_PER_WORKER * workers)
+
+
+def test_malformed_line_after_the_first_article_fails_the_corpus_stage(data_copy):
+    corpus = data_copy / "corpus_pipeline.jsonl"
+    corpus.write_text(corpus.read_text(encoding="utf-8").splitlines()[0] + "\n{broken\n", encoding="utf-8")
+    with pytest.raises(StageError, match="stage 'corpus' failed: line 2: invalid JSON") as info:
+        run_pipeline(data_copy / "pipeline_triples.json")
+    assert info.value.stage == "corpus"
+    run_dir = data_copy / "run_triples"
+    assert not (run_dir / "manifest.json").exists()
+    # the article before the bad line was extracted, and nothing was linked or saved
+    rows = (run_dir / "generations.jsonl").read_text(encoding="utf-8").splitlines()
+    assert {json.loads(row)["article_id"] for row in rows} == {"a1"}
+    assert not (data_copy / "link_cache.json").exists()
+    assert not (run_dir / "kb.json").exists()
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_lookup_abort_fails_the_link_stage_on_the_articles_worker(data_copy, monkeypatch, workers):
+    data = triples_config_dict()
+    data["workers"] = workers
+    data["linking"] = {"endpoint": "http://127.0.0.1:9", "on_error": "abort"}
+    threads = []
+    lookup = pipeline.LookupClient.lookup
+
+    def recorded(self, query):
+        threads.append(threading.current_thread())
+        return lookup(self, query)
+
+    monkeypatch.setattr(pipeline.LookupClient, "lookup", recorded)
+    with pytest.raises(StageError, match="stage 'link' failed: lookup failed") as info:
+        run_pipeline(write_config(data_copy, data))
+    assert info.value.stage == "link"
+    # one worker is the main thread; with more, each article's lookups run on its worker
+    assert threads and (threading.main_thread() in threads) == (workers == 1)
+    assert not (data_copy / "run_triples" / "manifest.json").exists()
+
+
 def window_worker(started: list, fail_at: int | None = None):
     lock = threading.Lock()
 
@@ -842,3 +914,10 @@ flat_rows = st.dictionaries(
 @settings(max_examples=300, deadline=None)
 def test_json_line_writes_the_json_dumps_line(row):
     assert pipeline._json_line(row) == json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
+
+
+@given(json_text, st.integers(0, 2**40), st.integers(0, 2**40), st.integers(0, 2**40), json_text)
+@settings(max_examples=200, deadline=None)
+def test_batch_lines_write_the_json_dumps_lines(article_id, batch_index, start, end, text):
+    batch = TokenBatch(article_id, batch_index, start, end, text)
+    assert list(pipeline._batch_lines([batch])) == [json.dumps(vars(batch), ensure_ascii=False, sort_keys=True) + "\n"]
