@@ -25,13 +25,13 @@ from .pipeline import (
     LinkStage,
     PipelineConfig,
     chunk_stage,
-    corpus_stage,
     extract_stage,
     kb_stage,
     load_config,
     load_quality_config,
     make_completer,
     ontology_stage,
+    read_corpus,
     run_pipeline,
 )
 from .quality import QualityConfig, evaluate, render_report, save_report
@@ -188,7 +188,7 @@ def _cmd_extract(args) -> int:
     # --mode triples refuses a backend that answers in Turtle
     flags = {"on_batch_error": args.on_batch_error} if args.on_batch_error else {}
     config = load_config(args.config, backend_id=args.backend, mode=args.mode, **flags)
-    articles, _ = corpus_stage(config)
+    articles = read_corpus(config, {}, [])
     if args.mode == "triples":
         _, counts = extract_stage(config, articles, Path(args.output))
         print(
@@ -196,7 +196,7 @@ def _cmd_extract(args) -> int:
             f" ({counts['segments_skipped']} segments skipped)"
         )
         return 0
-    _, counts = ontology_stage(config, articles, Path(args.output))
+    _, counts = ontology_stage(config, list(articles), Path(args.output))
     print(
         f"wrote {counts['documents']} ontologies to {args.output}"
         f" ({counts['valid_documents']} valid, {counts['repair_attempts']} repair attempt(s))"
@@ -222,7 +222,9 @@ def _load_triples_file(path: str) -> list[Triplet]:
 def _cmd_link(args) -> int:
     config = load_config(args.config)
     link = LinkStage(config)
-    link.fold(_load_triples_file(args.triples))
+    triplets = _load_triples_file(args.triples)
+    link.linker.resolve(triplets, config.workers)
+    link.fold(triplets)
     kb, counts = link.finish()
     kb_stage(kb, Path(args.output))
     print(f"wrote KB to {args.output} ({counts['entities']} entities, {counts['linked']} linked)")

@@ -3,7 +3,7 @@
 The corpus file format is UTF-8 newline-delimited JSON, one article object
 per line, with required keys ``id``, ``title``, ``body``, ``source_domain``,
 ``published_at`` (ISO-8601 date) and ``language``. Unknown keys are ignored;
-``word_count`` is always recomputed from the body.
+``word_count`` is always derived from the body.
 """
 
 from __future__ import annotations
@@ -12,7 +12,7 @@ import datetime as dt
 import json
 import logging
 from collections.abc import Iterable, Iterator
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from pathlib import Path
 from typing import NamedTuple
 from urllib.parse import urlparse
@@ -58,13 +58,15 @@ class Article:
     source_domain: str
     published_at: dt.date
     language: str
-    word_count: int = field(init=False)
 
     def __post_init__(self):
         if not self.id:
             raise ValueError("article id must be non-empty")
-        # derived, never trusted from input
-        object.__setattr__(self, "word_count", len(self.body.split()))
+
+    @property
+    def word_count(self) -> int:
+        """Whitespace tokens in the body; derived, never trusted from input."""
+        return len(self.body.split())
 
 
 class ArticleMeta(NamedTuple):
@@ -103,11 +105,11 @@ def _parse_record(record: object, line_number: int) -> Article:
 def load_corpus(path: str | Path, *, lazy: bool = False) -> list[Article] | Iterator[Article]:
     """Load a newline-delimited JSON corpus file, in file order.
 
-    Word counts are recomputed, duplicate ids are rejected, blank lines are
-    skipped. Articles with an empty body are accepted (chunking will emit no
-    batches for them) but logged as a warning. With lazy, the articles come
-    from an iterator that reads one line per article it yields, so a bad line
-    raises only when the iterator reaches it.
+    Duplicate ids are rejected, blank lines are skipped. Articles with an
+    empty body are accepted (chunking will emit no batches for them) but
+    logged as a warning. With lazy, the articles come from an iterator that
+    reads one line per article it yields, so a bad line raises only when the
+    iterator reaches it.
     """
     articles = _read_corpus(Path(path))
     return articles if lazy else list(articles)
@@ -128,13 +130,13 @@ def _read_corpus(path: Path) -> Iterator[Article]:
             if article.id in seen:
                 raise DuplicateIdError(article.id)
             seen.add(article.id)
-            if article.word_count == 0:
+            if not article.body.strip():
                 logger.warning("article %s has an empty body", article.id)
             yield article
 
 
 def article_to_dict(article: Article) -> dict:
-    return asdict(article) | {"published_at": article.published_at.isoformat()}
+    return asdict(article) | {"published_at": article.published_at.isoformat(), "word_count": article.word_count}
 
 
 def write_corpus(articles: list[Article], path: str | Path) -> None:

@@ -467,13 +467,13 @@ def extract_article(
 
     Seq2seq backends receive raw batch text; chat backends receive the
     triples prompt, built over the whole article when it fits the backend's
-    input limit and over batch_size-token batches otherwise. batches, when
-    given, are the article's chunk(article, batch_size=batch_size), so the
-    body is not split again. Output order is batch order, then within-batch
-    order. on_batch_error selects what a failed generation does: "fail"
-    (default) re-raises, "skip" records the batch in the report and moves
-    on. on_generation, when given, observes each raw completion as
-    (batch_index, text).
+    input limit and over batch_size-token batches otherwise. batches are the
+    article's chunk(article, batch_size=batch_size), made here when not
+    given; whether the article is empty and whether it fits are read from
+    them. Output order is batch order, then within-batch order. on_batch_error
+    selects what a failed generation does: "fail" (default) re-raises, "skip"
+    records the batch in the report and moves on. on_generation, when given,
+    observes each raw completion as (batch_index, text).
     """
     mode = config.grammar
     if mode == "ontology":
@@ -483,15 +483,15 @@ def extract_article(
 
     report = ParseReport()
     triplets: list[Triplet] = []
-    if not article.word_count:
+    if batches is None:
+        batches = chunk(article, batch_size=batch_size)
+    if not batches:
         return triplets, report
 
     units: list[tuple[int | None, str]]
-    if mode == "triples" and article.word_count <= config.max_input_tokens:
+    if mode == "triples" and batches[-1].token_end <= config.max_input_tokens:
         units = [(None, article.body)]
     else:
-        if batches is None:
-            batches = chunk(article, batch_size=batch_size)
         units = [(b.batch_index, b.text) for b in batches]
 
     for batch_index, text in units:

@@ -268,7 +268,6 @@ class Linker:
         self._resolved: dict[str, LinkedEntity | threading.Lock] = {}
         self._lock = threading.Lock()
         self._labels: dict[str, str] = {}  # raw subject or object -> canonical label
-        self._key_labels: dict[str, str] = {}  # normalized surface -> canonical label
         self._iri_labels: dict[str, str] = {}  # the first label given to each IRI
         self._predicates: dict[str, str] = {}
         self.table: dict[str, LinkedEntity] = {}  # canonical label -> entity, in first-seen order
@@ -315,12 +314,9 @@ class Linker:
             busy.release()
         return entity
 
-    def link(self, triplets: list[Triplet], workers: int = 1) -> list[Triplet]:
+    def link(self, triplets: list[Triplet]) -> list[Triplet]:
         """The triplets with canonical subjects and objects and normalized
-        predicates. With workers above 1, the surfaces not yet looked up
-        are looked up first, that many at a time."""
-        if workers > 1:
-            self.resolve(triplets, workers)
+        predicates; a surface resolve has not looked up is looked up here."""
         labels = self._labels
         for triplet in triplets:
             for surface in (triplet.subject, triplet.object):
@@ -334,16 +330,14 @@ class Linker:
         ]
 
     def _label(self, key: str, surface: str) -> str:
-        """key's canonical label, given when surface is the first surface
-        seen for it."""
-        label = self._key_labels.get(key)
-        if label is None:
-            entity = self._resolve(key, surface)
-            iri = entity.canonical_iri
-            # first label seen for an IRI wins, so co-linked mentions agree
-            label = entity.label if iri is None else self._iri_labels.setdefault(iri, entity.label)
-            self._key_labels[key] = label
-            self.table.setdefault(label, LinkedEntity(surface, iri, label))
+        """key's canonical label, from its resolved entity; the first surface
+        seen for a new label names its table entry."""
+        entity = self._resolve(key, surface)
+        iri = entity.canonical_iri
+        # first label seen for an IRI wins, so co-linked mentions agree
+        label = entity.label if iri is None else self._iri_labels.setdefault(iri, entity.label)
+        if label not in self.table:
+            self.table[label] = LinkedEntity(surface, iri, label)
         return label
 
 
@@ -375,4 +369,6 @@ def canonicalize(
     """
     if linker is None:
         linker = Linker(client, cache, match=match, on_error=on_error, now=now)
-    return linker.link(triplets, workers), linker.table
+    if workers > 1:
+        linker.resolve(triplets, workers)
+    return linker.link(triplets), linker.table

@@ -297,16 +297,11 @@ def load_config(path: str | Path, **overrides) -> PipelineConfig:
     )
 
 
-def _json_line(row: dict) -> str:
-    """json.dumps(row, ensure_ascii=False, sort_keys=True) plus a newline,
-    for a row whose values are strings, numbers, booleans or None."""
-    return "{" + ", ".join([f"{encode_basestring(k)}: {_scalar(v)}" for k, v in sorted(row.items())]) + "}\n"
-
-
-# the rows of batches.jsonl (exactly a batch's fields) and of a triples run's
-# generations.jsonl, laid out as json.dumps(row, ensure_ascii=False, sort_keys=True)
+# the rows of batches.jsonl (exactly a batch's fields) and of generations.jsonl
+# in each mode, laid out as json.dumps(row, ensure_ascii=False, sort_keys=True)
 _BATCH_ROW = '{"article_id": %s, "batch_index": %d, "text": %s, "token_end": %d, "token_start": %d}\n'
 _GENERATION_ROW = '{"article_id": %s, "batch_index": %s, "output": %s}\n'
+_ATTEMPT_ROW = '{"article_id": %s, "attempt": %d, "output": %s}\n'
 
 
 def _batch_lines(batches: list[TokenBatch]) -> Iterator[str]:
@@ -333,23 +328,22 @@ def _safe_name(article_id: str) -> str:
 _WINDOW_PER_WORKER = 8
 
 
-def _map_articles(config: PipelineConfig, function: Callable, *iterables: Iterable) -> Iterator:
-    """function over every article, yielded lazily in corpus order; the
-    iterables are per-article arguments, as for map. With `workers` threads,
-    at most _WINDOW_PER_WORKER * workers calls are submitted and not yet
-    consumed, so finished results cannot pile up, and the first exception
-    cancels the calls not yet started."""
+def _map_articles(config: PipelineConfig, function: Callable, articles: Iterable) -> Iterator:
+    """function over every article, yielded lazily in corpus order. With
+    `workers` threads, at most _WINDOW_PER_WORKER * workers calls are
+    submitted and not yet consumed, so finished results cannot pile up, and
+    the first exception cancels the calls not yet started."""
     if config.workers == 1:
-        yield from map(function, *iterables)
+        yield from map(function, articles)
         return
     window = _WINDOW_PER_WORKER * config.workers
     pending = deque()
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         try:
-            for arguments in zip(*iterables):
+            for article in articles:
                 if len(pending) == window:
                     yield pending.popleft().result()
-                pending.append(pool.submit(function, *arguments))
+                pending.append(pool.submit(function, article))
             while pending:
                 yield pending.popleft().result()
         finally:
@@ -398,15 +392,9 @@ def read_corpus(config: PipelineConfig, counts: dict, metadata: list[ArticleMeta
         corpus = load_corpus(config.resolve(config.corpus), lazy=True)
         for article in filter_by_date(corpus, config.date_from, config.date_to):
             counts["articles"] += 1
-            counts["empty_bodies"] += article.word_count == 0
+            counts["empty_bodies"] += not article.body.strip()
             metadata.append(ArticleMeta(article.id, article.source_domain, article.published_at))
             yield article
-
-
-def corpus_stage(config: PipelineConfig) -> tuple[list[Article], dict]:
-    """Load the corpus and keep the articles inside the date window."""
-    counts: dict = {}
-    return list(read_corpus(config, counts, [])), counts
 
 
 def chunk_stage(articles: Iterable[Article], batch_size: int, path: Path) -> dict:
@@ -434,11 +422,10 @@ class LinkStage:
         self.cache_path = config.resolve(settings.cache_path) if settings.cache_path else None
         self.cache = LinkCache.load(self.cache_path) if self.cache_path else None
         self.linker = Linker(client, self.cache, match=settings.match, on_error=settings.on_error)
-        self.workers = config.workers
         self.kb = KnowledgeBase(link_config=settings.identity())
 
     def fold(self, triplets: list[Triplet]) -> None:
-        add_triples(self.kb, canonicalize(triplets, linker=self.linker, workers=self.workers)[0])
+        add_triples(self.kb, canonicalize(triplets, linker=self.linker)[0])
 
     def finish(self) -> tuple[KnowledgeBase, dict]:
         """Save the link cache and give the KB its entity links."""
@@ -539,19 +526,19 @@ def ontology_stage(
     complete = make_completer(config)
 
     def ontology_one(article: Article):
-        if not article.body.split():
+        if not article.body.strip():
             return None, []
         prompt = build_prompt(article.body, "ontology")
         return repair_until_valid(prompt, complete, config.max_repair_attempts)
 
     ontology_dir.mkdir(parents=True, exist_ok=True)
-    results = _map_articles(config, ontology_one, articles)
     encode = row_encoder()
     kb = KnowledgeBase()
     documents = 0
     repair_attempts = 0
     invalid_ids: list[str] = []
-    with _open_lines(triples_path) as triples, _open_lines(generations_path) as generations:
+    results = _map_articles(config, ontology_one, articles)
+    with _open_lines(triples_path) as triples, _open_lines(generations_path) as generations, closing(results):
         for article, (doc, attempts) in zip(articles, results):
             if not attempts:
                 continue
@@ -559,7 +546,7 @@ def ontology_stage(
             repair_attempts += len(attempts) - 1
             name = _safe_name(article.id)
             generations.writelines(
-                _json_line({"article_id": article.id, "attempt": attempt_index, "output": attempt.output})
+                _ATTEMPT_ROW % (encode_basestring(article.id), attempt_index, encode_basestring(attempt.output))
                 for attempt_index, attempt in enumerate(attempts)
             )
             write_json(
@@ -636,20 +623,20 @@ def run_pipeline(config_path: str | Path) -> dict:
     triples_path = run_dir / "triples.jsonl"
     generations_path = run_dir / "generations.jsonl"
     batches_path = run_dir / "batches.jsonl"
+    metadata: list[ArticleMeta] = []
+    corpus = read_corpus(config, stages.setdefault("corpus", {}), metadata)
     if config.mode == "triples":
         # one pass: each article is read, chunked, extracted, linked and folded
         # into the KB in corpus order, so that only the KB, the linker's
         # tables and the articles' metadata outlive the loop
         link = run("link", LinkStage, config)
-        articles: list[ArticleMeta] = []
-        corpus = read_corpus(config, stages.setdefault("corpus", {}), articles)
         stages["chunk"], stages["extract"] = run(
             "extract", extract_stage, config, corpus, triples_path, generations_path, batches_path, link
         )
         kb, stages["link"] = run("link", link.finish)
     else:
         # the file names of all articles are checked before any generation
-        articles, stages["corpus"] = run("corpus", corpus_stage, config)
+        articles = list(corpus)
         stages["chunk"] = run("chunk", chunk_stage, articles, config.batch_size, batches_path)
         kb, stages["ontology"] = run(
             "ontology",
@@ -661,7 +648,7 @@ def run_pipeline(config_path: str | Path) -> dict:
             generations_path,
         )
     stages["kb"] = run("kb", kb_stage, kb, run_dir / "kb.json")
-    stages["quality"] = run("quality", quality_stage, kb, articles, config.quality, run_dir)
+    stages["quality"] = run("quality", quality_stage, kb, metadata, config.quality, run_dir)
     stages["export"] = run("export", export_stage, kb, config.export, run_dir)
 
     manifest = {"config_hash": config.config_hash, "mode": config.mode, "stages": stages}

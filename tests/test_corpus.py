@@ -2,9 +2,13 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+import tempfile
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 from textkg.corpus import (
     Article,
@@ -19,7 +23,7 @@ from textkg.corpus import (
     write_corpus,
 )
 
-from textkg.pipeline import corpus_stage, load_config
+from textkg.pipeline import load_config, read_corpus
 
 from .conftest import DATA_DIR, NEWS_PAYLOAD
 
@@ -139,9 +143,30 @@ def test_corpus_stage_counts_empty_bodies(tmp_path):
     data = json.loads((DATA_DIR / "pipeline_triples.json").read_text(encoding="utf-8"))
     data["corpus"] = str(tmp_path / "corpus.jsonl")
     (tmp_path / "config.json").write_text(json.dumps(data), encoding="utf-8")
-    loaded, counts = corpus_stage(load_config(tmp_path / "config.json"))
+    counts: dict = {}
+    loaded = list(read_corpus(load_config(tmp_path / "config.json"), counts, []))
     assert [article.id for article in loaded] == ["a1", "a2", "a3"]
     assert counts == {"articles": 3, "empty_bodies": 1}
+
+
+TRIPLES_CONFIG = load_config(DATA_DIR / "pipeline_triples.json")
+# bodies drawn mostly from whitespace, Unicode's included, so that many are empty
+corpus_bodies = st.text(st.sampled_from(" \t\n\r\x0b\x0c\x1c\x85\xa0\u2028\u3000x"), max_size=6) | st.text(max_size=6)
+
+
+@given(st.lists(corpus_bodies, max_size=8))
+@example(["\u2028", "\x1c", "\u3000", "\u3000x"])
+@settings(max_examples=200, deadline=None)
+def test_read_corpus_counts_the_bodies_with_no_tokens_as_empty(body_list):
+    # read_corpus tests a body with strip(), chunk splits it with split(): they must agree
+    articles = [_article(f"a{n}", 1, body=body) for n, body in enumerate(body_list)]
+    with tempfile.TemporaryDirectory() as directory:
+        path = Path(directory) / "corpus.jsonl"
+        write_corpus(articles, path)
+        counts: dict = {}
+        loaded = list(read_corpus(replace(TRIPLES_CONFIG, corpus=str(path)), counts, []))
+    assert [article.body for article in loaded] == body_list
+    assert counts == {"articles": len(body_list), "empty_bodies": sum(not body.split() for body in body_list)}
 
 
 def test_filter_by_date_inclusive():

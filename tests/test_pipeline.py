@@ -14,6 +14,7 @@ import time
 import weakref
 from collections import Counter
 from dataclasses import fields
+from json.encoder import encode_basestring
 from pathlib import Path
 from types import SimpleNamespace
 
@@ -23,7 +24,7 @@ from hypothesis import strategies as st
 
 from textkg import extraction, pipeline
 from textkg.chunking import TokenBatch
-from textkg.corpus import load_corpus
+from textkg.corpus import Article, load_corpus
 from textkg.errors import ConfigError, TextkgError
 from textkg.extraction import BackendConfig, build_prompt, fixture_path
 from textkg.kgstore import KnowledgeBase, load_kb
@@ -660,7 +661,34 @@ def test_ontology_stage_folds_articles_without_copying_the_kb(data_copy, monkeyp
     assert all(target is targets[0] for target in targets)
 
 
-def test_each_article_is_chunked_once(tmp_path, monkeypatch):
+def test_failed_ontology_write_stops_the_generations(data_copy, monkeypatch):
+    # the stage closes its article map, so the pool stops once the consumer raises
+    data = ontology_config_dict()
+    data["workers"] = 2
+    repairs = Counter()
+    repair_until_valid = pipeline.repair_until_valid
+
+    def counted(*args, **kwargs):
+        repairs["started"] += 1
+        time.sleep(0.05)
+        return repair_until_valid(*args, **kwargs)
+
+    def failed_write(path, payload):
+        raise OSError(f"cannot write {path}")
+
+    monkeypatch.setattr(pipeline, "repair_until_valid", counted)
+    monkeypatch.setattr(pipeline, "write_json", failed_write)
+    with pytest.raises(OSError, match="cannot write") as info:
+        run_pipeline(write_config(data_copy, data))
+    started = repairs["started"]
+    time.sleep(0.5)
+    # info holds the exception, and through its traceback the stage's frame,
+    # yet no article starts; at the failure each worker had started at most
+    # its second article of the 5
+    assert repairs["started"] == started <= 2 * data["workers"]
+
+
+def test_each_article_is_chunked_once(tmp_path, data_copy, monkeypatch):
     # a 20-token article over an 8-token limit, a short one and an empty one
     bodies = {"long": " ".join(f"w{i}" for i in range(20)), "short": "Acme recycles cans.", "empty": ""}
     corpus = tmp_path / "corpus.jsonl"
@@ -689,10 +717,25 @@ def test_each_article_is_chunked_once(tmp_path, monkeypatch):
             return _original(article, *args, **kwargs)
 
         monkeypatch.setattr(module, "chunk", counted)
+    # chunk is the only split of a body: nothing on the pipeline path reads word_count
+    word_count_reads = Counter()
+
+    def counted_word_count(article, _original=Article.word_count):
+        word_count_reads[article.id] += 1
+        return _original.fget(article)
+
+    monkeypatch.setattr(Article, "word_count", property(counted_word_count))
     manifest = run_pipeline(tmp_path / "pipeline_custom.json")
     assert chunked == {"long": 1, "short": 1, "empty": 1}
     assert manifest["stages"]["chunk"]["batches"] == 4
     assert manifest["stages"]["extract"]["triplets_parsed"] == 4
+    assert word_count_reads == {}
+
+    chunked.clear()
+    manifest = run_pipeline(data_copy / "pipeline_ontology.json")
+    assert chunked == {article.id: 1 for article in load_corpus(data_copy / "corpus_pipeline.jsonl")}
+    assert manifest["stages"]["ontology"]["documents"] > 0
+    assert word_count_reads == {}
 
 
 def write_corpus(path: Path, rows: list[dict]) -> None:
@@ -903,17 +946,13 @@ def test_map_articles_stops_submitting_after_a_failure():
     assert max(started) < 5 + window
 
 
-# the flat rows of batches.jsonl and generations.jsonl
-flat_rows = st.dictionaries(
-    json_text, json_text | st.integers(-3, 2**64) | st.none() | st.booleans(), max_size=6
-)
-
-
-@given(flat_rows)
-@example({"b": True, "a": False, "c": None, "d": 2**63, "e": -3, "\u2028": '"\\\x00'})
+@given(json_text, st.integers(0, 2**40), json_text)
+@example("\u2028", 0, '"\\\x00')
 @settings(max_examples=300, deadline=None)
-def test_json_line_writes_the_json_dumps_line(row):
-    assert pipeline._json_line(row) == json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
+def test_attempt_row_writes_the_json_dumps_line(article_id, attempt, output):
+    row = {"article_id": article_id, "attempt": attempt, "output": output}
+    filled = pipeline._ATTEMPT_ROW % (encode_basestring(article_id), attempt, encode_basestring(output))
+    assert filled == json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
 
 
 @given(json_text, st.integers(0, 2**40), st.integers(0, 2**40), st.integers(0, 2**40), json_text)
