@@ -178,7 +178,7 @@ def _cmd_fetch(args) -> int:
 
 
 def _cmd_chunk(args) -> int:
-    counts = chunk_stage(load_corpus(args.corpus, lazy=True), args.batch_size, Path(args.output))
+    counts = chunk_stage(load_corpus(args.corpus), args.batch_size, Path(args.output))
     print(f"wrote {counts['batches']} batches to {args.output}")
     return 0
 

@@ -17,7 +17,6 @@ from pathlib import Path
 from typing import NamedTuple
 from urllib.parse import urlparse
 
-from . import transport
 from .errors import TextkgError
 
 logger = logging.getLogger(__name__)
@@ -102,22 +101,16 @@ def _parse_record(record: object, line_number: int) -> Article:
     )
 
 
-def load_corpus(path: str | Path, *, lazy: bool = False) -> list[Article] | Iterator[Article]:
-    """Load a newline-delimited JSON corpus file, in file order.
+def load_corpus(path: str | Path) -> Iterator[Article]:
+    """The articles of a newline-delimited JSON corpus file, in file order.
 
-    Duplicate ids are rejected, blank lines are skipped. Articles with an
-    empty body are accepted (chunking will emit no batches for them) but
-    logged as a warning. With lazy, the articles come from an iterator that
-    reads one line per article it yields, so a bad line raises only when the
-    iterator reaches it.
+    One line is read per article yielded, so a bad line raises only when the
+    iterator reaches it. Duplicate ids are rejected, blank lines are skipped.
+    Articles with an empty body are accepted (chunking will emit no batches
+    for them) but logged as a warning.
     """
-    articles = _read_corpus(Path(path))
-    return articles if lazy else list(articles)
-
-
-def _read_corpus(path: Path) -> Iterator[Article]:
     seen: set[str] = set()
-    with path.open("rb") as handle:
+    with Path(path).open("rb") as handle:
         for line_number, line in enumerate(handle, start=1):
             try:  # decoded here, so a line that is not UTF-8 is named like one that is not JSON
                 text = line.decode("utf-8")
@@ -180,6 +173,7 @@ def fetch_articles(
     The query string is passed through verbatim. Records without a usable
     publication date are skipped with a warning.
     """
+    from . import transport  # here, so a run that sends no request never loads the network stack
     params = {
         "q": query,
         "from": date_from.isoformat(),

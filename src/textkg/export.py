@@ -8,15 +8,18 @@ classes and individuals differently. Output ordering is fully deterministic.
 
 from __future__ import annotations
 
+import heapq
+import re
 from collections import Counter
 from dataclasses import dataclass
-from xml.sax.saxutils import escape, quoteattr
 
 from .errors import TextkgError
-from .kgstore import KnowledgeBase, _block, _scalar, neighbours, reach
+from .kgstore import Key, KnowledgeBase, _block, _scalar, neighbours, reach
 
 FORMATS = ("dot", "graphml", "json")
 INSTANCE_OF = "instanceOf"
+# the characters XML 1.0 cannot carry, not even as a character reference
+_NOT_XML = re.compile(r"[\x00-\x08\x0b\x0c\x0e-\x1f\ufffe\uffff]")
 
 
 class UnknownSeedEntityError(TextkgError):
@@ -43,39 +46,29 @@ class ExportOptions:
             raise ValueError("radius must be nonnegative")
 
 
-def _node_kinds(kb: KnowledgeBase) -> dict[str, str]:
-    kinds = dict.fromkeys(kb.entities, "plain")
-    for subject, predicate, obj in kb.triples:
-        if predicate == INSTANCE_OF:
-            # concept wins when an entity is both typed and used as a type
-            if obj in kinds:
-                kinds[obj] = "concept"
-            if kinds.get(subject) == "plain":
-                kinds[subject] = "instance"
-    return kinds
-
-
-def _select_nodes(kb: KnowledgeBase, options: ExportOptions) -> set[str]:
+def _subgraph(kb: KnowledgeBase, options: ExportOptions) -> tuple[list[tuple[str, str]], list[Key]]:
+    """The selected entities in label order, each with its kind, and the
+    triples with both ends selected, sorted."""
     if options.seed_entity is not None:
         if options.seed_entity not in kb.entities:
             raise UnknownSeedEntityError(f"seed entity {options.seed_entity!r} is not in the KB")
-        return reach(neighbours(kb), options.seed_entity, options.radius)
-    if options.max_nodes is None or len(kb.entities) <= options.max_nodes:
-        return set(kb.entities)
-    degree = Counter()
-    for subject, _, obj in kb.triples:
-        degree[subject] += 1
-        degree[obj] += 1
-    ranked = sorted(kb.entities, key=lambda entity: (-degree[entity], entity))
-    return set(ranked[: options.max_nodes])
-
-
-def _selected_edges(kb: KnowledgeBase, nodes: set[str]) -> list[tuple[str, str, str]]:
-    return sorted(
-        (subject, predicate, obj)
-        for subject, predicate, obj in kb.triples
-        if subject in nodes and obj in nodes
-    )
+        kept = reach(neighbours(kb), options.seed_entity, options.radius)
+    elif options.max_nodes is None or len(kb.entities) <= options.max_nodes:
+        kept = kb.entities
+    else:  # the most triple endpoints (a self-loop counts twice), ties broken by label
+        degree = Counter(subject for subject, _, _ in kb.triples)
+        degree.update(obj for _, _, obj in kb.triples)
+        kept = set(heapq.nsmallest(options.max_nodes, kb.entities, key=lambda entity: (-degree[entity], entity)))
+    typings = [(subject, obj) for subject, predicate, obj in kb.triples if predicate == INSTANCE_OF]
+    concepts = {obj for _, obj in typings}
+    instances = {subject for subject, _ in typings}
+    # concept wins when an entity is both typed and used as a type
+    nodes = [
+        (label, "concept" if label in concepts else "instance" if label in instances else "plain")
+        for label in sorted(kept)
+    ]
+    edges = sorted(triple for triple in kb.triples if triple[0] in kept and triple[2] in kept)
+    return nodes, edges
 
 
 def _dot_quote(text: str) -> str:
@@ -92,6 +85,11 @@ def _render_dot(nodes: list[tuple[str, str]], edges: list[tuple[str, str, str]])
     return "\n".join(lines) + "\n"
 
 
+def _escape(text: str) -> str:
+    """text as GraphML character data; U+FFFD stands for each character XML 1.0 forbids."""
+    return _NOT_XML.sub("\ufffd", text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;"))
+
+
 def _render_graphml(nodes: list[tuple[str, str]], edges: list[tuple[str, str, str]]) -> str:
     node_ids = {label: f"n{index}" for index, (label, _) in enumerate(nodes)}
     lines = [
@@ -104,15 +102,12 @@ def _render_graphml(nodes: list[tuple[str, str]], edges: list[tuple[str, str, st
     ]
     for label, kind in nodes:
         lines.append(f'    <node id="{node_ids[label]}">')
-        lines.append(f'      <data key="d0">{escape(label)}</data>')
-        lines.append(f'      <data key="d1">{escape(kind)}</data>')
+        lines.append(f'      <data key="d0">{_escape(label)}</data>')
+        lines.append(f'      <data key="d1">{kind}</data>')
         lines.append("    </node>")
     for index, (subject, predicate, obj) in enumerate(edges):
-        lines.append(
-            f'    <edge id="e{index}" source={quoteattr(node_ids[subject])} '
-            f"target={quoteattr(node_ids[obj])}>"
-        )
-        lines.append(f'      <data key="d2">{escape(predicate)}</data>')
+        lines.append(f'    <edge id="e{index}" source="{node_ids[subject]}" target="{node_ids[obj]}">')
+        lines.append(f'      <data key="d2">{_escape(predicate)}</data>')
         lines.append("    </edge>")
     lines += ["  </graph>", "</graphml>"]
     return "\n".join(lines) + "\n"
@@ -147,10 +142,7 @@ def export_graph(kb: KnowledgeBase, format: str, options: ExportOptions | None =
     if format not in FORMATS:
         raise UnsupportedFormatError(f"unsupported format {format!r}; choose one of {', '.join(FORMATS)}")
     options = options if options is not None else ExportOptions()
-    kinds = _node_kinds(kb)
-    selected = _select_nodes(kb, options)
-    nodes = [(label, kinds[label]) for label in sorted(selected)]
-    edges = _selected_edges(kb, selected)
+    nodes, edges = _subgraph(kb, options)
     if format == "dot":
         return _render_dot(nodes, edges)
     if format == "graphml":

@@ -11,7 +11,6 @@ prompt drift surfaces as a missing fixture rather than a silent change.
 from __future__ import annotations
 
 import datetime as dt
-import email.utils
 import hashlib
 import json
 import logging
@@ -22,12 +21,14 @@ import threading
 import time
 from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Callable, NamedTuple
+from typing import TYPE_CHECKING, Callable, NamedTuple
 
-from . import transport
 from .chunking import TokenBatch, chunk
 from .corpus import Article
 from .errors import ConfigError, TextkgError
+
+if TYPE_CHECKING:
+    from . import transport
 
 logger = logging.getLogger(__name__)
 
@@ -341,6 +342,7 @@ def _retry_after_seconds(response: transport.Response) -> int:
     value = (response.headers.get("Retry-After") or "").strip()
     if value.isascii() and value.isdigit():
         return int(value)
+    import email.utils  # only a live backend's reply gets here
     try:
         when = email.utils.parsedate_to_datetime(value)
     except (ValueError, OverflowError):
@@ -353,6 +355,7 @@ def _retry_after_seconds(response: transport.Response) -> int:
 def _post_with_retry(
     config: BackendConfig, payload: dict, headers: dict, limiter: RateLimiter | None
 ) -> transport.Response:
+    from . import transport  # here, so a run that sends no request never loads the network stack
     last_error: BackendError | None = None
     retry_after = 0
     for attempt in range(config.max_retries + 1):

@@ -16,7 +16,6 @@ from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
-from . import transport
 from .errors import TextkgError
 from .extraction import Triplet
 from .kgstore import _block, _scalar, replacing
@@ -139,6 +138,7 @@ class LookupClient:
         self.base_url = base_url
 
     def lookup(self, query: str) -> list[dict]:
+        from . import transport  # here, so a run that sends no request never loads the network stack
         params = {QUERY_PARAM: query, "maxResults": str(MAX_RESULTS)}
         try:
             response = transport.request(

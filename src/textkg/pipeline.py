@@ -389,7 +389,7 @@ def read_corpus(config: PipelineConfig, counts: dict, metadata: list[ArticleMeta
     metadata; a bad line fails the corpus stage when it is reached."""
     counts.update(articles=0, empty_bodies=0)
     with _stage("corpus"):
-        corpus = load_corpus(config.resolve(config.corpus), lazy=True)
+        corpus = load_corpus(config.resolve(config.corpus))
         for article in filter_by_date(corpus, config.date_from, config.date_to):
             counts["articles"] += 1
             counts["empty_bodies"] += not article.body.strip()

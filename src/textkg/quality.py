@@ -12,6 +12,7 @@ from __future__ import annotations
 import json
 import re
 from collections import defaultdict
+from collections.abc import Iterable
 from dataclasses import asdict, dataclass, field
 from importlib import resources
 from pathlib import Path
@@ -129,7 +130,7 @@ def _connectivity(kb: KnowledgeBase) -> tuple[float, float]:
 
 
 def _compute_metrics(
-    kb: KnowledgeBase, corpus_meta: list[Article] | list[ArticleMeta], config: QualityConfig
+    kb: KnowledgeBase, corpus_meta: Iterable[Article] | Iterable[ArticleMeta], config: QualityConfig
 ) -> tuple[dict, list[str]]:
     warnings: list[str] = []
     total_instances = 0
@@ -199,7 +200,7 @@ def _compute_metrics(
 
 
 def evaluate(
-    kb: KnowledgeBase, corpus_meta: list[Article] | list[ArticleMeta], config: QualityConfig | None = None
+    kb: KnowledgeBase, corpus_meta: Iterable[Article] | Iterable[ArticleMeta], config: QualityConfig | None = None
 ) -> QualityReport:
     """Produce the full 18-principle report for one KB."""
     config = config if config is not None else QualityConfig()

@@ -215,7 +215,7 @@ def _write_fixture(directory: Path, prompt: str, response: str) -> None:
 
 def main(out_dir: Path = HERE) -> None:
     write_corpus(ARTICLES, out_dir / "corpus_pipeline.jsonl")
-    articles = load_corpus(out_dir / "corpus_pipeline.jsonl")
+    articles = list(load_corpus(out_dir / "corpus_pipeline.jsonl"))
 
     triples_dir = out_dir / "replay_triples"
     ontology_dir = out_dir / "replay_ontology"

@@ -4,12 +4,12 @@ here as the oracle."""
 
 from __future__ import annotations
 
-from collections import defaultdict, deque
+from collections import Counter, defaultdict, deque
 
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from textkg.export import ExportOptions, _node_kinds, _select_nodes
+from textkg.export import ExportOptions, _subgraph
 from textkg.extraction import Triplet
 from textkg.kgstore import KnowledgeBase, neighbours, reach, stats
 from textkg.quality import _ratio, evaluate
@@ -60,6 +60,15 @@ def oracle_component_sizes(kb: KnowledgeBase) -> list[int]:
     return sizes
 
 
+def oracle_top_degree(kb: KnowledgeBase, max_nodes: int) -> set[str]:
+    """The export degree ranking: a full sort on (-endpoints, label)."""
+    degree = Counter()
+    for subject, _, obj in kb.triples:
+        degree[subject] += 1
+        degree[obj] += 1
+    return set(sorted(kb.entities, key=lambda entity: (-degree[entity], entity))[:max_nodes])
+
+
 def oracle_node_kinds(kb: KnowledgeBase) -> dict[str, str]:
     """The export node kinds in two passes: instances, then concepts."""
     kinds = {entity: "plain" for entity in kb.entities}
@@ -97,7 +106,8 @@ def test_reach_matches_seed_walk(kb, data):
     expected = oracle_seed_walk(kb, seed, len(kb.entities) if radius is None else radius)
     assert reach(adjacency, seed, radius) == expected
     if seed in kb.entities and radius is not None:
-        assert _select_nodes(kb, ExportOptions(seed_entity=seed, radius=radius)) == expected
+        nodes, _ = _subgraph(kb, ExportOptions(seed_entity=seed, radius=radius))
+        assert {label for label, _ in nodes} == expected
 
 
 @given(kb=kbs())
@@ -123,4 +133,16 @@ def test_connectivity_metrics_match_oracle(kb):
 @given(kb=kbs())
 @settings(max_examples=300, deadline=None)
 def test_node_kinds_match_two_pass_oracle(kb):
-    assert _node_kinds(kb) == oracle_node_kinds(kb)
+    nodes, _ = _subgraph(kb, ExportOptions(max_nodes=None))
+    assert dict(nodes) == oracle_node_kinds(kb)
+
+
+@given(kb=kbs(), data=st.data())
+@settings(max_examples=300, deadline=None)
+def test_subgraph_keeps_top_degree_nodes_with_their_kinds(kb, data):
+    max_nodes = data.draw(st.integers(1, len(kb.entities) + 1), label="max_nodes")
+    nodes, edges = _subgraph(kb, ExportOptions(max_nodes=max_nodes))
+    kept = oracle_top_degree(kb, max_nodes)
+    kinds = oracle_node_kinds(kb)
+    assert nodes == [(label, kinds[label]) for label in sorted(kept)]
+    assert edges == sorted(triple for triple in kb.triples if triple[0] in kept and triple[2] in kept)

@@ -517,7 +517,7 @@ class TestFetch:
         assert request["params"]["language"] == ["en"]
         assert "X-Api-Key" not in request["headers"]
 
-        articles = load_corpus(out)
+        articles = list(load_corpus(out))
         assert [a.id for a in articles] == [
             "https://greenreport.example/soluna",
             "article-0003",
@@ -585,7 +585,7 @@ def non_utf8_corpus(tmp_path: Path) -> str:
 
 def first_replay_fixture() -> str:
     """The replay_triples file that answers the first corpus article."""
-    prompt = build_prompt(load_corpus(CORPUS)[0].body, "triples")
+    prompt = build_prompt(next(load_corpus(CORPUS)).body, "triples")
     return f"replay_triples/{request_fingerprint(prompt, 'fixture-model', 0.0)}.txt"
 
 
@@ -830,6 +830,22 @@ def test_error_paths_exit_without_traceback(case, tmp_path):
     assert "Traceback" not in result.stderr
     # one message, without the contents of the file it names
     assert len(result.stderr.encode("utf-8")) < 300, result.stderr
+
+
+@pytest.mark.parametrize("config_name", ["pipeline_triples.json", "pipeline_ontology.json"])
+def test_replay_run_never_loads_the_network_stack(config_name, data_copy):
+    # a fresh interpreter, because other tests import these modules
+    modules = ["ssl", "http.client", "urllib.request", "email.utils", "xml.sax"]
+    code = (
+        "import sys; from textkg.cli import main; "
+        f"code = main(['pipeline', '--config', {str(data_copy / config_name)!r}]); "
+        f"print(code, [name for name in {modules!r} if name in sys.modules])"
+    )
+    env = {**os.environ, "PYTHONPATH": str(Path(textkg.__file__).parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert result.stdout.splitlines()[-1] == "0 []", result.stderr
 
 
 def test_radius_zero_is_accepted(capsys):

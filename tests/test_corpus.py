@@ -54,7 +54,7 @@ def test_article_empty_id_rejected():
 
 def test_load_corpus_roundtrip(tmp_path):
     path = write_lines(tmp_path / "c.jsonl", [json.dumps(GOOD_RECORD)])
-    articles = load_corpus(path)
+    articles = list(load_corpus(path))
     assert len(articles) == 1
     assert articles[0].id == "a1"
     assert articles[0].published_at == dt.date(2023, 2, 20)
@@ -62,19 +62,27 @@ def test_load_corpus_roundtrip(tmp_path):
 
     out = tmp_path / "out.jsonl"
     write_corpus(articles, out)
-    assert load_corpus(out) == articles
+    assert list(load_corpus(out)) == articles
 
 
 def test_load_corpus_skips_blank_lines(tmp_path):
     path = write_lines(tmp_path / "c.jsonl", [json.dumps(GOOD_RECORD), "", "   "])
-    assert len(load_corpus(path)) == 1
+    assert len(list(load_corpus(path))) == 1
 
 
 def test_load_corpus_bad_json_reports_line_number(tmp_path):
     path = write_lines(tmp_path / "c.jsonl", [json.dumps(GOOD_RECORD), "{not json"])
     with pytest.raises(MalformedRecordError) as exc_info:
-        load_corpus(path)
+        list(load_corpus(path))
     assert exc_info.value.line_number == 2
+
+
+def test_load_corpus_reads_one_line_per_article(tmp_path):
+    path = write_lines(tmp_path / "c.jsonl", [json.dumps(GOOD_RECORD), "{not json", json.dumps(GOOD_RECORD)])
+    articles = load_corpus(path)
+    assert next(articles).id == "a1"
+    with pytest.raises(MalformedRecordError, match="line 2"):
+        next(articles)
 
 
 @pytest.mark.parametrize(
@@ -90,7 +98,7 @@ def test_load_corpus_rejects_bad_fields(tmp_path, mutation):
     record = {**GOOD_RECORD, **mutation}
     path = write_lines(tmp_path / "c.jsonl", [json.dumps(record)])
     with pytest.raises(MalformedRecordError):
-        load_corpus(path)
+        list(load_corpus(path))
 
 
 def test_load_corpus_missing_key(tmp_path):
@@ -98,14 +106,14 @@ def test_load_corpus_missing_key(tmp_path):
     del record["language"]
     path = write_lines(tmp_path / "c.jsonl", [json.dumps(record)])
     with pytest.raises(MalformedRecordError) as exc_info:
-        load_corpus(path)
+        list(load_corpus(path))
     assert "language" in str(exc_info.value)
 
 
 def test_load_corpus_duplicate_id(tmp_path):
     path = write_lines(tmp_path / "c.jsonl", [json.dumps(GOOD_RECORD)] * 2)
     with pytest.raises(DuplicateIdError) as exc_info:
-        load_corpus(path)
+        list(load_corpus(path))
     assert exc_info.value.article_id == "a1"
 
 
@@ -113,7 +121,7 @@ def test_load_corpus_empty_body_kept_and_logged(tmp_path, caplog):
     record = {**GOOD_RECORD, "body": "  "}
     path = write_lines(tmp_path / "c.jsonl", [json.dumps(record)])
     with caplog.at_level("WARNING"):
-        articles = load_corpus(path)
+        articles = list(load_corpus(path))
     assert len(articles) == 1
     assert articles[0].word_count == 0
     assert any("a1" in message for message in caplog.messages)

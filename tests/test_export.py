@@ -17,6 +17,7 @@ from textkg.export import (
 )
 from textkg.extraction import Triplet
 from textkg.kgstore import KnowledgeBase, add_triples
+from textkg.rdf import ontology_to_kb, parse_turtle
 
 _DOT_NODE = re.compile(r'^\s+"((?:[^"\\]|\\.)*)" \[kind="((?:[^"\\]|\\.)*)"\];$')
 _DOT_EDGE = re.compile(
@@ -120,6 +121,25 @@ class TestGraphml:
 
     def test_well_formed_xml(self):
         ET.fromstring(export_graph(sample_kb(), "graphml"))
+
+    def test_control_character_becomes_replacement_character(self):
+        # the Turtle reader keeps \x01, which XML 1.0 cannot carry even as a reference
+        doc = parse_turtle('@prefix ex: <http://e/> .\nex:A a owl:Class ; rdfs:label "Acme\x01Corp" .\nex:b a ex:A .\n')
+        kinds, _ = read_graphml(export_graph(ontology_to_kb(doc, source_id="x"), "graphml"))
+        assert kinds["Acme\ufffdCorp"] == "concept"
+
+
+# any text a triplet accepts, control characters included
+field_text = st.text().filter(str.strip)
+
+
+@given(triples=st.lists(st.tuples(field_text, field_text, field_text), max_size=4))
+@example(triples=[("Acme\x01Corp", "a\x00b", "\ufffe\uffff\x0b\x0c")])
+@settings(max_examples=200, deadline=None)
+def test_graphml_is_well_formed_for_any_label(triples):
+    kb = add_triples(KnowledgeBase(), [Triplet(*triple) for triple in triples])
+    graph = ET.fromstring(export_graph(kb, "graphml", ExportOptions(max_nodes=None)))[-1]
+    assert len(graph) == len(kb.entities) + len(kb.triples)
 
 
 class TestJson:

@@ -492,7 +492,7 @@ class TestRunPipeline:
     def test_article_without_a_valid_ontology_is_reported_not_folded(self, data_copy):
         config_path = data_copy / "pipeline_ontology.json"
         config = load_config(config_path)
-        first = load_corpus(config.resolve(config.corpus))[0]
+        first = next(load_corpus(config.resolve(config.corpus)))
         # the first generation and every repair of it answer the same invalid text
         invalid = "this is not turtle"
         for prompt in (build_prompt(first.body, "ontology"), build_repair_prompt(invalid, validate_text(invalid)[1])):
@@ -806,7 +806,7 @@ def test_ontology_stage_holds_a_constant_number_of_documents(data_copy, monkeypa
 )
 def test_failure_on_the_last_article_keeps_the_earlier_articles(data_copy, config_name, stage):
     config = load_config(data_copy / config_name)
-    articles = load_corpus(config.resolve(config.corpus))
+    articles = list(load_corpus(config.resolve(config.corpus)))
     last = articles[-1].id
     fixture_path(config.backend, build_prompt(articles[-1].body, config.mode)).unlink()
     with pytest.raises(StageError) as info:
@@ -841,8 +841,8 @@ def test_corpus_is_read_no_further_ahead_of_extraction_than_its_window(tmp_path,
     ahead: list[int] = []
     load_corpus = pipeline.load_corpus
 
-    def counted_reads(path, lazy=False):
-        for article in load_corpus(path, lazy=lazy):
+    def counted_reads(path):
+        for article in load_corpus(path):
             reads.append(article.id)
             yield article
 
