@@ -21,7 +21,6 @@ from .extraction import (
     parse_chat_triples,
     parse_seq2seq_output,
     request_fingerprint,
-    serialize_seq2seq_output,
 )
 from .kgstore import (
     KBStats,
@@ -94,7 +93,6 @@ __all__ = [
     "request_fingerprint",
     "run_pipeline",
     "save_kb",
-    "serialize_seq2seq_output",
     "serialize_turtle",
     "stats",
     "top_relations",

@@ -82,7 +82,7 @@ def _parse_record(record: object, line_number: int) -> Article:
     for key in REQUIRED_KEYS:
         if key not in record:
             raise MalformedRecordError(line_number, f"missing key {key!r}")
-    for key in ("id", "title", "body", "source_domain", "published_at", "language"):
+    for key in REQUIRED_KEYS:
         if not isinstance(record[key], str):
             raise MalformedRecordError(line_number, f"field {key!r} must be a string")
     try:
@@ -183,15 +183,9 @@ def fetch_articles(
     }
     headers = {"X-Api-Key": api_key} if api_key else {}
     try:
-        response = transport.request("GET", base_url, params=params, headers=headers, timeout=timeout)
+        payload = transport.get_json(base_url, params=params, headers=headers, timeout=timeout)
     except transport.TransportError as exc:
         raise FetchError(f"fetch failed: {exc}") from exc
-    if response.status >= 400:
-        raise FetchError(f"fetch failed: HTTP {response.status}")
-    try:
-        payload = json.loads(response.body)
-    except ValueError as exc:
-        raise FetchError(f"non-JSON response: {exc}") from exc
     records = payload.get("articles", []) if isinstance(payload, dict) else None
     if not isinstance(records, list):
         raise FetchError("unexpected response shape: no 'articles' list")

@@ -221,17 +221,6 @@ def parse_seq2seq_output(text: str, provenance: Provenance | None = None) -> tup
     return triplets, report
 
 
-def serialize_seq2seq_output(triplets: list[Triplet]) -> str:
-    """Render triplets back into marker-grammar text.
-
-    Round-trips through parse_seq2seq_output for fields that are non-empty,
-    whitespace-normalized, and free of marker substrings.
-    """
-    return " ".join(
-        f"<triplet> {t.subject} <subj> {t.predicate} <obj> {t.object}" for t in triplets
-    )
-
-
 def parse_chat_triples(text: str, provenance: Provenance | None = None) -> tuple[list[Triplet], ParseReport]:
     """Parse pipe-delimited chat output, one triple per line.
 

@@ -94,8 +94,8 @@ class LinkCache:
         """Read a cache file; a missing file is an empty cache.
 
         Raises TextkgError naming the file when it cannot be read, is not
-        UTF-8 JSON, or is not an object of {"iri", "label", "fetched_at"}
-        entries.
+        UTF-8 JSON, or is not an object of entries whose keys are exactly
+        "iri", "label" and "fetched_at", the entries ``put`` writes.
         """
         path = Path(path)
         if not path.exists():
@@ -103,28 +103,24 @@ class LinkCache:
         entries = _read_json(path, "link cache")
         if not isinstance(entries, dict) or not all(
             isinstance(entry, dict)
-            and isinstance(entry.get("fetched_at"), (int, float))
-            and all(key in entry and isinstance(entry[key], (str, type(None))) for key in ("iri", "label"))
+            and entry.keys() == {"iri", "label", "fetched_at"}
+            and isinstance(entry["fetched_at"], (int, float))
+            and all(isinstance(entry[key], (str, type(None))) for key in ("iri", "label"))
             for entry in entries.values()
         ):
             raise TextkgError(
                 f"link cache {path} must be a JSON object of entries with a string or null"
-                " iri and label and a numeric fetched_at"
+                " iri and label, a numeric fetched_at and no other key"
             )
         return cls(entries)
 
     def save(self, path: str | Path) -> None:
         """Write the bytes of json.dumps(entries, ensure_ascii=False, indent=2,
-        sort_keys=True) plus a newline through ``replacing``. An entry of
-        exactly iri, label and fetched_at fills one template; one with other
-        keys is encoded by json."""
+        sort_keys=True) plus a newline through ``replacing``. Every entry has
+        exactly iri, label and fetched_at, so each fills one template."""
         entry = _block("{", "}", ['"fetched_at": %s', '"iri": %s', '"label": %s'], "  ")
         items = [
-            _scalar(key) + ": " + (
-                entry % (_scalar(value["fetched_at"]), _scalar(value["iri"]), _scalar(value["label"]))
-                if len(value) == 3
-                else json.dumps(value, ensure_ascii=False, indent=2, sort_keys=True).replace("\n", "\n  ")
-            )
+            _scalar(key) + ": " + entry % (_scalar(value["fetched_at"]), _scalar(value["iri"]), _scalar(value["label"]))
             for key, value in sorted(self.entries.items())
         ]
         with replacing(Path(path)) as handle:
@@ -141,17 +137,11 @@ class LookupClient:
         from . import transport  # here, so a run that sends no request never loads the network stack
         params = {QUERY_PARAM: query, "maxResults": str(MAX_RESULTS)}
         try:
-            response = transport.request(
-                "GET", self.base_url, params=params, headers={"Accept": "application/json"}, timeout=TIMEOUT_SECONDS
+            payload = transport.get_json(
+                self.base_url, params=params, headers={"Accept": "application/json"}, timeout=TIMEOUT_SECONDS
             )
         except transport.TransportError as exc:
             raise LookupUnavailableError(f"lookup failed: {exc}") from exc
-        if response.status >= 400:
-            raise LookupUnavailableError(f"lookup failed: HTTP {response.status}")
-        try:
-            payload = json.loads(response.body)
-        except ValueError as exc:
-            raise LookupUnavailableError(f"non-JSON lookup response: {exc}") from exc
         return _ranked_results(payload)
 
 

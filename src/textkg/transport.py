@@ -1,7 +1,7 @@
 """The one place textkg opens network connections: a small stdlib HTTP client.
 
-Every HTTP status comes back as a ``Response``; only failures to get one
-raise. Redirects are followed, but ``Authorization`` and ``X-Api-Key`` are
+Every HTTP status comes back from ``request`` as a ``Response``; only failures
+to get one raise. Redirects are followed, but ``Authorization`` and ``X-Api-Key`` are
 not sent on to another origin (scheme, host and port). Each request opens its own connection and closes it with the
 response. TLS verifies against the system trust store (``SSL_CERT_FILE``
 and ``SSL_CERT_DIR`` are honoured), and ``*_PROXY`` / ``NO_PROXY`` apply as
@@ -132,3 +132,15 @@ def request(
         if _is_timeout(exc):
             raise TransportTimeoutError(f"{method} {url}: no response within {timeout}s") from exc
         raise TransportError(f"{method} {url}: {exc}") from exc
+
+
+def get_json(url: str, *, params: dict[str, str], headers: dict[str, str] | None = None, timeout: float) -> object:
+    """url's body decoded as JSON, from a GET; like ``request``, but TransportError("HTTP <status>")
+    for a status of 400 or more and TransportError("non-JSON response: ...") for a body that is not JSON."""
+    response = request("GET", url, params=params, headers=headers, timeout=timeout)
+    if response.status >= 400:
+        raise TransportError(f"HTTP {response.status}")
+    try:
+        return json.loads(response.body)
+    except ValueError as exc:
+        raise TransportError(f"non-JSON response: {exc}") from exc

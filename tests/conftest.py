@@ -43,6 +43,15 @@ def make_triplet(subject: str, predicate: str, obj: str, article_id: str = "a1")
     return Triplet(subject, predicate, obj, Provenance(article_id, 0, "test-backend"))
 
 
+def serialize_seq2seq_output(triplets: list[Triplet]) -> str:
+    """Render triplets back into marker-grammar text.
+
+    Round-trips through parse_seq2seq_output for fields that are non-empty,
+    whitespace-normalized, and free of marker substrings.
+    """
+    return " ".join(f"<triplet> {t.subject} <subj> {t.predicate} <obj> {t.object}" for t in triplets)
+
+
 class RecordingHandler(BaseHTTPRequestHandler):
     """Records every request and answers from server.script.
 

@@ -16,19 +16,14 @@ from pathlib import Path
 
 from textkg.chunking import chunk
 from textkg.corpus import Article
-from textkg.extraction import (
-    Provenance,
-    Triplet,
-    parse_seq2seq_output,
-    serialize_seq2seq_output,
-)
+from textkg.extraction import Provenance, Triplet, parse_seq2seq_output
 from textkg.kgstore import KnowledgeBase, comparison_table, load_kb, merge
 from textkg.linking import FileLookupClient, canonicalize, normalize_surface
 from textkg.pipeline import run_pipeline
 from textkg.quality import evaluate
 from textkg.rdf import ontology_to_kb, parse_turtle, serialize_turtle, validate_text
 
-from .conftest import DATA_DIR, GOLDEN_DIR
+from .conftest import DATA_DIR, GOLDEN_DIR, serialize_seq2seq_output
 from .test_quality import build_quality_fixture
 
 

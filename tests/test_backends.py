@@ -3,12 +3,14 @@ from __future__ import annotations
 import datetime as dt
 import email.utils
 import json
+import socket
 from pathlib import Path
 
 import pytest
 
 import textkg.extraction as extraction
 from textkg import transport
+from textkg.cli import main
 from textkg.corpus import Article
 from textkg.errors import ConfigError
 from textkg.extraction import (
@@ -269,6 +271,65 @@ class TestRateLimiter:
     def test_rejects_nonpositive_rate(self):
         with pytest.raises(ValueError):
             RateLimiter(0)
+
+
+@pytest.fixture()
+def acquires(monkeypatch, server):
+    """The number of requests the server had seen at each RateLimiter.acquire."""
+    seen: list[int] = []
+    acquire = RateLimiter.acquire
+
+    def counting(self):
+        seen.append(len(server.requests))
+        acquire(self)
+
+    monkeypatch.setattr(RateLimiter, "acquire", counting)
+    return seen
+
+
+def refused_url() -> str:
+    """A loopback URL on a port nothing listens on."""
+    with socket.socket() as sock:
+        sock.bind(("127.0.0.1", 0))
+        port = sock.getsockname()[1]
+    return f"http://127.0.0.1:{port}/v1"
+
+
+class TestLivePathFaults:
+    def test_every_request_attempt_waits_on_the_limiter(self, server, fast_sleep, acquires):
+        server.script = [(503, "busy"), (200, CHAT_OK)]
+        assert generate(chat_config(server.url), "p", limiter=RateLimiter(1000.0)) == "A | b | C"
+        assert len(server.requests) == 2
+        assert acquires == [0, 1]
+
+    def test_extract_command_spaces_its_requests(self, server, fast_sleep, acquires, data_copy, tmp_path):
+        config = data_copy / "pipeline_triples.json"
+        data = json.loads(config.read_text(encoding="utf-8"))
+        data["backends"] = [{"backend_id": "live", "kind": "chat_triples", "endpoint": server.url,
+                             "model_name": "m1", "temperature": 0.0, "max_input_tokens": 10_000}]
+        data.update(backend_id="live", rate_limit_per_second=1000.0)
+        config.write_text(json.dumps(data), encoding="utf-8")
+        server.script = [(503, "busy")] + [(200, CHAT_OK)] * 10
+        argv = ["extract", "--config", str(config), "--backend", "live", "-o", str(tmp_path / "triples.jsonl")]
+        assert main(argv) == 0
+        # one request per whole article of the bundled corpus, plus the retried one
+        assert len(server.requests) == 6
+        assert acquires == list(range(6))
+
+    def test_refused_connection_is_retried_then_fails(self, fast_sleep):
+        with pytest.raises(HttpError, match="^request failed: ") as exc_info:
+            generate(chat_config(refused_url(), max_retries=2), "p")
+        assert exc_info.value.status is None
+        assert fast_sleep == [0.5, 1.0]
+
+    def test_refused_connection_is_a_failed_batch_under_skip(self, fast_sleep):
+        triplets, report = extract_article(
+            make_article("Soluna soaks up excess energy."), chat_config(refused_url()), on_batch_error="skip"
+        )
+        assert triplets == []
+        assert report.failed_batches == [None]
+        assert "generation failed: request failed: " in report.skip_reasons[0][1]
+        assert len(fast_sleep) == 2
 
 
 def make_article(body: str, article_id: str = "a1") -> Article:

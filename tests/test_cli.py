@@ -3,6 +3,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import os
 import shutil
@@ -14,10 +15,12 @@ import pytest
 
 import textkg
 from textkg import __version__
-from textkg.cli import main
+from textkg.cli import build_parser, main
 from textkg.corpus import load_corpus
-from textkg.extraction import build_prompt, request_fingerprint
+from textkg.extraction import build_prompt, fixture_path, request_fingerprint
 from textkg.kgstore import load_kb
+from textkg.pipeline import load_config
+from textkg.rdf import build_repair_prompt, validate_text
 
 from .conftest import DATA_DIR, GOLDEN_DIR, NEWS_PAYLOAD
 
@@ -110,6 +113,21 @@ class TestValidate:
         code, stdout, _ = run(capsys, "validate", str(DATA_DIR / "soluna.ttl"))
         assert code == 0
         assert "valid (0 warning(s))" in stdout
+
+    def test_untyped_individual_is_a_warning_of_a_valid_file(self, capsys, tmp_path):
+        path = tmp_path / "doc.ttl"
+        path.write_text(
+            "@prefix ex: <http://example.org/kg#> .\n"
+            "ex:knows a owl:ObjectProperty .\n"
+            "ex:a a owl:NamedIndividual ; ex:knows ex:b .\n",
+            encoding="utf-8",
+        )
+        code, stdout, _ = run(capsys, "validate", str(path))
+        assert code == 0
+        assert stdout.splitlines() == [
+            "warning: [UntypedIndividual] (ex:b) ex:b appears in assertions but is never given a type",
+            f"{path}: valid (1 warning(s))",
+        ]
 
     def test_undeclared_property_fails(self, capsys, tmp_path):
         path = tmp_path / "bad.ttl"
@@ -667,6 +685,20 @@ def non_utf8_line(tmp_path: Path, source: str, number: int) -> str:
     return str(path)
 
 
+def exhausted_repair_argv(tmp_path: Path) -> list[str]:
+    """repair of an invalid file whose every repair answers the same invalid
+    text, in a copy of tests/data holding that answer as a replay fixture."""
+    target = tmp_path / "data"
+    shutil.copytree(DATA_DIR, target)
+    config = target / "pipeline_ontology.json"
+    invalid = "this is not turtle"
+    prompt = build_repair_prompt(invalid, validate_text(invalid)[1])
+    fixture_path(load_config(config).backend, prompt).write_text(invalid, encoding="utf-8")
+    (tmp_path / "doc.ttl").write_text(invalid, encoding="utf-8")
+    return ["repair", str(tmp_path / "doc.ttl"), "--config", str(config), "--backend", "replay-onto",
+            "--max-attempts", "2", "-o", str(tmp_path / "out.ttl")]
+
+
 GOLDEN_KB = str(GOLDEN_DIR / "triples" / "kb.json")
 GOLDEN_TRIPLES = str(GOLDEN_DIR / "triples" / "triples.jsonl")
 CORPUS = str(DATA_DIR / "corpus_pipeline.jsonl")
@@ -734,6 +766,9 @@ CLI_ERROR_PATHS = {
                    "--backend", "replay-onto", "-o", str(t / "out.ttl")],
         1,
         "doc.ttl is not UTF-8",
+    ),
+    "repair-attempts-exhausted": (
+        exhausted_repair_argv, 1, "error: still invalid after 2 repair attempt(s)"
     ),
     "pipeline-inverted-date-window": (
         lambda t: ["pipeline", "--config", inverted_window_config(t)], 2, "is after"
@@ -820,9 +855,10 @@ CLI_ERROR_PATHS = {
 @pytest.mark.parametrize("case", sorted(CLI_ERROR_PATHS))
 def test_error_paths_exit_without_traceback(case, tmp_path):
     build_argv, exit_code, fragment = CLI_ERROR_PATHS[case]
+    argv = build_argv(tmp_path)
     env = {**os.environ, "PYTHONPATH": str(Path(textkg.__file__).parents[1])}
     result = subprocess.run(
-        [sys.executable, "-m", "textkg.cli", *build_argv(tmp_path)],
+        [sys.executable, "-m", "textkg.cli", *argv],
         cwd=tmp_path, env=env, capture_output=True, text=True, timeout=60,
     )
     assert result.returncode == exit_code, result.stderr
@@ -830,6 +866,10 @@ def test_error_paths_exit_without_traceback(case, tmp_path):
     assert "Traceback" not in result.stderr
     # one message, without the contents of the file it names
     assert len(result.stderr.encode("utf-8")) < 300, result.stderr
+    # no output document is left behind; a row file (.jsonl) keeps the rows
+    # written before the failure, as a failed run's row files do
+    output = argv[argv.index("-o") + 1] if "-o" in argv else ".jsonl"
+    assert output.endswith(".jsonl") or not (tmp_path / output).exists()
 
 
 @pytest.mark.parametrize("config_name", ["pipeline_triples.json", "pipeline_ontology.json"])
@@ -846,6 +886,20 @@ def test_replay_run_never_loads_the_network_stack(config_name, data_copy):
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
     )
     assert result.stdout.splitlines()[-1] == "0 []", result.stderr
+
+
+def test_readme_cli_and_layout_blocks_match_the_code():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+
+    def block(heading: str) -> list[str]:
+        return readme.split(f"\n## {heading}\n", 1)[1].split("```\n", 2)[1].splitlines()
+
+    subparsers = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    assert sorted(line.split()[1] for line in block("CLI")) == sorted(subparsers.choices)
+    package = Path(textkg.__file__).parent
+    modules = sorted(path.name for path in package.glob("*.py") if path.name != "__init__.py")
+    layout = [line.split()[0] for line in block("Layout") if line.startswith("  ")]
+    assert sorted(name for name in layout if name.endswith(".py")) == modules
 
 
 def test_radius_zero_is_accepted(capsys):

@@ -101,6 +101,24 @@ def test_load_corpus_rejects_bad_fields(tmp_path, mutation):
         list(load_corpus(path))
 
 
+@pytest.mark.parametrize(
+    ("line", "message"),
+    [
+        (json.dumps(list(GOOD_RECORD.values())), "line 2: record is not a JSON object"),
+        (json.dumps({**GOOD_RECORD, "id": ""}), "line 2: empty id"),
+        # every missing key is reported before any badly typed one, each in REQUIRED_KEYS order
+        (json.dumps({k: v for k, v in GOOD_RECORD.items() if k != "language"} | {"id": 7}),
+         "line 2: missing key 'language'"),
+        (json.dumps({**GOOD_RECORD, "title": None, "language": 3}), "line 2: field 'title' must be a string"),
+    ],
+)
+def test_load_corpus_names_the_line_and_the_first_fault(tmp_path, line, message):
+    path = write_lines(tmp_path / "c.jsonl", [json.dumps({**GOOD_RECORD, "id": "a0"}), line])
+    with pytest.raises(MalformedRecordError) as exc_info:
+        list(load_corpus(path))
+    assert str(exc_info.value) == message
+
+
 def test_load_corpus_missing_key(tmp_path):
     record = dict(GOOD_RECORD)
     del record["language"]

@@ -11,8 +11,9 @@ from textkg.extraction import (
     Triplet,
     parse_chat_triples,
     parse_seq2seq_output,
-    serialize_seq2seq_output,
 )
+
+from .conftest import serialize_seq2seq_output
 
 
 class TestSeq2seqParser:

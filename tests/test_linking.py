@@ -212,7 +212,7 @@ class TestLookupClientParsing:
     @pytest.mark.parametrize(
         "status, body, message",
         [(404, "{}", "lookup failed: HTTP 404"), (503, "busy", "lookup failed: HTTP 503"),
-         (200, "<html>", "non-JSON lookup response")],
+         (200, "<html>", "lookup failed: non-JSON response")],
     )
     def test_unusable_answers_become_unavailable(self, server, status, body, message):
         server.script = [(status, body)]
@@ -497,6 +497,20 @@ class TestLinkCacheCorruption:
         with pytest.raises(TextkgError, match="link_cache.json"):
             LinkCache.load(path)
 
+    def test_link_cache_with_an_unknown_entry_key_is_refused(self, tmp_path):
+        path = tmp_path / "link_cache.json"
+        cache = LinkCache()
+        cache.put("Soluna", SOLUNA_IRI, "Soluna", now=5.0)
+        cache.put("mystery", None, None, now=5.0)
+        cache.save(path)
+        assert LinkCache.load(path).entries == cache.entries
+        # put never writes another key, so such an entry comes from a file the program did not write
+        entries = json.loads(path.read_text(encoding="utf-8"))
+        entries["soluna"]["note"] = "hand-edited"
+        path.write_text(json.dumps(entries), encoding="utf-8")
+        with pytest.raises(TextkgError, match=r"link cache .*link_cache\.json must be .* no other key"):
+            LinkCache.load(path)
+
 
 # surfaces that collide once normalized, two spellings whose service labels
 # differ for one IRI, and surfaces the service does not know
@@ -629,14 +643,6 @@ cache_entries = st.dictionaries(
             "iri": st.none() | st.text(max_size=8),
             "label": st.none() | st.text(max_size=8),
             "fetched_at": st.integers(-(2**40), 2**40) | st.floats(allow_nan=False, allow_infinity=False),
-        },
-        # extra keys, as LinkCache.load accepts them, are encoded by json
-        optional={
-            "extra": st.recursive(
-                st.none() | st.booleans() | st.text(max_size=4),
-                lambda inner: st.lists(inner, max_size=3) | st.dictionaries(st.text(max_size=4), inner, max_size=3),
-                max_leaves=6,
-            )
         },
     ),
     max_size=6,

@@ -212,6 +212,13 @@ class TestLoadConfig:
         with pytest.raises(ConfigError, match=hint):
             load_config(write_config(tmp_path, data))
 
+    @pytest.mark.parametrize(("section", "key"), [(None, "rate_limit_per_second"), ("export", "max_nodes")])
+    def test_null_optional_key_loads_as_none(self, tmp_path, section, key):
+        data = triples_config_dict()
+        (data[section] if section else data)[key] = None
+        config = load_config(write_config(tmp_path, data))
+        assert getattr(getattr(config, section) if section else config, key) is None
+
     def test_dates_parsed_to_date_objects(self, tmp_path):
         data = triples_config_dict()
         data["date_from"] = "2023-02-20"
@@ -507,6 +514,20 @@ class TestRunPipeline:
         assert not (ontologies / f"{first.id}.ttl").exists()
         kb = load_kb(data_copy / "run_ontology" / "kb.json")
         assert first.id not in {p.article_id for provenance in kb.triples.values() for p in provenance}
+
+    def test_empty_body_article_makes_no_request_in_ontology_mode(self, data_copy):
+        corpus = data_copy / "corpus_pipeline.jsonl"
+        lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+        blank = {**json.loads(lines[0]), "id": "blank", "body": " \n\t "}
+        corpus.write_text("".join(lines[:2] + [json.dumps(blank) + "\n"] + lines[2:]), encoding="utf-8")
+        # no replay fixture answers for "blank", so a request for it would fail the run
+        manifest = run_pipeline(data_copy / "pipeline_ontology.json")
+        assert manifest["stages"]["corpus"] == {"articles": 6, "empty_bodies": 1}
+        assert manifest["stages"]["ontology"]["documents"] == 5
+        run_dir = data_copy / "run_ontology"
+        assert snapshot(run_dir / "ontologies") == snapshot(GOLDEN_DIR / "ontology" / "ontologies")
+        for name in ("batches.jsonl", "generations.jsonl"):
+            assert (run_dir / name).read_bytes() == (GOLDEN_DIR / "ontology" / name).read_bytes(), name
 
     def test_date_filter_limits_corpus(self, data_copy):
         data = json.loads((data_copy / "pipeline_triples.json").read_text())

@@ -187,6 +187,14 @@ class TestEdgeCases:
         assert any("ghost" in warning for warning in report.warnings)
         assert report.metrics["distinct_source_domains"] == 0
 
+    def test_render_report_ends_with_the_warnings_block(self):
+        kb = KnowledgeBase()
+        kb.add_triple(Triplet("A", "r", "B", Provenance("ghost", 0, "b")))
+        text = render_report(evaluate(kb, []))
+        assert text.endswith(
+            "\n\nwarnings:\n  provenance references article 'ghost' missing from corpus metadata\n"
+        )
+
     def test_self_loop_not_an_edge_for_components(self):
         kb = KnowledgeBase()
         kb.add_triple(Triplet("A", "r", "A"))
