@@ -12,6 +12,7 @@ import json
 import logging
 import os
 import sys
+from contextlib import closing
 from pathlib import Path
 
 from . import __version__
@@ -221,11 +222,9 @@ def _load_triples_file(path: str) -> list[Triplet]:
 
 def _cmd_link(args) -> int:
     config = load_config(args.config)
-    link = LinkStage(config)
-    triplets = _load_triples_file(args.triples)
-    link.linker.resolve(triplets, config.workers)
-    link.fold(triplets)
-    kb, counts = link.finish()
+    with closing(LinkStage(config)) as link:
+        link.fold(_load_triples_file(args.triples))
+        kb, counts = link.finish()
     kb_stage(kb, Path(args.output))
     print(f"wrote KB to {args.output} ({counts['entities']} entities, {counts['linked']} linked)")
     return 0

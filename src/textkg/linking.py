@@ -10,9 +10,8 @@ from __future__ import annotations
 import functools
 import json
 import logging
-import threading
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Executor, ThreadPoolExecutor
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -104,7 +103,7 @@ class LinkCache:
         if not isinstance(entries, dict) or not all(
             isinstance(entry, dict)
             and entry.keys() == {"iri", "label", "fetched_at"}
-            and isinstance(entry["fetched_at"], (int, float))
+            and type(entry["fetched_at"]) in (int, float)  # not a bool
             and all(isinstance(entry[key], (str, type(None))) for key in ("iri", "label"))
             for entry in entries.values()
         ):
@@ -247,25 +246,23 @@ def link_entity(
 class Linker:
     """canonicalize continued over successive lists of triplets: link
     rewrites each list as one canonicalize call over all the lists so far
-    would. resolve may run on several threads at once; they share the
-    lookups in flight, so each normalized surface is still looked up once."""
+    would. One thread uses a Linker; only the lookups that resolve hands to
+    a pool run on the pool's threads."""
 
     def __init__(self, client=None, cache: LinkCache | None = None, *, match="exact", on_error="fallback", now=None):
         self._lookup = functools.partial(
             link_entity, client=client, cache=cache, match=match, on_error=on_error, now=now
         )
-        # normalized surface -> its lookup result, or a lock held while it is looked up
-        self._resolved: dict[str, LinkedEntity | threading.Lock] = {}
-        self._lock = threading.Lock()
+        self._resolved: dict[str, LinkedEntity] = {}  # normalized surface -> its lookup result
         self._labels: dict[str, str] = {}  # raw subject or object -> canonical label
         self._iri_labels: dict[str, str] = {}  # the first label given to each IRI
         self._predicates: dict[str, str] = {}
         self.table: dict[str, LinkedEntity] = {}  # canonical label -> entity, in first-seen order
 
-    def resolve(self, triplets: list[Triplet], workers: int = 1) -> None:
-        """Look up the subjects and objects whose normalized surface is
-        neither looked up nor being looked up, on up to workers threads. The
-        first lookup that raises cancels the lookups not yet started."""
+    def resolve(self, triplets: list[Triplet], pool: Executor) -> None:
+        """Look up the subjects and objects whose normalized surface is not
+        looked up yet, on pool. The first lookup that raises cancels the
+        lookups not yet started."""
         todo: dict[str, str] = {}  # normalized -> first surface seen
         for triplet in triplets:
             for surface in (triplet.subject, triplet.object):
@@ -273,36 +270,8 @@ class Linker:
                     key = normalize_surface(surface)
                     if key not in self._resolved:
                         todo.setdefault(key, surface)
-        if workers > 1 and len(todo) > 1:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                # map cancels the pending lookups once a result it yields raises
-                list(pool.map(self._resolve, todo, todo.values()))
-        else:
-            list(map(self._resolve, todo, todo.values()))
-
-    def _resolve(self, key: str, surface: str) -> LinkedEntity:
-        """key's lookup result: the one known, the one another thread is
-        making, or else a lookup of surface made here."""
-        with self._lock:
-            result = self._resolved.get(key)
-            if result is None:
-                busy = self._resolved[key] = threading.Lock()
-                busy.acquire()
-        if isinstance(result, LinkedEntity):
-            return result
-        if result is not None:
-            with result:  # released when that lookup ends
-                pass
-            return self._resolve(key, surface)  # its result, or a lookup here if it raised
-        try:
-            entity = self._resolved[key] = self._lookup(surface)
-        except BaseException:
-            with self._lock:
-                del self._resolved[key]
-            raise
-        finally:
-            busy.release()
-        return entity
+        # map cancels the pending lookups once a result it yields raises
+        self._resolved.update(zip(todo, pool.map(self._lookup, todo.values())))
 
     def link(self, triplets: list[Triplet]) -> list[Triplet]:
         """The triplets with canonical subjects and objects and normalized
@@ -322,7 +291,9 @@ class Linker:
     def _label(self, key: str, surface: str) -> str:
         """key's canonical label, from its resolved entity; the first surface
         seen for a new label names its table entry."""
-        entity = self._resolve(key, surface)
+        entity = self._resolved.get(key)
+        if entity is None:
+            entity = self._resolved[key] = self._lookup(surface)
         iri = entity.canonical_iri
         # first label seen for an IRI wins, so co-linked mentions agree
         label = entity.label if iri is None else self._iri_labels.setdefault(iri, entity.label)
@@ -360,5 +331,6 @@ def canonicalize(
     if linker is None:
         linker = Linker(client, cache, match=match, on_error=on_error, now=now)
     if workers > 1:
-        linker.resolve(triplets, workers)
+        with ThreadPoolExecutor(max_workers=workers) as pool:
+            linker.resolve(triplets, pool)
     return linker.link(triplets), linker.table

@@ -38,7 +38,7 @@ from .extraction import (
     extract_article,
     generate,
 )
-from .kgstore import KnowledgeBase, _scalar, add_triples, row_encoder, save_kb, stats, write_json
+from .kgstore import KnowledgeBase, _scalar, add_triples, replacing, row_encoder, save_kb, stats, write_json
 from .linking import FileLookupClient, LinkCache, Linker, LookupClient, canonicalize
 from .quality import QualityConfig, evaluate, render_report, save_report
 from .rdf import ontology_to_kb, repair_until_valid, serialize_turtle
@@ -398,9 +398,10 @@ def read_corpus(config: PipelineConfig, counts: dict, metadata: list[ArticleMeta
 
 
 def chunk_stage(articles: Iterable[Article], batch_size: int, path: Path) -> dict:
-    """Write one row per token batch of every article."""
+    """Write one row per token batch of every article through ``replacing``,
+    so a failure leaves path as it was."""
     count = 0
-    with _open_lines(path) as handle:
+    with replacing(path) as handle:
         for article in articles:
             batches = chunk(article, batch_size=batch_size)
             count += len(batches)
@@ -409,8 +410,10 @@ def chunk_stage(articles: Iterable[Article], batch_size: int, path: Path) -> dic
 
 
 class LinkStage:
-    """The link stage, fed one article's triplets at a time; each feed is
-    canonicalized as one call over all the triplets fed so far would be."""
+    """The link stage, fed one article's triplets at a time on one thread;
+    each feed is canonicalized as one call over all the triplets fed so far
+    would be. With `workers` above 1, a feed's new mentions are looked up on
+    a pool of that many threads that lasts until close."""
 
     def __init__(self, config: PipelineConfig):
         settings = config.linking
@@ -423,9 +426,17 @@ class LinkStage:
         self.cache = LinkCache.load(self.cache_path) if self.cache_path else None
         self.linker = Linker(client, self.cache, match=settings.match, on_error=settings.on_error)
         self.kb = KnowledgeBase(link_config=settings.identity())
+        self.pool = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
 
     def fold(self, triplets: list[Triplet]) -> None:
+        if self.pool is not None:
+            self.linker.resolve(triplets, self.pool)
         add_triples(self.kb, canonicalize(triplets, linker=self.linker)[0])
+
+    def close(self) -> None:
+        """Cancel the lookups not started and wait for the rest."""
+        if self.pool is not None:
+            self.pool.shutdown(cancel_futures=True)
 
     def finish(self) -> tuple[KnowledgeBase, dict]:
         """Save the link cache and give the KB its entity links."""
@@ -448,7 +459,7 @@ def extract_stage(
     """Chunk every article and extract its triplets with the configured
     backend. As each article completes, in corpus order, write its batch,
     generation and triple rows and, given link, fold its triplets in, their
-    lookups made on the article's worker. Returns the chunk and extract
+    lookups made on the link stage's pool. Returns the chunk and extract
     stages' counts."""
     backend = config.backend
     limiter = _rate_limiter(config)
@@ -471,9 +482,6 @@ def extract_stage(
             limiter=limiter,
             on_generation=on_generation,
         )
-        if link is not None and config.workers > 1:
-            with _stage("link"):
-                link.linker.resolve(triplets)
         return batches, triplets, parse_report, rows
 
     batch_count = 0
@@ -629,11 +637,11 @@ def run_pipeline(config_path: str | Path) -> dict:
         # one pass: each article is read, chunked, extracted, linked and folded
         # into the KB in corpus order, so that only the KB, the linker's
         # tables and the articles' metadata outlive the loop
-        link = run("link", LinkStage, config)
-        stages["chunk"], stages["extract"] = run(
-            "extract", extract_stage, config, corpus, triples_path, generations_path, batches_path, link
-        )
-        kb, stages["link"] = run("link", link.finish)
+        with closing(run("link", LinkStage, config)) as link:
+            stages["chunk"], stages["extract"] = run(
+                "extract", extract_stage, config, corpus, triples_path, generations_path, batches_path, link
+            )
+            kb, stages["link"] = run("link", link.finish)
     else:
         # the file names of all articles are checked before any generation
         articles = list(corpus)

@@ -18,6 +18,15 @@ DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
 
 
+@pytest.fixture(autouse=True)
+def no_thread_left_running():
+    """Fail a test that leaves a non-daemon thread it started still running."""
+    before = set(threading.enumerate())
+    yield
+    left = [thread for thread in threading.enumerate() if thread not in before and not thread.daemon]
+    assert not left, f"threads still running after the test: {left}"
+
+
 @pytest.fixture()
 def data_copy(tmp_path: Path) -> Path:
     """Copy of tests/data in a scratch directory, so pipeline runs that write

@@ -107,6 +107,16 @@ class TestChunk:
         assert code == 1
         assert stderr.startswith("error:")
 
+    def test_failed_rerun_keeps_the_earlier_file(self, capsys, data_copy, tmp_path):
+        out = tmp_path / "b.jsonl"
+        assert run(capsys, "chunk", str(data_copy / "corpus_pipeline.jsonl"), "-o", str(out))[0] == 0
+        written = out.read_bytes()
+        code, _, stderr = run(capsys, "chunk", non_utf8_corpus(tmp_path), "-o", str(out))
+        assert code == 1
+        assert stderr.startswith("error:")
+        assert out.read_bytes() == written
+        assert not list(tmp_path.glob("*.tmp"))
+
 
 class TestValidate:
     def test_valid_file(self, capsys):
@@ -414,7 +424,9 @@ class TestExtract:
 
 
 class TestLink:
-    def test_rebuilds_golden_kb_from_triples_file(self, capsys, data_copy, tmp_path):
+    def test_rebuilds_golden_kb_from_triples_file(self, capsys, data_copy, tmp_path, workers=1):
+        config = data_copy / "pipeline_triples.json"
+        config.write_text(json.dumps({**json.loads(config.read_text()), "workers": workers}), encoding="utf-8")
         out = tmp_path / "kb.json"
         code, stdout, _ = run(
             capsys, "link", str(GOLDEN_DIR / "triples" / "triples.jsonl"),
@@ -423,6 +435,9 @@ class TestLink:
         assert code == 0
         assert "(18 entities, 6 linked)" in stdout
         assert out.read_bytes() == (GOLDEN_DIR / "triples" / "kb.json").read_bytes()
+
+    def test_rebuilds_golden_kb_with_two_workers(self, capsys, data_copy, tmp_path):
+        self.test_rebuilds_golden_kb_from_triples_file(capsys, data_copy, tmp_path, workers=2)
 
 
 class TestRepair:
@@ -866,10 +881,10 @@ def test_error_paths_exit_without_traceback(case, tmp_path):
     assert "Traceback" not in result.stderr
     # one message, without the contents of the file it names
     assert len(result.stderr.encode("utf-8")) < 300, result.stderr
-    # no output document is left behind; a row file (.jsonl) keeps the rows
+    # no output document is left behind; extract's row file keeps the rows
     # written before the failure, as a failed run's row files do
-    output = argv[argv.index("-o") + 1] if "-o" in argv else ".jsonl"
-    assert output.endswith(".jsonl") or not (tmp_path / output).exists()
+    if "-o" in argv and argv[0] != "extract":
+        assert not (tmp_path / argv[argv.index("-o") + 1]).exists()
 
 
 @pytest.mark.parametrize("config_name", ["pipeline_triples.json", "pipeline_ontology.json"])

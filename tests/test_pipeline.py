@@ -898,24 +898,37 @@ def test_malformed_line_after_the_first_article_fails_the_corpus_stage(data_copy
 
 
 @pytest.mark.parametrize("workers", [1, 2])
-def test_lookup_abort_fails_the_link_stage_on_the_articles_worker(data_copy, monkeypatch, workers):
+def test_lookup_abort_fails_the_link_stage_off_the_extraction_workers(data_copy, monkeypatch, workers):
     data = triples_config_dict()
     data["workers"] = workers
     data["linking"] = {"endpoint": "http://127.0.0.1:9", "on_error": "abort"}
-    threads = []
-    lookup = pipeline.LookupClient.lookup
+    extracting, looking_up = set(), set()
 
-    def recorded(self, query):
-        threads.append(threading.current_thread())
-        return lookup(self, query)
+    def recorded(function, threads):
+        def call(*args, **kwargs):
+            threads.add(threading.current_thread())
+            return function(*args, **kwargs)
 
-    monkeypatch.setattr(pipeline.LookupClient, "lookup", recorded)
+        return call
+
+    monkeypatch.setattr(pipeline, "extract_article", recorded(pipeline.extract_article, extracting))
+    monkeypatch.setattr(pipeline.LookupClient, "lookup", recorded(pipeline.LookupClient.lookup, looking_up))
+    threads_before = threading.active_count()
     with pytest.raises(StageError, match="stage 'link' failed: lookup failed") as info:
         run_pipeline(write_config(data_copy, data))
     assert info.value.stage == "link"
-    # one worker is the main thread; with more, each article's lookups run on its worker
-    assert threads and (threading.main_thread() in threads) == (workers == 1)
-    assert not (data_copy / "run_triples" / "manifest.json").exists()
+    # one worker is the main thread; with more, the link stage's own pool makes the lookups
+    assert extracting and looking_up
+    if workers == 1:
+        assert extracting == looking_up == {threading.main_thread()}
+    else:
+        assert not extracting & looking_up
+    assert threading.active_count() == threads_before
+    run_dir = data_copy / "run_triples"
+    assert not (run_dir / "manifest.json").exists()
+    # whatever workers is, the abort comes after the failing article's rows
+    rows = (run_dir / "triples.jsonl").read_text(encoding="utf-8").splitlines()
+    assert {json.loads(row)["provenance"][0]["article_id"] for row in rows} == {"a1"}
 
 
 def window_worker(started: list, fail_at: int | None = None):
