@@ -291,12 +291,9 @@ def request_fingerprint(prompt: str, model_name: str, temperature: float) -> str
     return hashlib.sha256(payload.encode("utf-8")).hexdigest()
 
 
-def fixture_path(config: BackendConfig, input_text: str) -> Path:
-    return Path(_fixture_file(config, input_text))
-
-
 def _fixture_file(config: BackendConfig, input_text: str) -> str:
-    """fixture_path as a string: building the Path costs a replay read a third of its time."""
+    """The replay fixture file answering input_text, as a string: building a
+    Path costs a replay read a third of its time."""
     fingerprint = request_fingerprint(input_text, config.model_name, config.temperature)
     return os.path.join(config.fixtures_dir or "", f"{fingerprint}.txt")
 

@@ -11,7 +11,8 @@ import functools
 import json
 import logging
 import time
-from concurrent.futures import Executor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -246,41 +247,42 @@ def link_entity(
 class Linker:
     """canonicalize continued over successive lists of triplets: link
     rewrites each list as one canonicalize call over all the lists so far
-    would. One thread uses a Linker; only the lookups that resolve hands to
-    a pool run on the pool's threads."""
+    would. One thread uses a Linker. With workers above 1 its lookups run
+    on a pool of that many threads that lasts until close, otherwise on the
+    calling thread; either way in the same first-seen order."""
 
-    def __init__(self, client=None, cache: LinkCache | None = None, *, match="exact", on_error="fallback", now=None):
+    def __init__(self, client=None, cache=None, *, match="exact", on_error="fallback", now=None, workers=1):
         self._lookup = functools.partial(
             link_entity, client=client, cache=cache, match=match, on_error=on_error, now=now
         )
-        self._resolved: dict[str, LinkedEntity] = {}  # normalized surface -> its lookup result
+        self._pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
+        # pool.map cancels the pending lookups once a result it yields raises
+        self._map = map if self._pool is None else self._pool.map
+        self._keys: dict[str, str] = {}  # normalized surface -> canonical label
         self._labels: dict[str, str] = {}  # raw subject or object -> canonical label
         self._iri_labels: dict[str, str] = {}  # the first label given to each IRI
         self._predicates: dict[str, str] = {}
         self.table: dict[str, LinkedEntity] = {}  # canonical label -> entity, in first-seen order
 
-    def resolve(self, triplets: list[Triplet], pool: Executor) -> None:
-        """Look up the subjects and objects whose normalized surface is not
-        looked up yet, on pool. The first lookup that raises cancels the
-        lookups not yet started."""
-        todo: dict[str, str] = {}  # normalized -> first surface seen
-        for triplet in triplets:
-            for surface in (triplet.subject, triplet.object):
-                if surface not in self._labels:
-                    key = normalize_surface(surface)
-                    if key not in self._resolved:
-                        todo.setdefault(key, surface)
-        # map cancels the pending lookups once a result it yields raises
-        self._resolved.update(zip(todo, pool.map(self._lookup, todo.values())))
-
     def link(self, triplets: list[Triplet]) -> list[Triplet]:
         """The triplets with canonical subjects and objects and normalized
-        predicates; a surface resolve has not looked up is looked up here."""
-        labels = self._labels
+        predicates; each normalized surface not seen before is looked up once."""
+        labels, keys = self._labels, self._keys
+        new: dict[str, str] = {}  # raw surface -> normalized, for surfaces new to this call
+        todo: dict[str, str] = {}  # normalized -> first surface seen, for keys to look up
         for triplet in triplets:
             for surface in (triplet.subject, triplet.object):
-                if surface not in labels:
-                    labels[surface] = self._label(normalize_surface(surface), surface)
+                if surface not in labels and surface not in new:
+                    key = new[surface] = normalize_surface(surface)
+                    if key not in keys and key not in todo:
+                        todo[key] = surface
+        for key, entity in zip(todo, self._map(self._lookup, todo.values())):
+            iri = entity.canonical_iri
+            # first label seen for an IRI wins, so co-linked mentions agree
+            label = keys[key] = entity.label if iri is None else self._iri_labels.setdefault(iri, entity.label)
+            if label not in self.table:
+                self.table[label] = LinkedEntity(todo[key], iri, label)
+        labels.update(zip(new, map(keys.__getitem__, new.values())))
         predicates = self._predicates
         predicates.update((p, normalize_surface(p)) for p in {t.predicate for t in triplets} - predicates.keys())
         return [
@@ -288,18 +290,10 @@ class Linker:
             for t in triplets
         ]
 
-    def _label(self, key: str, surface: str) -> str:
-        """key's canonical label, from its resolved entity; the first surface
-        seen for a new label names its table entry."""
-        entity = self._resolved.get(key)
-        if entity is None:
-            entity = self._resolved[key] = self._lookup(surface)
-        iri = entity.canonical_iri
-        # first label seen for an IRI wins, so co-linked mentions agree
-        label = entity.label if iri is None else self._iri_labels.setdefault(iri, entity.label)
-        if label not in self.table:
-            self.table[label] = LinkedEntity(surface, iri, label)
-        return label
+    def close(self) -> None:
+        """Cancel the lookups not started and wait for the rest."""
+        if self._pool is not None:
+            self._pool.shutdown(cancel_futures=True)
 
 
 def canonicalize(
@@ -321,16 +315,14 @@ def canonicalize(
     the operation is idempotent. With no client the rewrite degrades to pure
     normalization.
 
-    Each distinct normalized surface is resolved once, on up to ``workers``
+    Each distinct normalized surface is looked up once, on up to ``workers``
     threads; the result does not depend on ``workers``. The first lookup
     that raises (an outage under on_error="abort") cancels the lookups not
     yet started. linker, when given, continues that Linker's labels and
-    lookups in place of a new one over client, cache, match, on_error and
-    now, and the table returned is all of its entities so far.
+    lookups in place of a new one over client, cache, match, on_error, now
+    and workers, and the table returned is all of its entities so far.
     """
-    if linker is None:
-        linker = Linker(client, cache, match=match, on_error=on_error, now=now)
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            linker.resolve(triplets, pool)
-    return linker.link(triplets), linker.table
+    if linker is not None:
+        return linker.link(triplets), linker.table
+    with closing(Linker(client, cache, match=match, on_error=on_error, now=now, workers=workers)) as linker:
+        return linker.link(triplets), linker.table

@@ -424,19 +424,15 @@ class LinkStage:
             client = LookupClient(settings.endpoint)
         self.cache_path = config.resolve(settings.cache_path) if settings.cache_path else None
         self.cache = LinkCache.load(self.cache_path) if self.cache_path else None
-        self.linker = Linker(client, self.cache, match=settings.match, on_error=settings.on_error)
+        self.linker = Linker(client, self.cache, match=settings.match, on_error=settings.on_error, workers=config.workers)
         self.kb = KnowledgeBase(link_config=settings.identity())
-        self.pool = ThreadPoolExecutor(max_workers=config.workers) if config.workers > 1 else None
 
     def fold(self, triplets: list[Triplet]) -> None:
-        if self.pool is not None:
-            self.linker.resolve(triplets, self.pool)
         add_triples(self.kb, canonicalize(triplets, linker=self.linker)[0])
 
     def close(self) -> None:
         """Cancel the lookups not started and wait for the rest."""
-        if self.pool is not None:
-            self.pool.shutdown(cancel_futures=True)
+        self.linker.close()
 
     def finish(self) -> tuple[KnowledgeBase, dict]:
         """Save the link cache and give the KB its entity links."""

@@ -93,15 +93,6 @@ class QualityReport:
     principles: list[PrincipleEntry]
     warnings: list[str] = field(default_factory=list)
 
-    def to_dict(self) -> dict:
-        return {
-            "version": self.version,
-            "config": self.config,
-            "metrics": self.metrics,
-            "principles": [asdict(entry) for entry in self.principles],
-            "warnings": self.warnings,
-        }
-
 
 def _ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator if denominator else 0.0
@@ -331,5 +322,5 @@ def render_report(report: QualityReport) -> str:
 
 
 def save_report(report: QualityReport, path: str | Path) -> None:
-    write_json(path, report.to_dict())
+    write_json(path, asdict(report))
 

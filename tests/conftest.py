@@ -12,7 +12,7 @@ from urllib.parse import parse_qs, urlsplit
 import pytest
 
 from textkg.corpus import Article
-from textkg.extraction import Provenance, Triplet
+from textkg.extraction import BackendConfig, Provenance, Triplet, _fixture_file
 
 DATA_DIR = Path(__file__).parent / "data"
 GOLDEN_DIR = Path(__file__).parent / "golden"
@@ -46,6 +46,11 @@ def article() -> Article:
         published_at=dt.date(2023, 2, 20),
         language="en",
     )
+
+
+def fixture_path(config: BackendConfig, input_text: str) -> Path:
+    """The replay fixture file that answers input_text under config."""
+    return Path(_fixture_file(config, input_text))
 
 
 def make_triplet(subject: str, predicate: str, obj: str, article_id: str = "a1") -> Triplet:

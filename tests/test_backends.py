@@ -21,10 +21,11 @@ from textkg.extraction import (
     TokenLimitExceededError,
     build_prompt,
     extract_article,
-    fixture_path,
     generate,
     request_fingerprint,
 )
+
+from .conftest import fixture_path
 
 
 @pytest.fixture()

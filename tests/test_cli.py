@@ -17,12 +17,12 @@ import textkg
 from textkg import __version__
 from textkg.cli import build_parser, main
 from textkg.corpus import load_corpus
-from textkg.extraction import build_prompt, fixture_path, request_fingerprint
+from textkg.extraction import build_prompt, request_fingerprint
 from textkg.kgstore import load_kb
 from textkg.pipeline import load_config
 from textkg.rdf import build_repair_prompt, validate_text
 
-from .conftest import DATA_DIR, GOLDEN_DIR, NEWS_PAYLOAD
+from .conftest import DATA_DIR, GOLDEN_DIR, NEWS_PAYLOAD, fixture_path
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:

@@ -6,7 +6,7 @@ import sys
 import threading
 import time
 from collections import Counter
-from concurrent.futures import ThreadPoolExecutor
+from contextlib import closing
 
 import pytest
 from hypothesis import given, settings
@@ -421,12 +421,16 @@ class TestConcurrentCanonicalize:
             # dozens of linked surfaces collapse onto the Acme, Globex, Initech and concept IRIs
             assert sum(e.canonical_iri is not None for _, e in results[0][1]) == 4
 
-    def test_each_normalized_surface_looked_up_once(self):
+    @pytest.mark.parametrize("workers", [1, 4])
+    def test_each_normalized_surface_looked_up_once(self, workers):
         triplets, table = shared_iri_case()
         client = FakeClient(table)
-        canonicalize(triplets, client, workers=4)
-        expected = {normalize_surface(s) for t in triplets for s in (t.subject, t.object)}
+        canonicalize(triplets, client, workers=workers)
+        # dict keys keep first-seen order: each subject before its object
+        expected = list(dict.fromkeys(normalize_surface(s) for t in triplets for s in (t.subject, t.object)))
         assert Counter(client.calls) == Counter(expected)
+        if workers == 1:
+            assert client.calls == expected
 
     def test_stress_shared_cache(self):
         triplets = [Triplet(f"Entity {n}", "p", f"Thing {n % 97}") for n in range(600)]
@@ -551,14 +555,11 @@ def test_linking_article_by_article_equals_one_call(triplets, cuts, workers):
     whole_client, client = FakeClient(LINKER_TABLE), FakeClient(LINKER_TABLE)
     expected, expected_table = canonicalize(triplets, whole_client, match="prefix")
 
-    linker = Linker(client, match="prefix")
     linked = []
-    # as the link stage runs it: each article's new surfaces looked up on one
-    # pool that lasts the run, then its triplets linked, in corpus order
-    with ThreadPoolExecutor(max_workers=workers) as pool:
+    # as the link stage runs it: one Linker, whose pool lasts the run, fed
+    # each article's triplets in corpus order
+    with closing(Linker(client, match="prefix", workers=workers)) as linker:
         for article in articles:
-            if workers > 1:
-                linker.resolve(article, pool)
             linked += canonicalize(article, linker=linker)[0]
 
     assert linked == expected
@@ -570,14 +571,14 @@ def test_linking_article_by_article_equals_one_call(triplets, cuts, workers):
 
 
 class TestSharedLookups:
-    def test_failed_lookup_in_flight_is_raised_and_not_kept(self):
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_failed_lookup_in_flight_is_raised_and_not_kept(self, workers):
         client = SlowFailingClient()
-        linker = Linker(client, on_error="abort")
-        with ThreadPoolExecutor(max_workers=2) as pool:
+        with closing(Linker(client, on_error="abort", workers=workers)) as linker:
             with pytest.raises(LookupUnavailableError):
-                linker.resolve([Triplet("Acme", "p", "ACME ")], pool)
+                linker.link([Triplet("Acme", "p", "ACME ")])
             with pytest.raises(LookupUnavailableError):
-                linker.resolve([Triplet("Acme", "p", "ACME ")], pool)
+                linker.link([Triplet("Acme", "p", "ACME ")])
         assert client.calls == ["acme", "acme"]
 
 

@@ -26,7 +26,7 @@ from textkg import extraction, pipeline
 from textkg.chunking import TokenBatch
 from textkg.corpus import Article, load_corpus
 from textkg.errors import ConfigError, TextkgError
-from textkg.extraction import BackendConfig, build_prompt, fixture_path
+from textkg.extraction import BackendConfig, build_prompt
 from textkg.kgstore import KnowledgeBase, load_kb
 from textkg.linking import normalize_surface
 from textkg.quality import QualityConfig
@@ -40,7 +40,7 @@ from textkg.pipeline import (
     run_pipeline,
 )
 
-from .conftest import DATA_DIR, GOLDEN_DIR
+from .conftest import DATA_DIR, GOLDEN_DIR, fixture_path
 from .test_kgstore import json_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"

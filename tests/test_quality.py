@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import datetime as dt
 import json
+from dataclasses import asdict
 
 import pytest
 from hypothesis import given, settings
@@ -255,7 +256,7 @@ class TestCompareAndSerialization:
         with path.open(encoding="utf-8") as handle:
             loaded = json.load(handle)
         assert loaded["version"] == FORMULA_VERSION
-        assert loaded == report.to_dict()
+        assert loaded == asdict(report)
 
     def test_render_report_lists_everything(self):
         kb, corpus_meta, config = build_quality_fixture()
