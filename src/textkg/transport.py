@@ -2,19 +2,27 @@
 
 Every HTTP status comes back from ``request`` as a ``Response``; only failures
 to get one raise. Redirects are followed, but ``Authorization`` and ``X-Api-Key`` are
-not sent on to another origin (scheme, host and port). Each request opens its own connection and closes it with the
-response. TLS verifies against the system trust store (``SSL_CERT_FILE``
-and ``SSL_CERT_DIR`` are honoured), and ``*_PROXY`` / ``NO_PROXY`` apply as
-set when the process makes its first request.
+not sent on to another origin (scheme, host and port). Connections are kept
+alive in a process-wide pool, one per concurrent request to an origin; a request
+on a pooled connection that the server has since closed is retried once on a
+new one, and on Linux ``TCP_QUICKACK`` is set while a reply is awaited. TLS
+verifies against the system trust store (``SSL_CERT_FILE`` and
+``SSL_CERT_DIR`` are honoured), and ``*_PROXY`` / ``NO_PROXY`` apply as set
+when the process makes its first request.
 """
 
 from __future__ import annotations
 
+import atexit
 import functools
 import http.client
+import io
 import json
+import socket
+import threading
 import urllib.error
 import urllib.request
+import urllib.response
 from dataclasses import dataclass
 from email.message import Message
 from urllib.parse import urlencode, urlsplit, urlunsplit
@@ -66,6 +74,81 @@ def _origin(url: str) -> tuple[str, str | None, int | None]:
     return parts.scheme.lower(), parts.hostname, parts.port
 
 
+_idle: dict[tuple, list[http.client.HTTPConnection]] = {}
+_idle_lock = threading.Lock()
+# how a pooled connection that the server closed while idle fails before any reply
+_STALE = (http.client.RemoteDisconnected, ConnectionResetError, BrokenPipeError, ConnectionAbortedError)
+
+
+class _KeepAliveHandler(urllib.request.AbstractHTTPHandler):
+    """urllib's HTTP(S) handlers without ``Connection: close``.
+
+    The body is read whole and the connection pooled unless the server closes
+    it. The pool key (class, host, tunnel) keeps proxied and direct traffic apart.
+    """
+
+    http_request = https_request = urllib.request.AbstractHTTPHandler.do_request_
+
+    def http_open(self, req):
+        return self._open(http.client.HTTPConnection, req)
+
+    def https_open(self, req):
+        return self._open(http.client.HTTPSConnection, req)
+
+    def _open(self, http_class, req):
+        headers = dict(req.unredirected_hdrs)
+        headers.update({k: v for k, v in req.headers.items() if k not in headers})
+        headers = {name.title(): value for name, value in headers.items()}
+        tunnel_headers = {}  # the proxy's credentials go to the proxy only
+        if req._tunnel_host and "Proxy-Authorization" in headers:
+            tunnel_headers["Proxy-Authorization"] = headers.pop("Proxy-Authorization")
+        key = (http_class, req.host, req._tunnel_host)
+        with _idle_lock:
+            conn = _idle[key].pop() if _idle.get(key) else None
+        while True:
+            reused = conn is not None
+            if reused:
+                conn.sock.settimeout(req.timeout)
+            else:
+                conn = http_class(req.host, timeout=req.timeout)
+                if req._tunnel_host:
+                    conn.set_tunnel(req._tunnel_host, headers=tunnel_headers)
+            response = None
+            try:
+                conn.request(req.get_method(), req.selector, req.data, headers,
+                             encode_chunked=req.has_header("Transfer-encoding"))
+                # http.server sends headers and body in two writes without
+                # TCP_NODELAY, so on a kept-alive connection its Nagle waits for
+                # our delayed ACK (40 ms). The flag does not persist: set it now.
+                if hasattr(socket, "TCP_QUICKACK"):
+                    conn.sock.setsockopt(socket.IPPROTO_TCP, socket.TCP_QUICKACK, 1)
+                response = conn.getresponse()
+                with response:
+                    body = response.read()
+                break
+            except BaseException as exc:
+                conn.close()
+                if not (reused and response is None and isinstance(exc, _STALE)):
+                    raise
+                conn = None  # the server closed it while idle: retry once, on a new connection
+        if not response.will_close:
+            with _idle_lock:
+                _idle.setdefault(key, []).append(conn)
+        reply = urllib.response.addinfourl(io.BytesIO(body), response.headers, req.get_full_url(), response.status)
+        reply.msg = response.reason
+        return reply
+
+
+@atexit.register
+def close_idle() -> None:
+    """Close every pooled idle connection."""
+    with _idle_lock:
+        connections = [conn for pooled in _idle.values() for conn in pooled]
+        _idle.clear()
+    for conn in connections:
+        conn.close()
+
+
 @functools.cache
 def _opener() -> urllib.request.OpenerDirector:
     # built once: reading the proxy environment and registering handlers
@@ -74,19 +157,13 @@ def _opener() -> urllib.request.OpenerDirector:
     opener = urllib.request.OpenerDirector()
     for handler in (
         urllib.request.ProxyHandler(),
-        urllib.request.HTTPHandler(),
-        urllib.request.HTTPSHandler(),
+        _KeepAliveHandler(),
         _RedirectHandler(),
         urllib.request.HTTPDefaultErrorHandler(),
         urllib.request.HTTPErrorProcessor(),
     ):
         opener.add_handler(handler)
     return opener
-
-
-def _is_timeout(exc: BaseException) -> bool:
-    reason = exc.reason if isinstance(exc, urllib.error.URLError) else exc
-    return isinstance(reason, TimeoutError)
 
 
 def request(
@@ -129,7 +206,7 @@ def request(
         finally:
             response.close()
     except (OSError, http.client.HTTPException, ValueError) as exc:
-        if _is_timeout(exc):
+        if isinstance(exc, TimeoutError):  # _KeepAliveHandler raises it unwrapped
             raise TransportTimeoutError(f"{method} {url}: no response within {timeout}s") from exc
         raise TransportError(f"{method} {url}: {exc}") from exc
 

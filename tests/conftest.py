@@ -3,6 +3,7 @@ from __future__ import annotations
 import datetime as dt
 import json
 import shutil
+import sys
 import threading
 import time
 from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
@@ -25,6 +26,16 @@ def no_thread_left_running():
     yield
     left = [thread for thread in threading.enumerate() if thread not in before and not thread.daemon]
     assert not left, f"threads still running after the test: {left}"
+
+
+@pytest.fixture(autouse=True)
+def no_pooled_connection_left():
+    """Close transport's idle connections after each test, so no test reuses
+    a connection to a server that an earlier test started."""
+    yield
+    transport = sys.modules.get("textkg.transport")  # imported by the first request only
+    if transport is not None:
+        transport.close_idle()
 
 
 @pytest.fixture()
@@ -70,8 +81,17 @@ class RecordingHandler(BaseHTTPRequestHandler):
     """Records every request and answers from server.script.
 
     Script entries are (status, body[, headers[, delay_seconds]]); an empty
-    script answers 200 "{}".
+    script answers 200 "{}". A Content-Length header in the script overrides
+    the body's length, and a reply shorter than it ends the connection.
+    server.connections counts accepted connections. This handler speaks
+    HTTP/1.0, so the server closes every connection after one reply.
     """
+
+    def setup(self):
+        with self.server.lock:
+            self.server.connections += 1
+        self.timeout = self.server.idle_timeout
+        super().setup()
 
     def _handle(self):
         length = int(self.headers.get("Content-Length", 0))
@@ -92,16 +112,16 @@ class RecordingHandler(BaseHTTPRequestHandler):
             }
         )
         status, payload, *extra = self.server.script.pop(0) if self.server.script else (200, "{}")
-        headers = extra[0] if extra else {}
         if len(extra) > 1:
             time.sleep(extra[1])
         data = payload.encode("utf-8")
+        headers = {"Content-Type": "application/json", "Content-Length": str(len(data)), **(extra[0] if extra else {})}
         self.send_response(status)
-        self.send_header("Content-Type", "application/json")
-        self.send_header("Content-Length", str(len(data)))
         for name, value in headers.items():
             self.send_header(name, value)
         self.end_headers()
+        if int(headers["Content-Length"]) > len(data):
+            self.close_connection = True
         try:
             self.wfile.write(data)
         except (BrokenPipeError, ConnectionResetError):
@@ -113,22 +133,53 @@ class RecordingHandler(BaseHTTPRequestHandler):
         pass
 
 
+class KeepAliveRecordingHandler(RecordingHandler):
+    """RecordingHandler over HTTP/1.1: a connection stays open for the next
+    request until the client closes it, a reply says ``Connection: close``, or
+    it has been idle for server.idle_timeout seconds."""
+
+    protocol_version = "HTTP/1.1"
+
+    def do_CONNECT(self):
+        """Open a tunnel to self.path as a proxy would, then answer the
+        requests that arrive through it as the origin."""
+        self.server.requests.append({"method": "CONNECT", "path": self.path, "headers": dict(self.headers)})
+        self.send_response(200)
+        self.end_headers()
+        self.close_connection = False  # http.client sends CONNECT as HTTP/1.0
+
+
 @pytest.fixture()
 def server():
     """Loopback HTTP server with a scripted RecordingHandler; url ends in /v1."""
-    yield from _serve()
+    yield from _serve(RecordingHandler)
 
 
 @pytest.fixture()
 def other_server():
     """A second, independent ``server``, for requests that cross origins."""
-    yield from _serve()
+    yield from _serve(RecordingHandler)
 
 
-def _serve():
-    httpd = ThreadingHTTPServer(("127.0.0.1", 0), RecordingHandler)
+@pytest.fixture()
+def keepalive_server():
+    """``server`` with connections kept alive (KeepAliveRecordingHandler)."""
+    yield from _serve(KeepAliveRecordingHandler)
+
+
+@pytest.fixture()
+def other_keepalive_server():
+    """A second, independent ``keepalive_server``."""
+    yield from _serve(KeepAliveRecordingHandler)
+
+
+def _serve(handler):
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
     httpd.requests = []
     httpd.script = []
+    httpd.connections = 0
+    httpd.idle_timeout = None
+    httpd.lock = threading.Lock()
     thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
     httpd.url = f"http://127.0.0.1:{httpd.server_port}/v1"

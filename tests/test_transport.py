@@ -1,19 +1,27 @@
-"""The stdlib HTTP transport: statuses, failures, refused schemes, bytes sent."""
+"""The stdlib HTTP transport: statuses, failures, refused schemes, bytes sent, connection reuse."""
 
 from __future__ import annotations
 
 import http.client
 import json
+import logging
 import os
+import select
 import socket
 import subprocess
 import sys
+import threading
+import time
+import urllib.request
+from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import pytest
 
 import textkg
 from textkg import __version__, transport
+from textkg.extraction import BackendConfig, generate
+from textkg.linking import LookupClient, LookupUnavailableError
 
 
 def test_json_response(server):
@@ -139,3 +147,183 @@ def test_import_loads_no_third_party_http_client():
         [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
     )
     assert result.stdout.strip() == "[]"
+
+
+def _pooled() -> list:
+    return [conn for pooled in transport._idle.values() for conn in pooled]
+
+
+def test_sequential_requests_share_one_connection(keepalive_server):
+    keepalive_server.script = [(200, json.dumps({"n": n})) for n in range(5)]
+    bodies = [transport.request("GET", keepalive_server.url, timeout=5).body for _ in range(5)]
+    assert [json.loads(body) for body in bodies] == [{"n": n} for n in range(5)]
+    assert keepalive_server.connections == 1
+    assert len(_pooled()) == 1
+
+
+def test_concurrent_requests_use_at_most_one_connection_each(keepalive_server):
+    # more threads than cores and frequent switches, so threads race for the pool
+    threads, rounds = 4, 25
+    start = threading.Barrier(threads)
+
+    def work(_):
+        start.wait(timeout=10)
+        return [transport.request("GET", keepalive_server.url, timeout=5).status for _ in range(rounds)]
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        with ThreadPoolExecutor(threads) as pool:
+            statuses = [status for result in pool.map(work, range(threads), timeout=60) for status in result]
+    finally:
+        sys.setswitchinterval(interval)
+    assert statuses == [200] * threads * rounds
+    assert len(keepalive_server.requests) == threads * rounds
+    assert 1 <= keepalive_server.connections <= threads
+    # every connection is back in the pool exactly once: none lost, none handed out twice
+    pooled = _pooled()
+    assert len({id(conn) for conn in pooled}) == len(pooled) == keepalive_server.connections
+
+
+def test_connection_close_reply_is_not_reused(keepalive_server):
+    keepalive_server.script = [(200, "{}", {"Connection": "close"}), (200, "{}"), (200, "{}")]
+    for _ in range(3):
+        assert transport.request("GET", keepalive_server.url, timeout=5).status == 200
+    assert keepalive_server.connections == 2
+
+
+def test_timed_out_connection_is_dropped(keepalive_server):
+    keepalive_server.script = [(200, "{}"), (200, "{}", {}, 1.0), (200, '{"ok": true}')]
+    transport.request("GET", keepalive_server.url, timeout=5)
+    with pytest.raises(transport.TransportTimeoutError):
+        transport.request("GET", keepalive_server.url, timeout=0.2)
+    assert _pooled() == []
+    assert transport.request("GET", keepalive_server.url, timeout=5).body == b'{"ok": true}'
+    assert keepalive_server.connections == 2
+
+
+def test_reused_socket_takes_the_new_timeout(keepalive_server):
+    keepalive_server.script = [(200, "{}"), (200, "{}", {}, 1.0)]
+    transport.request("GET", keepalive_server.url, timeout=30)
+    started = time.monotonic()
+    with pytest.raises(transport.TransportTimeoutError):
+        transport.request("GET", keepalive_server.url, timeout=0.2)
+    assert time.monotonic() - started < 0.9
+    assert keepalive_server.connections == 1
+
+
+def test_connection_closed_by_server_while_idle_is_retried_once(keepalive_server, caplog):
+    keepalive_server.idle_timeout = 0.1
+    chat_reply = json.dumps({"choices": [{"message": {"content": "A | b | C"}}]})
+    keepalive_server.script = [(200, "{}"), (200, chat_reply)]
+    transport.request("GET", keepalive_server.url, timeout=5)
+    (conn,) = _pooled()
+    assert select.select([conn.sock], [], [], 5)[0]  # the server's close has arrived
+    config = BackendConfig(backend_id="chat", kind="chat_triples", endpoint=keepalive_server.url, model_name="m1")
+    with caplog.at_level(logging.WARNING):
+        assert generate(config, "p") == "A | b | C"
+    assert [sent["method"] for sent in keepalive_server.requests] == ["GET", "POST"]
+    assert keepalive_server.connections == 2
+    assert caplog.records == []
+
+
+def test_fresh_connection_failing_is_not_retried(server, monkeypatch):
+    calls = []
+
+    def getresponse(self):
+        calls.append(self)
+        raise http.client.RemoteDisconnected("gone")
+
+    monkeypatch.setattr(http.client.HTTPConnection, "getresponse", getresponse)
+    with pytest.raises(transport.TransportError, match="gone"):
+        transport.request("GET", server.url, timeout=5)
+    assert len(calls) == 1
+
+
+@pytest.mark.parametrize("method", ["GET", "POST"])
+def test_redirect_on_kept_alive_connections_drops_credentials(
+    keepalive_server, other_keepalive_server, method
+):
+    # warm both origins, so the redirect and its target travel on pooled connections
+    transport.request("GET", keepalive_server.url, timeout=5)
+    transport.request("GET", other_keepalive_server.url, timeout=5)
+    keepalive_server.script = [(302, "", {"Location": f"{other_keepalive_server.url}/next"})]
+    other_keepalive_server.script = [(200, '{"ok": true}')]
+    credentials = {"Authorization": "Bearer k", "X-Api-Key": "n"}
+    response = transport.request(
+        method, keepalive_server.url, json_body={} if method == "POST" else None, headers=credentials, timeout=5
+    )
+    assert response.status == 200
+    assert keepalive_server.requests[1]["headers"]["Authorization"] == "Bearer k"
+    followed = other_keepalive_server.requests[1]
+    assert followed["path"] == "/v1/next"
+    assert "Authorization" not in followed["headers"]
+    assert "X-Api-Key" not in followed["headers"]
+    assert keepalive_server.connections == other_keepalive_server.connections == 1
+
+
+def test_request_bytes_and_headers_same_on_a_reused_connection(server, keepalive_server):
+    payload = {"model": "m", "messages": [{"content": "café ✓"}], "temperature": 0.5}
+    for target in (server, keepalive_server, keepalive_server):
+        transport.request("POST", target.url, json_body=payload, headers={"Authorization": "Bearer k"}, timeout=5)
+    assert keepalive_server.connections == 1
+    sent = [server.requests[0], *keepalive_server.requests]
+    assert all(request["body"] == json.dumps(payload).encode("utf-8") for request in sent)
+    # Host carries the port, which differs between the two servers
+    headers = [{k: v for k, v in request["headers"].items() if k != "Host"} for request in sent]
+    assert headers[0] == headers[1] == headers[2]
+    assert list(headers[0]) == list(headers[2])
+
+
+def test_truncated_body_fails_and_drops_the_connection(keepalive_server):
+    keepalive_server.script = [(200, "{}"), (200, '{"results": []}', {"Content-Length": "100"}), (200, "{}")]
+    transport.request("GET", keepalive_server.url, timeout=5)
+    with pytest.raises(transport.TransportError, match="IncompleteRead"):
+        transport.request("GET", keepalive_server.url, timeout=5)
+    assert _pooled() == []
+    assert transport.request("GET", keepalive_server.url, timeout=5).status == 200
+    assert keepalive_server.connections == 2
+
+
+def test_unusable_lookup_replies_on_kept_alive_connection(keepalive_server):
+    results = [{"uri": "http://e/Soluna", "label": "Soluna"}]
+    keepalive_server.script = [
+        (200, '{"results": []}', {"Content-Length": "100"}),
+        (200, "<html>"),
+        (200, json.dumps({"results": results})),
+    ]
+    client = LookupClient(keepalive_server.url)
+    with pytest.raises(LookupUnavailableError, match=r"^lookup failed: GET .*IncompleteRead"):
+        client.lookup("soluna")
+    with pytest.raises(LookupUnavailableError, match="^lookup failed: non-JSON response: "):
+        client.lookup("soluna")
+    assert client.lookup("soluna") == results
+    # the truncated reply ended its connection; the non-JSON one was a complete reply
+    assert keepalive_server.connections == 2
+
+
+def test_close_idle_empties_the_pool(keepalive_server):
+    transport.request("GET", keepalive_server.url, timeout=5)
+    assert len(_pooled()) == 1
+    transport.close_idle()
+    assert _pooled() == []
+    transport.request("GET", keepalive_server.url, timeout=5)
+    assert keepalive_server.connections == 2
+
+
+def test_proxy_credentials_stay_off_a_reused_tunnel(keepalive_server):
+    # an https request through a proxy tunnels with CONNECT; keepalive_server
+    # is both the proxy and, through the tunnel, the origin (spoken to in plain HTTP here)
+    handler = transport._KeepAliveHandler()
+    for _ in range(2):
+        outgoing = urllib.request.Request("https://origin.example:8443/v1", headers={"User-Agent": "t"})
+        outgoing.set_proxy(f"127.0.0.1:{keepalive_server.server_port}", "https")
+        outgoing.add_header("Proxy-authorization", "Basic cHJveHk=")
+        outgoing.timeout = 5
+        assert handler._open(http.client.HTTPConnection, outgoing).status == 200
+    connect, *sent = keepalive_server.requests
+    assert (connect["method"], connect["path"]) == ("CONNECT", "origin.example:8443")
+    assert connect["headers"]["Proxy-Authorization"] == "Basic cHJveHk="
+    assert [request["method"] for request in sent] == ["GET", "GET"]
+    assert all("Proxy-Authorization" not in request["headers"] for request in sent)
+    assert keepalive_server.connections == 1
