@@ -104,6 +104,7 @@ class RecordingHandler(BaseHTTPRequestHandler):
         self.server.requests.append(
             {
                 "method": self.command,
+                "target": self.path,
                 "path": url.path,
                 "params": parse_qs(url.query),
                 "headers": dict(self.headers),

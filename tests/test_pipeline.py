@@ -17,6 +17,7 @@ from dataclasses import fields
 from json.encoder import encode_basestring
 from pathlib import Path
 from types import SimpleNamespace
+from typing import get_args, get_type_hints
 
 import pytest
 from hypothesis import example, given, settings
@@ -24,6 +25,7 @@ from hypothesis import strategies as st
 
 from textkg import extraction, pipeline
 from textkg.chunking import TokenBatch
+from textkg.cli import main
 from textkg.corpus import Article, load_corpus
 from textkg.errors import ConfigError, TextkgError
 from textkg.extraction import BackendConfig, build_prompt
@@ -399,6 +401,32 @@ class TestLoadConfig:
         config = load_config(path)
         assert config.quality.domain_lexicon == ("solar",)
         assert config.backends["replay"].fixtures_dir == str(tmp_path.resolve() / "recorded")
+
+    def test_readme_lists_each_typed_key_once_under_its_type(self):
+        # sections, and the fields that are not config keys, are not typed keys
+        sections = {
+            "": (PipelineConfig, {"backends", "base_dir", "config_hash", "linking", "quality", "export"}),
+            "backends[].": (BackendConfig, set()),
+            "linking.": (LinkingSettings, set()),
+            "quality.": (QualityConfig, {"domain_lexicon"}),
+            "export.": (ExportSettings, set()),
+        }
+        want = {}
+        for prefix, (cls, untyped) in sections.items():
+            for name, hint in get_type_hints(cls).items():
+                if name not in untyped:
+                    optional = type(None) in get_args(hint)
+                    expected = pipeline._JSON_TYPES[get_args(hint)[0] if optional else hint][0]
+                    want[prefix + name] = expected + (" or `null`" if optional else "")
+        text = README.read_text(encoding="utf-8").split("## Pipeline config", 1)[1]
+        items = text.split("The types are:\n\n", 1)[1].split("\n\n", 1)[0].split("\n- ")
+        listed = [
+            (name, label.removeprefix("- "))
+            for label, names in (item.split(": ", 1) for item in items)
+            for name in re.findall(r"`([^`]+)`", names)
+        ]
+        assert [name for name, count in Counter(name for name, _ in listed).items() if count > 1] == []
+        assert dict(listed) == want
 
 
 def assert_matches_golden(run_dir: Path, golden_dir: Path) -> None:
@@ -994,3 +1022,69 @@ def test_attempt_row_writes_the_json_dumps_line(article_id, attempt, output):
 def test_batch_lines_write_the_json_dumps_lines(article_id, batch_index, start, end, text):
     batch = TokenBatch(article_id, batch_index, start, end, text)
     assert list(pipeline._batch_lines([batch])) == [json.dumps(vars(batch), ensure_ascii=False, sort_keys=True) + "\n"]
+
+
+# chat replies that a loopback server answers in order; each names its own pair of entities
+CHAT_REPLIES = [
+    (200, json.dumps({"choices": [{"message": {"content": f"Entity {n} | relates to | Thing {n}"}}]}))
+    for n in range(20)
+]
+CHAT_TIMEOUT = 0.5
+# a reply that arrives after CHAT_TIMEOUT
+LATE_REPLY = (*CHAT_REPLIES[0], {}, CHAT_TIMEOUT * 3)
+
+
+def chat_config(data_copy: Path, server, **settings) -> Path:
+    """The triples config with a chat backend on server; settings override top-level keys
+    and max_retries is the backend's."""
+    data = triples_config_dict()
+    data["backend_id"] = "chat"
+    data["backends"] = [
+        {
+            "backend_id": "chat", "kind": "chat_triples", "endpoint": server.url, "model_name": "m",
+            "request_timeout": CHAT_TIMEOUT, "max_retries": settings.pop("max_retries"),
+        }
+    ]
+    return write_config(data_copy, data | settings)
+
+
+def test_retried_429_storm_and_timeout_leave_the_artifacts_of_a_clean_run(data_copy, server, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(extraction, "_sleep", sleeps.append)
+    config = chat_config(data_copy, server, max_retries=3)
+    server.script = list(CHAT_REPLIES)
+    clean_manifest = run_pipeline(config)
+    clean = snapshot(data_copy / "run_triples")
+    calls = len(server.requests)
+    assert 3 <= calls < len(CHAT_REPLIES) and sleeps == []
+
+    retry_after = (1, 3, 1)
+    storm = [(429, "slow down", {"Retry-After": str(seconds)}) for seconds in retry_after]
+    server.script = [CHAT_REPLIES[0], *storm, CHAT_REPLIES[1], LATE_REPLY, *CHAT_REPLIES[2:]]
+    assert run_pipeline(config) == clean_manifest
+    assert snapshot(data_copy / "run_triples") == clean
+    assert len(server.requests) == 2 * calls + len(storm) + 1
+    backoff = [extraction.RETRY_BACKOFF_SECONDS * 2**attempt for attempt in range(3)]
+    assert sleeps == [*map(max, backoff, retry_after), backoff[0]]
+
+
+def test_429_and_timeout_with_no_retries_left_are_skipped_batches(data_copy, server, monkeypatch):
+    sleeps = []
+    monkeypatch.setattr(extraction, "_sleep", sleeps.append)
+    config = chat_config(data_copy, server, max_retries=0, on_batch_error="skip")
+    server.script = [CHAT_REPLIES[0], (429, "slow down", {"Retry-After": "1"}), LATE_REPLY, *CHAT_REPLIES[1:]]
+    manifest = run_pipeline(config)
+    assert manifest["stages"]["extract"]["failed_batches"] == 2
+    assert sleeps == []
+
+
+@pytest.mark.parametrize("fault", [(429, "slow down", {"Retry-After": "1"}), LATE_REPLY], ids=["429", "timeout"])
+def test_fault_with_no_retries_left_fails_the_cli_run_without_traceback(data_copy, server, monkeypatch, capsys, fault):
+    monkeypatch.setattr(extraction, "_sleep", lambda seconds: None)
+    config = chat_config(data_copy, server, max_retries=0)
+    server.script = [CHAT_REPLIES[0], fault, *CHAT_REPLIES[1:]]
+    assert main(["pipeline", "--config", str(config)]) == 1
+    stderr = capsys.readouterr().err
+    assert stderr.startswith("error: stage 'extract' failed: ")
+    assert [line for line in stderr.splitlines() if line.startswith("error:")] == [stderr.splitlines()[0]]
+    assert "Traceback" not in stderr
