@@ -11,7 +11,7 @@ import functools
 import json
 import logging
 import time
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import closing
 from dataclasses import dataclass
 from pathlib import Path
@@ -249,34 +249,47 @@ class Linker:
     rewrites each list as one canonicalize call over all the lists so far
     would. One thread uses a Linker. With workers above 1 its lookups run
     on a pool of that many threads that lasts until close, otherwise on the
-    calling thread; either way in the same first-seen order."""
+    calling thread. prefetch may start a list's lookups before link is given
+    it; only link gives labels, in first-seen order, whatever workers is."""
 
     def __init__(self, client=None, cache=None, *, match="exact", on_error="fallback", now=None, workers=1):
         self._lookup = functools.partial(
             link_entity, client=client, cache=cache, match=match, on_error=on_error, now=now
         )
         self._pool = ThreadPoolExecutor(max_workers=workers) if workers > 1 else None
-        # pool.map cancels the pending lookups once a result it yields raises
-        self._map = map if self._pool is None else self._pool.map
+        self._started: dict[str, Future] = {}  # normalized surface -> lookup started by prefetch
         self._keys: dict[str, str] = {}  # normalized surface -> canonical label
         self._labels: dict[str, str] = {}  # raw subject or object -> canonical label
         self._iri_labels: dict[str, str] = {}  # the first label given to each IRI
         self._predicates: dict[str, str] = {}
         self.table: dict[str, LinkedEntity] = {}  # canonical label -> entity, in first-seen order
 
-    def link(self, triplets: list[Triplet]) -> list[Triplet]:
-        """The triplets with canonical subjects and objects and normalized
-        predicates; each normalized surface not seen before is looked up once."""
+    def _new(self, triplets: list[Triplet]) -> tuple[dict[str, str], dict[str, str]]:
+        """The surfaces in triplets with no label, each mapped to its key (its normalized
+        form), and the keys with no label, each mapped to its first surface."""
         labels, keys = self._labels, self._keys
-        new: dict[str, str] = {}  # raw surface -> normalized, for surfaces new to this call
-        todo: dict[str, str] = {}  # normalized -> first surface seen, for keys to look up
+        new: dict[str, str] = {}
+        todo: dict[str, str] = {}
         for triplet in triplets:
             for surface in (triplet.subject, triplet.object):
                 if surface not in labels and surface not in new:
                     key = new[surface] = normalize_surface(surface)
                     if key not in keys and key not in todo:
                         todo[key] = surface
-        for key, entity in zip(todo, self._map(self._lookup, todo.values())):
+        return new, todo
+
+    def link(self, triplets: list[Triplet]) -> list[Triplet]:
+        """The triplets with canonical subjects and objects and normalized
+        predicates; each normalized surface not seen before is looked up once."""
+        labels, keys = self._labels, self._keys
+        new, todo = self._new(triplets)  # todo: the keys to look up
+        if self._pool is None:
+            entities = map(self._lookup, todo.values())
+        else:  # each key leaves _started before its result can raise, so a failure is not kept
+            submit, started = self._pool.submit, self._started
+            futures = [started.pop(key, None) or submit(self._lookup, todo[key]) for key in todo]
+            entities = (future.result() for future in futures)
+        for key, entity in zip(todo, entities):
             iri = entity.canonical_iri
             # first label seen for an IRI wins, so co-linked mentions agree
             label = keys[key] = entity.label if iri is None else self._iri_labels.setdefault(iri, entity.label)
@@ -290,8 +303,17 @@ class Linker:
             for t in triplets
         ]
 
+    def prefetch(self, triplets: list[Triplet]) -> None:
+        """Start on the pool, in first-seen order, each lookup that link would
+        make for triplets and that no prefetch has started; without a pool,
+        do nothing."""
+        if self._pool is not None:
+            for key, surface in self._new(triplets)[1].items():
+                if key not in self._started:
+                    self._started[key] = self._pool.submit(self._lookup, surface)
+
     def close(self) -> None:
-        """Cancel the lookups not started and wait for the rest."""
+        """Cancel the lookups not started, prefetched or not, and wait for the rest."""
         if self._pool is not None:
             self._pool.shutdown(cancel_futures=True)
 

@@ -18,7 +18,7 @@ import os
 import re
 from collections import deque
 from collections.abc import Callable, Iterable, Iterator
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import closing, contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
 from json.encoder import encode_basestring
@@ -328,24 +328,38 @@ def _safe_name(article_id: str) -> str:
 _WINDOW_PER_WORKER = 8
 
 
-def _map_articles(config: PipelineConfig, function: Callable, articles: Iterable) -> Iterator:
+def _map_articles(config: PipelineConfig, function: Callable, articles: Iterable, on_ready=None) -> Iterator:
     """function over every article, yielded lazily in corpus order. With
     `workers` threads, at most _WINDOW_PER_WORKER * workers calls are
     submitted and not yet consumed, so finished results cannot pile up, and
-    the first exception cancels the calls not yet started."""
+    the first exception cancels the calls not yet started. on_ready, if
+    given, is called on the consuming thread with each result, in corpus
+    order, before it is yielded and once it and every result before it have
+    finished."""
     if config.workers == 1:
         yield from map(function, articles)
         return
     window = _WINDOW_PER_WORKER * config.workers
     pending = deque()
+    given = 0  # how many results at the front of pending on_ready has been called with
+
+    def take():
+        nonlocal given
+        wait((pending[0],))  # no result behind the head can be given before it
+        while on_ready and given < len(pending) and pending[given].done() and not pending[given].exception():
+            on_ready(pending[given].result())
+            given += 1
+        given = max(given - 1, 0)
+        return pending.popleft().result()
+
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         try:
             for article in articles:
                 if len(pending) == window:
-                    yield pending.popleft().result()
+                    yield take()
                 pending.append(pool.submit(function, article))
             while pending:
-                yield pending.popleft().result()
+                yield take()
         finally:
             for future in pending:
                 future.cancel()
@@ -412,8 +426,9 @@ def chunk_stage(articles: Iterable[Article], batch_size: int, path: Path) -> dic
 class LinkStage:
     """The link stage, fed one article's triplets at a time on one thread;
     each feed is canonicalized as one call over all the triplets fed so far
-    would be. With `workers` above 1, a feed's new mentions are looked up on
-    a pool of that many threads that lasts until close."""
+    would be. With `workers` above 1 and a lookup endpoint, lookups run on a
+    pool of that many threads that lasts until close, where prefetch starts
+    them before their feed; otherwise they run on the feeding thread."""
 
     def __init__(self, config: PipelineConfig):
         settings = config.linking
@@ -424,8 +439,13 @@ class LinkStage:
             client = LookupClient(settings.endpoint)
         self.cache_path = config.resolve(settings.cache_path) if settings.cache_path else None
         self.cache = LinkCache.load(self.cache_path) if self.cache_path else None
-        self.linker = Linker(client, self.cache, match=settings.match, on_error=settings.on_error, workers=config.workers)
+        workers = config.workers if settings.endpoint else 1  # only an HTTP lookup waits
+        self.linker = Linker(client, self.cache, match=settings.match, on_error=settings.on_error, workers=workers)
         self.kb = KnowledgeBase(link_config=settings.identity())
+
+    def prefetch(self, triplets: list[Triplet]) -> None:
+        """Start the lookups that fold will make for triplets."""
+        self.linker.prefetch(triplets)
 
     def fold(self, triplets: list[Triplet]) -> None:
         add_triples(self.kb, canonicalize(triplets, linker=self.linker)[0])
@@ -480,6 +500,8 @@ def extract_stage(
         )
         return batches, triplets, parse_report, rows
 
+    # each article's lookups start once it and the articles before it are extracted
+    prefetch = None if link is None else lambda result: link.prefetch(result[1])
     batch_count = 0
     total_report = ParseReport()
     encode = row_encoder()
@@ -487,7 +509,7 @@ def extract_stage(
         _open_lines(batches_path) as batch_rows,
         _open_lines(triples_path) as triples,
         _open_lines(generations_path) as generations,
-        closing(_map_articles(config, extract_one, articles)) as results,
+        closing(_map_articles(config, extract_one, articles, prefetch)) as results,
     ):
         for batches, triplets, parse_report, rows in results:
             batch_count += len(batches)

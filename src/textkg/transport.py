@@ -131,7 +131,10 @@ def _exchange(route: tuple, method: str, body: bytes | None, headers: dict[str, 
             if not (reused and response is None and isinstance(exc, _STALE)):
                 raise
             conn = None  # the server closed it while idle: retry once, on a new connection
-    if not response.will_close:
+    # after a reply with no body by protocol, bytes a server sent anyway would be read as the next status line
+    if response.will_close or method == "HEAD" or response.status < 200 or response.status in (204, 304):
+        conn.close()
+    else:
         with _idle_lock:
             _idle.setdefault(key, []).append(conn)
     return Response(response.status, response.headers, reply)

@@ -128,7 +128,7 @@ class RecordingHandler(BaseHTTPRequestHandler):
         except (BrokenPipeError, ConnectionResetError):
             pass  # the client stopped waiting (timeout tests)
 
-    do_GET = do_POST = _handle
+    do_GET = do_POST = do_HEAD = _handle  # a HEAD reply carries the body too, as a broken one would
 
     def log_message(self, *args):
         pass

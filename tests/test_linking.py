@@ -547,9 +547,12 @@ triplet_lists = st.lists(
 
 @settings(max_examples=60, deadline=None)
 @given(
-    triplets=triplet_lists, cuts=st.lists(st.integers(0, 30), max_size=5), workers=st.sampled_from([1, 2])
+    triplets=triplet_lists,
+    cuts=st.lists(st.integers(0, 30), max_size=5),
+    workers=st.sampled_from([1, 2]),
+    lookahead=st.none() | st.integers(0, 3),
 )
-def test_linking_article_by_article_equals_one_call(triplets, cuts, workers):
+def test_linking_article_by_article_equals_one_call(triplets, cuts, workers, lookahead):
     bounds = [0, *sorted(min(cut, len(triplets)) for cut in cuts), len(triplets)]
     articles = [triplets[start:end] for start, end in zip(bounds, bounds[1:])]
     whole_client, client = FakeClient(LINKER_TABLE), FakeClient(LINKER_TABLE)
@@ -557,9 +560,15 @@ def test_linking_article_by_article_equals_one_call(triplets, cuts, workers):
 
     linked = []
     # as the link stage runs it: one Linker, whose pool lasts the run, fed
-    # each article's triplets in corpus order
+    # each article's triplets in corpus order; each article prefetched, unless
+    # lookahead is None, up to lookahead articles before it is fed
     with closing(Linker(client, match="prefix", workers=workers)) as linker:
-        for article in articles:
+        prefetched = 0
+        for position, article in enumerate(articles):
+            if lookahead is not None:
+                for ahead in articles[prefetched : position + lookahead + 1]:
+                    linker.prefetch(ahead)
+                prefetched = max(prefetched, position + lookahead + 1)
             linked += canonicalize(article, linker=linker)[0]
 
     assert linked == expected
@@ -580,6 +589,25 @@ class TestSharedLookups:
             with pytest.raises(LookupUnavailableError):
                 linker.link([Triplet("Acme", "p", "ACME ")])
         assert client.calls == ["acme", "acme"]
+
+    def test_failed_prefetched_lookup_is_raised_by_link_and_not_kept(self):
+        client = FakeClient(fail=True)
+        with closing(Linker(client, on_error="abort", workers=2)) as linker:
+            linker.prefetch([Triplet("Acme", "p", "ACME ")])
+            linker.prefetch([Triplet("acme", "p", "Acme")])  # started once already
+            with pytest.raises(LookupUnavailableError):
+                linker.link([Triplet("Acme", "p", "ACME ")])
+            with pytest.raises(LookupUnavailableError):
+                linker.link([Triplet("Acme", "p", "ACME ")])
+        assert client.calls == ["acme", "acme"]
+
+    def test_prefetch_without_a_pool_looks_nothing_up(self):
+        client = FakeClient(LINKER_TABLE)
+        with closing(Linker(client, workers=1)) as linker:
+            linker.prefetch([Triplet("Acme", "p", "Globex")])
+            assert client.calls == []
+            linker.link([Triplet("Acme", "p", "Globex")])
+        assert client.calls == ["acme", "globex"]
 
 
 cache_entries = st.dictionaries(

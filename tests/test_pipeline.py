@@ -13,6 +13,7 @@ import threading
 import time
 import weakref
 from collections import Counter
+from collections.abc import Callable
 from dataclasses import fields
 from json.encoder import encode_basestring
 from pathlib import Path
@@ -30,7 +31,7 @@ from textkg.corpus import Article, load_corpus
 from textkg.errors import ConfigError, TextkgError
 from textkg.extraction import BackendConfig, build_prompt
 from textkg.kgstore import KnowledgeBase, load_kb
-from textkg.linking import normalize_surface
+from textkg.linking import FileLookupClient, LookupUnavailableError, normalize_surface
 from textkg.quality import QualityConfig
 from textkg.rdf import build_repair_prompt, validate_text
 from textkg.pipeline import (
@@ -875,9 +876,9 @@ def test_failure_on_the_last_article_keeps_the_earlier_articles(data_copy, confi
         }
 
 
-@pytest.mark.parametrize("workers", [1, 2])
-def test_corpus_is_read_no_further_ahead_of_extraction_than_its_window(tmp_path, monkeypatch, workers):
-    count = 3 * pipeline._WINDOW_PER_WORKER * workers
+def stub_corpus_config(tmp_path: Path, count: int, workers: int, linking: dict | None = None) -> Path:
+    """A triples config over a corpus of count articles a0, a1, ..., linking
+    through the given section, or with none."""
     write_corpus(
         tmp_path / "corpus.jsonl",
         [{"id": f"a{n}", "title": "t", "body": f"Acme recycles {n} cans.", "source_domain": "x.example",
@@ -886,6 +887,54 @@ def test_corpus_is_read_no_further_ahead_of_extraction_than_its_window(tmp_path,
     data = triples_config_dict()
     data.update(corpus=str(tmp_path / "corpus.jsonl"), run_dir=str(tmp_path / "run"), workers=workers)
     del data["linking"]
+    if linking is not None:
+        data["linking"] = linking
+    return write_config(tmp_path, data)
+
+
+def stub_lookups(monkeypatch, lookup: Callable[[str], list[dict]]) -> None:
+    """Make a linking endpoint answer each normalized query with lookup(query)."""
+    monkeypatch.setattr(pipeline, "LookupClient", lambda endpoint: SimpleNamespace(lookup=lookup))
+
+
+STUB_ENDPOINT = {"endpoint": "http://lookup.invalid/api"}  # never contacted: stub_lookups answers
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_corpus_is_read_no_further_ahead_of_extraction_than_its_window(tmp_path, monkeypatch, workers):
+    count = 3 * pipeline._WINDOW_PER_WORKER * workers
+    config = stub_corpus_config(tmp_path, count, workers)
+    manifest, ahead = run_counting_reads_ahead(monkeypatch, config)
+    assert manifest["stages"]["corpus"]["articles"] == len(ahead) == count
+    assert manifest["stages"]["link"]["entities"] == count + 1
+    assert min(ahead) >= 0
+    assert max(ahead) <= (1 if workers == 1 else pipeline._WINDOW_PER_WORKER * workers)
+
+
+def test_corpus_is_read_no_further_ahead_of_extraction_than_its_window_while_linking(tmp_path, monkeypatch):
+    # slow lookups started as each article is extracted must not widen the window
+    workers = 2
+    count = 3 * pipeline._WINDOW_PER_WORKER * workers
+    looked_up: list[str] = []
+
+    def slow_lookup(query: str) -> list[dict]:
+        looked_up.append(query)
+        time.sleep(0.002)
+        return []
+
+    stub_lookups(monkeypatch, slow_lookup)
+    config = stub_corpus_config(tmp_path, count, workers, STUB_ENDPOINT)
+    manifest, ahead = run_counting_reads_ahead(monkeypatch, config)
+    assert manifest["stages"]["corpus"]["articles"] == len(ahead) == count
+    assert manifest["stages"]["link"]["entities"] == count + 1
+    assert sorted(looked_up) == sorted(["acme", *(f"a{n}" for n in range(count))])
+    assert min(ahead) >= 0
+    assert max(ahead) <= pipeline._WINDOW_PER_WORKER * workers
+
+
+def run_counting_reads_ahead(monkeypatch, config: Path) -> tuple[dict, list[int]]:
+    """Run config with an extraction that records, for each article, how
+    many articles past it the corpus reader has read."""
     reads: list[str] = []
     ahead: list[int] = []
     load_corpus = pipeline.load_corpus
@@ -903,11 +952,7 @@ def test_corpus_is_read_no_further_ahead_of_extraction_than_its_window(tmp_path,
 
     monkeypatch.setattr(pipeline, "load_corpus", counted_reads)
     monkeypatch.setattr(pipeline, "extract_article", extracted)
-    manifest = run_pipeline(write_config(tmp_path, data))
-    assert manifest["stages"]["corpus"]["articles"] == len(ahead) == count
-    assert manifest["stages"]["link"]["entities"] == count + 1
-    assert min(ahead) >= 0
-    assert max(ahead) <= (1 if workers == 1 else pipeline._WINDOW_PER_WORKER * workers)
+    return run_pipeline(config), ahead
 
 
 def test_malformed_line_after_the_first_article_fails_the_corpus_stage(data_copy):
@@ -957,6 +1002,121 @@ def test_lookup_abort_fails_the_link_stage_off_the_extraction_workers(data_copy,
     # whatever workers is, the abort comes after the failing article's rows
     rows = (run_dir / "triples.jsonl").read_text(encoding="utf-8").splitlines()
     assert {json.loads(row)["provenance"][0]["article_id"] for row in rows} == {"a1"}
+
+
+def stub_extraction(monkeypatch, surfaces: dict[str, str], before: Callable[[str], None] = lambda article_id: None):
+    """Make each article extract the one triplet (surface, "p", surface) for its
+    surface in surfaces, after calling before(article id) on its worker."""
+
+    def extracted(article, backend, **kwargs):
+        before(article.id)
+        surface = surfaces[article.id]
+        triplet = extraction.Triplet(surface, "p", surface, extraction.Provenance(article.id, 0, "stub"))
+        return [triplet], extraction.ParseReport(triplets_emitted=1)
+
+    monkeypatch.setattr(pipeline, "extract_article", extracted)
+
+
+def a0_ends_after_a1(a2_started: threading.Event) -> Callable[[str], None]:
+    """A ``before`` for stub_extraction at workers 2: a0's extraction ends once
+    a2's has started, which is after a1's has ended, since a1's worker is the
+    only one free to start a2."""
+
+    def before(article_id: str) -> None:
+        if article_id == "a0":
+            assert a2_started.wait(timeout=5)
+        elif article_id == "a2":
+            a2_started.set()
+
+    return before
+
+
+def test_an_articles_lookups_start_while_the_articles_before_it_are_looked_up(tmp_path, monkeypatch):
+    # a0's lookup returns once a1's has started, which it can only do if a1's
+    # lookups start as soon as a1 is extracted, not when a0 has been linked
+    a1_looked_up = threading.Event()
+    waits: list[bool] = []
+
+    def lookup(query: str) -> list[dict]:
+        if query == "alpha":
+            waits.append(a1_looked_up.wait(timeout=5))
+        elif query == "gamma":
+            a1_looked_up.set()
+        return []
+
+    stub_lookups(monkeypatch, lookup)
+    stub_extraction(monkeypatch, {"a0": "Alpha", "a1": "Gamma", "a2": "Delta"}, a0_ends_after_a1(threading.Event()))
+    manifest = run_pipeline(stub_corpus_config(tmp_path, 3, 2, STUB_ENDPOINT))
+    assert waits == [True]
+    assert manifest["stages"]["link"] == {"entities": 3, "linked": 0}
+
+
+@pytest.mark.parametrize("workers", [1, 2])
+def test_failed_prefetched_lookup_aborts_after_its_articles_rows(tmp_path, monkeypatch, workers):
+    # a1's lookup fails before a0 is linked; the abort still comes after a1's rows
+    failed = threading.Event()
+
+    def lookup(query: str) -> list[dict]:
+        if query == "alpha" and workers > 1:
+            assert failed.wait(timeout=5)
+        if query == "gamma":
+            failed.set()
+            raise LookupUnavailableError("scripted outage")
+        return []
+
+    stub_lookups(monkeypatch, lookup)
+    surfaces = {"a0": "Alpha", "a1": "Gamma", "a2": "Delta", "a3": "Epsilon"}
+    stub_extraction(monkeypatch, surfaces, a0_ends_after_a1(threading.Event()) if workers > 1 else lambda _: None)
+    config = stub_corpus_config(tmp_path, 4, workers, {**STUB_ENDPOINT, "on_error": "abort"})
+    threads_before = threading.active_count()
+    with pytest.raises(StageError, match="stage 'link' failed: scripted outage") as info:
+        run_pipeline(config)
+    assert info.value.stage == "link"
+    assert threading.active_count() == threads_before
+    rows = (tmp_path / "run" / "triples.jsonl").read_text(encoding="utf-8").splitlines()
+    assert [json.loads(row)["provenance"][0]["article_id"] for row in rows] == ["a0", "a1"]
+    assert not (tmp_path / "run" / "manifest.json").exists()
+
+
+def test_lookup_endpoint_at_any_workers_gives_the_same_bytes(data_copy, monkeypatch):
+    # lookups answered by query, later ones often first, as the bundled table would
+    table = FileLookupClient(DATA_DIR / "lookup_fixture.json")
+
+    def lookup(query: str) -> list[dict]:
+        time.sleep(0.001 * (len(query) % 3))
+        return table.lookup(query)
+
+    stub_lookups(monkeypatch, lookup)
+    runs = []
+    for workers in (1, 2):
+        data = triples_config_dict()
+        data.update(workers=workers, run_dir=f"run_{workers}", linking={**STUB_ENDPOINT, "cache_path": None})
+        run_pipeline(write_config(data_copy, data))
+        runs.append(snapshot(data_copy / f"run_{workers}"))
+    names = ["triples.jsonl", "kb.json", "export.dot", "export.graphml", "export.json"]
+    assert [runs[0][name] for name in names] == [runs[1][name] for name in names]
+    kb = json.loads(runs[1]["kb.json"])
+    want = json.loads((GOLDEN_DIR / "triples" / "kb.json").read_text(encoding="utf-8"))
+    assert kb.pop("link_config") == "match=exact;source=http://lookup.invalid/api"
+    want.pop("link_config")
+    assert kb == want
+
+
+def test_fixture_file_lookups_run_on_the_linking_thread(data_copy, monkeypatch):
+    threads = set()
+    lookup = FileLookupClient.lookup
+
+    def recorded(self, query):
+        threads.add(threading.current_thread())
+        return lookup(self, query)
+
+    monkeypatch.setattr(FileLookupClient, "lookup", recorded)
+    data = triples_config_dict()
+    data["workers"] = 2
+    run_pipeline(write_config(data_copy, data))
+    assert threads == {threading.main_thread()}
+    golden = GOLDEN_DIR / "triples" / "kb.json"
+    assert (data_copy / "run_triples" / "kb.json").read_bytes() == golden.read_bytes()
 
 
 def window_worker(started: list, fail_at: int | None = None):

@@ -253,6 +253,17 @@ def test_connection_close_reply_is_not_reused(keepalive_server):
     assert keepalive_server.connections == 2
 
 
+@pytest.mark.parametrize("method, status", [("GET", 204), ("GET", 304), ("HEAD", 200)])
+def test_reply_with_no_body_by_protocol_is_not_reused(keepalive_server, method, status):
+    # the server wrongly sends a body after the reply; on a reused connection
+    # those bytes would be read as the next reply's status line
+    keepalive_server.script = [(status, "moved"), (200, '{"ok": true}')]
+    first = transport.request(method, keepalive_server.url, timeout=5)
+    assert (first.status, first.body) == (status, b"")
+    assert transport.request("GET", keepalive_server.url, timeout=5).body == b'{"ok": true}'
+    assert keepalive_server.connections == 2
+
+
 def test_timed_out_connection_is_dropped(keepalive_server):
     keepalive_server.script = [(200, "{}"), (200, "{}", {}, 1.0), (200, '{"ok": true}')]
     transport.request("GET", keepalive_server.url, timeout=5)
