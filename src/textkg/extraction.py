@@ -19,7 +19,8 @@ import os
 import re
 import threading
 import time
-from dataclasses import dataclass, field
+from dataclasses import FrozenInstanceError, dataclass, field
+from json.encoder import encode_basestring_ascii
 from pathlib import Path
 from typing import TYPE_CHECKING, Callable, NamedTuple
 
@@ -90,17 +91,34 @@ class Provenance(NamedTuple):
     backend_id: str
 
 
-@dataclass(frozen=True, slots=True)
-class Triplet:
+class _TripletFields(NamedTuple):
     subject: str
     predicate: str
     object: str
     provenance: Provenance | None = None
 
-    def __post_init__(self):
-        if not (self.subject.strip() and self.predicate.strip() and self.object.strip()):
-            name = next(name for name in ("subject", "predicate", "object") if not getattr(self, name).strip())
+
+class Triplet(_TripletFields):
+    """One fact and where it came from. A named tuple: it unpacks, and equals, hashes and orders as
+    the plain tuple of its fields. A blank subject, predicate or object and any assignment are refused."""
+
+    __slots__ = ()
+
+    def __new__(cls, subject: str, predicate: str, object: str, provenance: Provenance | None = None):
+        if not (subject.strip() and predicate.strip() and object.strip()):
+            name = next(name for name, text in zip(cls._fields, (subject, predicate, object)) if not text.strip())
             raise ValueError(f"triplet {name} must be non-empty")
+        return tuple.__new__(cls, (subject, predicate, object, provenance))
+
+    @classmethod
+    def _make(cls, iterable) -> Triplet:  # namedtuple's own skips __new__, and _replace calls it
+        return cls(*iterable)
+
+    def __setattr__(self, name, value):
+        raise FrozenInstanceError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise FrozenInstanceError(f"cannot delete field {name!r}")
 
 
 @dataclass(frozen=True)
@@ -246,7 +264,7 @@ def parse_chat_triples(text: str, provenance: Provenance | None = None) -> tuple
         if not all(parts):
             report._skip(line, "empty field")
             continue
-        triplets.append(Triplet(parts[0], parts[1], parts[2], provenance))
+        triplets.append(Triplet(*parts, provenance))
         report.triplets_emitted += 1
     return triplets, report
 
@@ -282,13 +300,13 @@ def build_prompt(article_text: str, mode: str) -> str:
 
 
 def request_fingerprint(prompt: str, model_name: str, temperature: float) -> str:
-    """Stable content hash identifying one generation request."""
-    payload = json.dumps(
-        {"input": prompt, "model": model_name, "temperature": float(temperature)},
-        sort_keys=True,
-        separators=(",", ":"),
+    """Stable content hash identifying one generation request: the SHA-256 hex digest of
+    json.dumps({"input": prompt, "model": model_name, "temperature": float(temperature)}, sort_keys=True,
+    separators=(",", ":")), pure ASCII through its default escapes, filled into one template here."""
+    payload = '{"input":%s,"model":%s,"temperature":%s}' % (
+        encode_basestring_ascii(prompt), encode_basestring_ascii(model_name), json.dumps(float(temperature))
     )
-    return hashlib.sha256(payload.encode("utf-8")).hexdigest()
+    return hashlib.sha256(payload.encode("ascii")).hexdigest()
 
 
 def _fixture_file(config: BackendConfig, input_text: str) -> str:

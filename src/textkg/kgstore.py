@@ -48,13 +48,13 @@ class KnowledgeBase:
         self.entities.add(label)
 
     def add_triple(self, triplet: Triplet) -> None:
-        key = (triplet.subject, triplet.predicate, triplet.object)
-        provenance = self.triples.setdefault(key, {})
-        if triplet.provenance is not None:
-            provenance[triplet.provenance] = None
-        self.entities.add(triplet.subject)
-        self.entities.add(triplet.object)
-        self.predicates.add(triplet.predicate)
+        subject, predicate, obj, source = triplet
+        provenance = self.triples.setdefault((subject, predicate, obj), {})
+        if source is not None:
+            provenance[source] = None
+        self.entities.add(subject)
+        self.entities.add(obj)
+        self.predicates.add(predicate)
 
     def update(self, other: KnowledgeBase) -> None:
         """Set-union other into this KB in place, in time proportional to

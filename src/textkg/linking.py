@@ -270,8 +270,8 @@ class Linker:
         labels, keys = self._labels, self._keys
         new: dict[str, str] = {}
         todo: dict[str, str] = {}
-        for triplet in triplets:
-            for surface in (triplet.subject, triplet.object):
+        for subject, _, obj, _ in triplets:
+            for surface in (subject, obj):
                 if surface not in labels and surface not in new:
                     key = new[surface] = normalize_surface(surface)
                     if key not in keys and key not in todo:
@@ -298,10 +298,7 @@ class Linker:
         labels.update(zip(new, map(keys.__getitem__, new.values())))
         predicates = self._predicates
         predicates.update((p, normalize_surface(p)) for p in {t.predicate for t in triplets} - predicates.keys())
-        return [
-            Triplet(labels[t.subject], predicates[t.predicate], labels[t.object], t.provenance)
-            for t in triplets
-        ]
+        return [Triplet(labels[s], predicates[p], labels[o], source) for s, p, o, source in triplets]
 
     def prefetch(self, triplets: list[Triplet]) -> None:
         """Start on the pool, in first-seen order, each lookup that link would

@@ -21,7 +21,7 @@ from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import closing, contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from json.encoder import encode_basestring
+from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -304,13 +304,17 @@ _GENERATION_ROW = '{"article_id": %s, "batch_index": %s, "output": %s}\n'
 _ATTEMPT_ROW = '{"article_id": %s, "attempt": %d, "output": %s}\n'
 
 
+def _json_str(text: str) -> str:
+    """json.dumps(text, ensure_ascii=False), through the faster C ASCII encoder for
+    ASCII text without DEL, the one ASCII character that only that encoder escapes."""
+    return encode_basestring_ascii(text) if text.isascii() and "\x7f" not in text else encode_basestring(text)
+
+
 def _batch_lines(batches: list[TokenBatch]) -> Iterator[str]:
     """json.dumps(vars(batch), ensure_ascii=False, sort_keys=True) plus a
     newline for each batch, filled into one template."""
     for b in batches:
-        yield _BATCH_ROW % (
-            encode_basestring(b.article_id), b.batch_index, encode_basestring(b.text), b.token_end, b.token_start
-        )
+        yield _BATCH_ROW % (_json_str(b.article_id), b.batch_index, _json_str(b.text), b.token_end, b.token_start)
 
 
 def _open_lines(path: Path | None):
@@ -484,9 +488,7 @@ def extract_stage(
         rows: list[str] = []
 
         def on_generation(batch_index: int | None, output: str) -> None:
-            rows.append(
-                _GENERATION_ROW % (encode_basestring(article.id), _scalar(batch_index), encode_basestring(output))
-            )
+            rows.append(_GENERATION_ROW % (_json_str(article.id), _scalar(batch_index), _json_str(output)))
 
         batches = chunk(article, batch_size=config.batch_size)
         triplets, parse_report = extract_article(
@@ -516,10 +518,7 @@ def extract_stage(
             batch_rows.writelines(_batch_lines(batches))
             total_report.extend(parse_report)
             generations.writelines(rows)
-            triples.writelines(
-                encode((t.subject, t.predicate, t.object), [t.provenance] if t.provenance else []) + "\n"
-                for t in triplets
-            )
+            triples.writelines(encode((s, p, o), [source] if source else []) + "\n" for s, p, o, source in triplets)
             if link is not None:
                 with _stage("link"):
                     link.fold(triplets)
@@ -572,7 +571,7 @@ def ontology_stage(
             repair_attempts += len(attempts) - 1
             name = _safe_name(article.id)
             generations.writelines(
-                _ATTEMPT_ROW % (encode_basestring(article.id), attempt_index, encode_basestring(attempt.output))
+                _ATTEMPT_ROW % (_json_str(article.id), attempt_index, _json_str(attempt.output))
                 for attempt_index, attempt in enumerate(attempts)
             )
             write_json(

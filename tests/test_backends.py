@@ -2,11 +2,14 @@ from __future__ import annotations
 
 import datetime as dt
 import email.utils
+import hashlib
 import json
 import socket
 from pathlib import Path
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import textkg.extraction as extraction
 from textkg import transport
@@ -237,6 +240,21 @@ class TestReplayBackend:
         assert a != request_fingerprint("p", "m", 0.5)
         assert a != request_fingerprint("p", "other", 0.0)
         assert a != request_fingerprint("q", "m", 0.0)
+
+    @given(
+        st.text(st.characters() | st.sampled_from(["\x7f", "\ud800", "\udfff", "\x00", "\x1f", '"', "\\", "é", "😀"])),
+        st.text(max_size=12),
+        st.integers(0, 2) | st.floats(0, 2),
+    )
+    @example("Article:\n\x7f\t\u2028\ud83d", "fixture-model", 0)
+    @settings(max_examples=300, deadline=None)
+    def test_fingerprint_hashes_the_json_dumps_bytes(self, prompt, model_name, temperature):
+        payload = json.dumps(
+            {"input": prompt, "model": model_name, "temperature": float(temperature)},
+            sort_keys=True,
+            separators=(",", ":"),
+        )
+        assert request_fingerprint(prompt, model_name, temperature) == hashlib.sha256(payload.encode()).hexdigest()
 
 
 class TestBackendConfigValidation:

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import copy
 import dataclasses
+import pickle
 
 import pytest
 from hypothesis import given, settings
@@ -226,3 +228,45 @@ class TestRecordTypes:
         assert not hasattr(triplet, "__dict__")
         assert triplet == Triplet("A", "b", "C", Provenance("a1", 0, "chat"))
         assert hash(triplet) == hash(Triplet("A", "b", "C", Provenance("a1", 0, "chat")))
+
+    def test_triplet_is_a_named_tuple_with_the_field_tuple_hash(self):
+        prov = Provenance("a1", 0, "chat")
+        triplet = Triplet("A", "b", "C", prov)
+        assert repr(triplet) == (
+            "Triplet(subject='A', predicate='b', object='C',"
+            " provenance=Provenance(article_id='a1', batch_index=0, backend_id='chat'))"
+        )
+        assert repr(Triplet("A", "b", "C")) == "Triplet(subject='A', predicate='b', object='C', provenance=None)"
+        subject, predicate, obj, provenance = triplet
+        assert (subject, predicate, obj, provenance) == ("A", "b", "C", prov)
+        assert triplet == ("A", "b", "C", prov)
+        assert hash(triplet) == hash(tuple(triplet))
+        assert Triplet("A", "b", "C") < Triplet("A", "c", "B")
+        with pytest.raises(dataclasses.FrozenInstanceError, match="^cannot delete field 'subject'$"):
+            del triplet.subject
+        with pytest.raises(dataclasses.FrozenInstanceError):
+            triplet.other = "D"
+
+    @pytest.mark.parametrize(
+        "rebuild",
+        [
+            lambda t: Triplet._make(t),
+            lambda t: t._replace(),
+            copy.copy,
+            copy.deepcopy,
+            lambda t: pickle.loads(pickle.dumps(t)),
+        ],
+        ids=["make", "replace", "copy", "deepcopy", "pickle"],
+    )
+    def test_every_tuple_rebuild_runs_the_blank_check(self, rebuild):
+        triplet = Triplet("A", "b", "C", Provenance("a1", None, "chat"))
+        assert rebuild(triplet) == triplet and type(rebuild(triplet)) is Triplet
+        blank = tuple.__new__(Triplet, ("A", " ", "C", None))  # as if built around the check
+        with pytest.raises(ValueError, match="^triplet predicate must be non-empty$"):
+            rebuild(blank)
+
+    def test_replace_checks_the_new_fields(self):
+        triplet = Triplet("A", "b", "C")
+        assert triplet._replace(object="D") == Triplet("A", "b", "D")
+        with pytest.raises(ValueError, match="^triplet subject must be non-empty$"):
+            triplet._replace(subject=" ")

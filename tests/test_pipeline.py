@@ -15,7 +15,6 @@ import weakref
 from collections import Counter
 from collections.abc import Callable
 from dataclasses import fields
-from json.encoder import encode_basestring
 from pathlib import Path
 from types import SimpleNamespace
 from typing import get_args, get_type_hints
@@ -1173,8 +1172,17 @@ def test_map_articles_stops_submitting_after_a_failure():
 @settings(max_examples=300, deadline=None)
 def test_attempt_row_writes_the_json_dumps_line(article_id, attempt, output):
     row = {"article_id": article_id, "attempt": attempt, "output": output}
-    filled = pipeline._ATTEMPT_ROW % (encode_basestring(article_id), attempt, encode_basestring(output))
+    filled = pipeline._ATTEMPT_ROW % (pipeline._json_str(article_id), attempt, pipeline._json_str(output))
     assert filled == json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
+
+
+@given(st.text(st.characters() | st.sampled_from([chr(c) for c in range(32)] + ["\x7f", '"', "\\", "\ud800"])))
+@example("\x7f")
+@example("".join(map(chr, range(32))))
+@example("plain ASCII text, with no escapes")
+@settings(max_examples=500, deadline=None)
+def test_json_str_writes_the_json_dumps_text(text):
+    assert pipeline._json_str(text) == json.dumps(text, ensure_ascii=False)
 
 
 @given(json_text, st.integers(0, 2**40), st.integers(0, 2**40), st.integers(0, 2**40), json_text)
