@@ -197,7 +197,7 @@ def _cmd_extract(args) -> int:
             f" ({counts['segments_skipped']} segments skipped)"
         )
         return 0
-    _, counts = ontology_stage(config, list(articles), Path(args.output))
+    _, _, counts = ontology_stage(config, articles, Path(args.output))
     print(
         f"wrote {counts['documents']} ontologies to {args.output}"
         f" ({counts['valid_documents']} valid, {counts['repair_attempts']} repair attempt(s))"

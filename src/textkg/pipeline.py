@@ -41,7 +41,7 @@ from .extraction import (
 from .kgstore import KnowledgeBase, _scalar, add_triples, replacing, row_encoder, save_kb, stats, write_json
 from .linking import FileLookupClient, LinkCache, Linker, LookupClient, canonicalize
 from .quality import QualityConfig, evaluate, render_report, save_report
-from .rdf import ontology_to_kb, repair_until_valid, serialize_turtle
+from .rdf import OntologyDoc, ontology_to_kb, repair_until_valid, serialize_turtle
 
 logger = logging.getLogger(__name__)
 
@@ -317,8 +317,10 @@ def _batch_lines(batches: list[TokenBatch]) -> Iterator[str]:
         yield _BATCH_ROW % (_json_str(b.article_id), b.batch_index, _json_str(b.text), b.token_end, b.token_start)
 
 
-def _open_lines(path: Path | None):
-    """A text handle that writes rows to path, or discards them if path is None."""
+def _open_lines(path: Path | None, whole: bool = False):
+    """A text handle that writes rows to path (through ``replacing`` if whole), or discards them if path is None."""
+    if whole and path is not None:
+        return replacing(path)
     return open(os.devnull if path is None else path, "w", encoding="utf-8")
 
 
@@ -431,8 +433,8 @@ class LinkStage:
     """The link stage, fed one article's triplets at a time on one thread;
     each feed is canonicalized as one call over all the triplets fed so far
     would be. With `workers` above 1 and a lookup endpoint, lookups run on a
-    pool of that many threads that lasts until close, where prefetch starts
-    them before their feed; otherwise they run on the feeding thread."""
+    pool of that many threads that lasts until close, where linker.prefetch
+    starts them before their feed; otherwise they run on the feeding thread."""
 
     def __init__(self, config: PipelineConfig):
         settings = config.linking
@@ -446,10 +448,6 @@ class LinkStage:
         workers = config.workers if settings.endpoint else 1  # only an HTTP lookup waits
         self.linker = Linker(client, self.cache, match=settings.match, on_error=settings.on_error, workers=workers)
         self.kb = KnowledgeBase(link_config=settings.identity())
-
-    def prefetch(self, triplets: list[Triplet]) -> None:
-        """Start the lookups that fold will make for triplets."""
-        self.linker.prefetch(triplets)
 
     def fold(self, triplets: list[Triplet]) -> None:
         add_triples(self.kb, canonicalize(triplets, linker=self.linker)[0])
@@ -468,6 +466,34 @@ class LinkStage:
         return self.kb, {"entities": len(self.linker.table), "linked": len(links)}
 
 
+def _article_stage(config: PipelineConfig, articles: Iterable, work: Callable, fold: Callable, paths, on_ready=None):
+    """The per-article loop of both modes. On up to `workers` threads, each
+    article is chunked once and run through work(article, batches), which
+    returns its generation rows, triple rows and fold arguments. As each one
+    completes, in corpus order, its rows are written to paths (triples,
+    generations, batches; an ontology run's batches whole) and fold called."""
+
+    def one(article: Article) -> tuple:
+        batches = chunk(article, batch_size=config.batch_size)
+        return batches, *work(article, batches)
+
+    triples_path, generations_path, batches_path = paths
+    count = 0
+    with (
+        _open_lines(batches_path, whole=config.mode == "ontology") as batch_rows,
+        _open_lines(generations_path) as generations,
+        _open_lines(triples_path) as triples,
+        closing(_map_articles(config, one, articles, on_ready)) as results,
+    ):
+        for batches, rows, triple_rows, item in results:
+            count += len(batches)
+            batch_rows.writelines(_batch_lines(batches))
+            generations.writelines(rows)
+            triples.writelines(triple_rows)
+            fold(*item)
+    return {"batches": count}
+
+
 def extract_stage(
     config: PipelineConfig,
     articles: Iterable[Article],
@@ -483,14 +509,15 @@ def extract_stage(
     stages' counts."""
     backend = config.backend
     limiter = _rate_limiter(config)
+    encode = row_encoder()
+    total_report = ParseReport()
 
-    def extract_one(article: Article) -> tuple[list[TokenBatch], list[Triplet], ParseReport, list[str]]:
+    def work(article: Article, batches: list[TokenBatch]) -> tuple:
         rows: list[str] = []
 
         def on_generation(batch_index: int | None, output: str) -> None:
             rows.append(_GENERATION_ROW % (_json_str(article.id), _scalar(batch_index), _json_str(output)))
 
-        batches = chunk(article, batch_size=config.batch_size)
         triplets, parse_report = extract_article(
             article,
             backend,
@@ -500,29 +527,20 @@ def extract_stage(
             limiter=limiter,
             on_generation=on_generation,
         )
-        return batches, triplets, parse_report, rows
+        # lazily: encode keeps a cache, so only the writing thread may call it
+        triple_rows = (encode((s, p, o), [source] if source else []) + "\n" for s, p, o, source in triplets)
+        return rows, triple_rows, (triplets, parse_report)
+
+    def fold(triplets: list[Triplet], parse_report: ParseReport) -> None:
+        total_report.extend(parse_report)
+        if link is not None:
+            with _stage("link"):
+                link.fold(triplets)
 
     # each article's lookups start once it and the articles before it are extracted
-    prefetch = None if link is None else lambda result: link.prefetch(result[1])
-    batch_count = 0
-    total_report = ParseReport()
-    encode = row_encoder()
-    with (
-        _open_lines(batches_path) as batch_rows,
-        _open_lines(triples_path) as triples,
-        _open_lines(generations_path) as generations,
-        closing(_map_articles(config, extract_one, articles, prefetch)) as results,
-    ):
-        for batches, triplets, parse_report, rows in results:
-            batch_count += len(batches)
-            batch_rows.writelines(_batch_lines(batches))
-            total_report.extend(parse_report)
-            generations.writelines(rows)
-            triples.writelines(encode((s, p, o), [source] if source else []) + "\n" for s, p, o, source in triplets)
-            if link is not None:
-                with _stage("link"):
-                    link.fold(triplets)
-    return {"batches": batch_count}, {
+    prefetch = None if link is None else lambda result: link.linker.prefetch(result[-1][0])
+    counts = _article_stage(config, articles, work, fold, (triples_path, generations_path, batches_path), prefetch)
+    return counts, {
         "triplets_parsed": total_report.triplets_emitted,
         "segments_skipped": total_report.segments_skipped,
         "failed_batches": len(total_report.failed_batches),
@@ -531,74 +549,69 @@ def extract_stage(
 
 def ontology_stage(
     config: PipelineConfig,
-    articles: list[Article],
+    articles: Iterable[Article],
     ontology_dir: Path,
     triples_path: Path | None = None,
     generations_path: Path | None = None,
-) -> tuple[KnowledgeBase, dict]:
+    batches_path: Path | None = None,
+) -> tuple[KnowledgeBase, dict, dict]:
     """Generate, validate and repair one ontology per article, writing
     `<article>.ttl` (valid ones) and `<article>.report.json` into
-    ontology_dir and the article's triple and generation rows as each
-    article completes, in corpus order, and fold the valid ones into one KB.
-    Article ids that share a file name are refused before any generation."""
+    ontology_dir and the article's rows as each article completes, in corpus
+    order, and fold the valid ones into one KB. Article ids that share a file
+    name are refused before any generation, by a first pass over the ids.
+    Returns the KB and the chunk and ontology stages' counts."""
     owners: dict[str, str] = {}
-    for article in articles:
-        name = _safe_name(article.id)
-        if owners.setdefault(name, article.id) != article.id:
+    for article_id in (article.id for article in read_corpus(config, {}, [])):
+        name = _safe_name(article_id)
+        if owners.setdefault(name, article_id) != article_id:
             raise TextkgError(
-                f"article ids {owners[name]!r} and {article.id!r} both map to ontology file name {name!r}"
+                f"article ids {owners[name]!r} and {article_id!r} both map to ontology file name {name!r}"
             )
     complete = make_completer(config)
-
-    def ontology_one(article: Article):
-        if not article.body.strip():
-            return None, []
-        prompt = build_prompt(article.body, "ontology")
-        return repair_until_valid(prompt, complete, config.max_repair_attempts)
-
-    ontology_dir.mkdir(parents=True, exist_ok=True)
     encode = row_encoder()
     kb = KnowledgeBase()
-    documents = 0
-    repair_attempts = 0
-    invalid_ids: list[str] = []
-    results = _map_articles(config, ontology_one, articles)
-    with _open_lines(triples_path) as triples, _open_lines(generations_path) as generations, closing(results):
-        for article, (doc, attempts) in zip(articles, results):
-            if not attempts:
-                continue
-            documents += 1
-            repair_attempts += len(attempts) - 1
-            name = _safe_name(article.id)
-            generations.writelines(
-                _ATTEMPT_ROW % (_json_str(article.id), attempt_index, _json_str(attempt.output))
-                for attempt_index, attempt in enumerate(attempts)
-            )
-            write_json(
-                ontology_dir / f"{name}.report.json",
-                {
-                    "article_id": article.id,
-                    "valid": doc is not None,
-                    "repair_attempts": len(attempts) - 1,
-                    "attempts": [asdict(attempt.report) for attempt in attempts],
-                },
-            )
-            if doc is None:
-                invalid_ids.append(article.id)
-                logger.warning(
-                    "article %s: no valid ontology after %d attempt(s)", article.id, len(attempts)
-                )
-                continue
-            (ontology_dir / f"{name}.ttl").write_text(serialize_turtle(doc), encoding="utf-8")
-            article_kb = ontology_to_kb(doc, source_id=article.id, backend_id=config.backend_id)
-            triples.writelines(encode(*item) + "\n" for item in sorted(article_kb.triples.items()))
-            kb.update(article_kb)
-    return kb, {
-        "documents": documents,
-        "valid_documents": documents - len(invalid_ids),
-        "repair_attempts": repair_attempts,
-        "invalid_article_ids": invalid_ids,
-    }
+    counts = {"documents": 0, "valid_documents": 0, "repair_attempts": 0, "invalid_article_ids": []}
+
+    def work(article: Article, batches: list[TokenBatch]) -> tuple:
+        if not batches:  # an empty body: nothing to generate from
+            return (), (), (article.id, None, [], None)
+        doc, attempts = repair_until_valid(build_prompt(article.body, "ontology"), complete, config.max_repair_attempts)
+        rows = [
+            _ATTEMPT_ROW % (_json_str(article.id), attempt_index, _json_str(attempt.output))
+            for attempt_index, attempt in enumerate(attempts)
+        ]
+        if doc is None:
+            return rows, (), (article.id, doc, attempts, None)
+        article_kb = ontology_to_kb(doc, source_id=article.id, backend_id=config.backend_id)
+        triple_rows = (encode(*item) + "\n" for item in sorted(article_kb.triples.items()))
+        return rows, triple_rows, (article.id, doc, attempts, article_kb)
+
+    def fold(article_id: str, doc: OntologyDoc | None, attempts: list, article_kb: KnowledgeBase | None) -> None:
+        if not attempts:
+            return
+        counts["documents"] += 1
+        counts["repair_attempts"] += len(attempts) - 1
+        name = _safe_name(article_id)
+        write_json(
+            ontology_dir / f"{name}.report.json",
+            {
+                "article_id": article_id,
+                "valid": doc is not None,
+                "repair_attempts": len(attempts) - 1,
+                "attempts": [asdict(attempt.report) for attempt in attempts],
+            },
+        )
+        if doc is None:
+            counts["invalid_article_ids"].append(article_id)
+            logger.warning("article %s: no valid ontology after %d attempt(s)", article_id, len(attempts))
+            return
+        counts["valid_documents"] += 1
+        (ontology_dir / f"{name}.ttl").write_text(serialize_turtle(doc), encoding="utf-8")
+        kb.update(article_kb)
+
+    ontology_dir.mkdir(parents=True, exist_ok=True)
+    return kb, _article_stage(config, articles, work, fold, (triples_path, generations_path, batches_path)), counts
 
 
 def kb_stage(kb: KnowledgeBase, path: Path) -> dict:
@@ -645,33 +658,19 @@ def run_pipeline(config_path: str | Path) -> dict:
         with _stage(stage):
             return function(*args)
 
-    triples_path = run_dir / "triples.jsonl"
-    generations_path = run_dir / "generations.jsonl"
-    batches_path = run_dir / "batches.jsonl"
+    rows = (run_dir / "triples.jsonl", run_dir / "generations.jsonl", run_dir / "batches.jsonl")
     metadata: list[ArticleMeta] = []
     corpus = read_corpus(config, stages.setdefault("corpus", {}), metadata)
+    # one pass: each article is read, chunked, extracted and folded into the KB
+    # in corpus order, so that only the KB, the linker's tables and the
+    # articles' metadata outlive the loop (ontology mode first reads the ids)
     if config.mode == "triples":
-        # one pass: each article is read, chunked, extracted, linked and folded
-        # into the KB in corpus order, so that only the KB, the linker's
-        # tables and the articles' metadata outlive the loop
         with closing(run("link", LinkStage, config)) as link:
-            stages["chunk"], stages["extract"] = run(
-                "extract", extract_stage, config, corpus, triples_path, generations_path, batches_path, link
-            )
+            stages["chunk"], stages["extract"] = run("extract", extract_stage, config, corpus, *rows, link)
             kb, stages["link"] = run("link", link.finish)
     else:
-        # the file names of all articles are checked before any generation
-        articles = list(corpus)
-        stages["chunk"] = run("chunk", chunk_stage, articles, config.batch_size, batches_path)
-        kb, stages["ontology"] = run(
-            "ontology",
-            ontology_stage,
-            config,
-            articles,
-            run_dir / "ontologies",
-            triples_path,
-            generations_path,
-        )
+        ontology_dir = run_dir / "ontologies"
+        kb, stages["chunk"], stages["ontology"] = run("ontology", ontology_stage, config, corpus, ontology_dir, *rows)
     stages["kb"] = run("kb", kb_stage, kb, run_dir / "kb.json")
     stages["quality"] = run("quality", quality_stage, kb, metadata, config.quality, run_dir)
     stages["export"] = run("export", export_stage, kb, config.export, run_dir)

@@ -9,6 +9,8 @@ import hashlib
 import json
 import os
 import re
+import subprocess
+import sys
 import threading
 import time
 import weakref
@@ -23,6 +25,7 @@ import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
+import textkg
 from textkg import extraction, pipeline
 from textkg.chunking import TokenBatch
 from textkg.cli import main
@@ -584,12 +587,25 @@ class TestRunPipeline:
         batches = (data_copy / data["run_dir"] / "batches.jsonl").read_text().splitlines()
         assert sorted({json.loads(line)["article_id"] for line in batches}) == kept
 
-    def test_corrupt_corpus_fails_in_corpus_stage(self, data_copy):
-        (data_copy / "corpus_pipeline.jsonl").write_text("{broken\n", encoding="utf-8")
-        with pytest.raises(StageError, match="stage 'corpus' failed") as info:
-            run_pipeline(data_copy / "pipeline_triples.json")
+    @pytest.mark.parametrize("mode", ["ontology", "triples"])
+    def test_corrupt_corpus_fails_in_corpus_stage(self, data_copy, monkeypatch, mode):
+        corpus = data_copy / "corpus_pipeline.jsonl"
+        corpus.write_text(corpus.read_text(encoding="utf-8") + "{broken\n", encoding="utf-8")
+        generated = []  # ontology mode's backend calls
+        monkeypatch.setattr(pipeline, "generate", lambda *args, **kwargs: generated.append(args))
+        with pytest.raises(StageError, match="stage 'corpus' failed: line 6: invalid JSON") as info:
+            run_pipeline(data_copy / f"pipeline_{mode}.json")
         assert info.value.stage == "corpus"
         assert isinstance(info.value.cause, TextkgError)
+        rows = data_copy / f"run_{mode}" / "generations.jsonl"
+        lines = rows.read_text(encoding="utf-8").splitlines() if rows.exists() else []
+        extracted = {json.loads(line)["article_id"] for line in lines}
+        if mode == "ontology":
+            # the id-only first pass reads every line before the first generation
+            assert generated == [] and extracted == set()
+        else:
+            # one pass: the articles before the bad line are extracted
+            assert extracted == {"a1", "a2", "a3", "a4", "a5"}
 
     def test_failed_rerun_leaves_no_manifest(self, data_copy):
         config = data_copy / "pipeline_triples.json"
@@ -850,6 +866,45 @@ def test_ontology_stage_holds_a_constant_number_of_documents(data_copy, monkeypa
     assert max(peak) <= 2
 
 
+@pytest.mark.parametrize("workers", [1, 2])
+def test_ontology_mode_holds_no_more_articles_than_its_window(data_copy, monkeypatch, workers):
+    # forty articles: more than the window of sixteen at two workers
+    rows = corpus_rows(data_copy)
+    write_corpus(
+        data_copy / "corpus_pipeline.jsonl",
+        [{**row, "id": f"{row['id']}-{copy}"} for copy in range(8) for row in rows],
+    )
+    data = ontology_config_dict()
+    data["workers"] = workers
+    window = 1 if workers == 1 else pipeline._WINDOW_PER_WORKER * workers
+    refs = []
+    alive = []
+    load_corpus, generate = pipeline.load_corpus, pipeline.generate
+
+    def tracked_reads(path):
+        for article in load_corpus(path):
+            refs.append(weakref.ref(article))
+            yield article
+
+    def counted(*args, **kwargs):
+        count = sum(ref() is not None for ref in list(refs))
+        if count > window:  # only a cycle the collector has not reached yet may hold them
+            gc.collect()
+            count = sum(ref() is not None for ref in list(refs))
+        alive.append(count)
+        return generate(*args, **kwargs)
+
+    monkeypatch.setattr(pipeline, "load_corpus", tracked_reads)
+    monkeypatch.setattr(pipeline, "generate", counted)
+    manifest = run_pipeline(write_config(data_copy, data))
+    counts = manifest["stages"]["ontology"]
+    assert counts["valid_documents"] == 40
+    assert len(alive) == 40 + counts["repair_attempts"]
+    assert 1 <= max(alive) <= window
+    # the id-only first pass read every article too, and kept none of them
+    assert len(refs) == 80
+
+
 @pytest.mark.parametrize(
     "config_name, stage", [("pipeline_triples.json", "extract"), ("pipeline_ontology.json", "ontology")]
 )
@@ -873,6 +928,80 @@ def test_failure_on_the_last_article_keeps_the_earlier_articles(data_copy, confi
         assert snapshot(run_dir / "ontologies") == {
             name: data for name, data in want.items() if not name.startswith(f"{last}.")
         }
+
+
+# run_pipeline(argv[1]) in a fresh interpreter that dies at its argv[2]-th
+# rename, before renaming, as a killed run would; prints the name it was renaming
+KILLED_AT_RENAME = """
+import os, sys
+from pathlib import Path
+from textkg.pipeline import run_pipeline
+
+replace, renames = os.replace, []
+
+def killing_replace(source, target):
+    renames.append(target)
+    if len(renames) == int(sys.argv[2]):
+        print(Path(target).name, flush=True)
+        os._exit(17)
+    replace(source, target)
+
+os.replace = killing_replace
+run_pipeline(sys.argv[1])
+"""
+
+# every file a run of each bundled config writes through a rename, in order
+RENAMES = {
+    "ontology": [
+        *(f"a{n}.report.json" for n in range(1, 6)), "batches.jsonl", "kb.json", "quality.json", "manifest.json"
+    ],
+    "triples": ["link_cache.json", "kb.json", "quality.json", "manifest.json"],
+}
+
+
+@pytest.mark.parametrize("mode", sorted(RENAMES))
+def test_a_run_killed_at_any_rename_leaves_no_manifest_and_a_rerun_writes_the_golden(data_copy, monkeypatch, mode):
+    config = data_copy / f"pipeline_{mode}.json"
+    run_dir = data_copy / f"run_{mode}"
+    renamed = []
+    real_replace = os.replace
+
+    def recording_replace(source, target):
+        renamed.append(Path(target).name)
+        real_replace(source, target)
+
+    with monkeypatch.context() as patch:
+        patch.setattr(os, "replace", recording_replace)
+        run_pipeline(config)
+    assert renamed == RENAMES[mode]
+    env = {**os.environ, "PYTHONPATH": str(Path(textkg.__file__).parents[1])}
+    for at, name in enumerate(RENAMES[mode], 1):
+        killed = subprocess.run(
+            [sys.executable, "-c", KILLED_AT_RENAME, str(config), str(at)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (killed.returncode, killed.stdout) == (17, name + "\n"), killed.stderr
+        # the run had deleted the last run's manifest; it may leave the temp file it was renaming
+        assert not (run_dir / "manifest.json").exists()
+        run_pipeline(config)
+        assert_matches_golden(run_dir, GOLDEN_DIR / mode)
+
+
+def test_failed_ontology_run_leaves_the_earlier_batches_file_as_it_was(data_copy):
+    config = load_config(data_copy / "pipeline_ontology.json")
+    run_pipeline(data_copy / "pipeline_ontology.json")
+    batches = config.resolve(config.run_dir) / "batches.jsonl"
+    earlier = batches.read_bytes()
+    # a smaller batch_size changes every row, and the last article finds no reply
+    data = ontology_config_dict()
+    data["batch_size"] = 8
+    last = list(load_corpus(config.resolve(config.corpus)))[-1]
+    fixture_path(config.backend, build_prompt(last.body, "ontology")).unlink()
+    with pytest.raises(StageError) as info:
+        run_pipeline(write_config(data_copy, data))
+    assert info.value.stage == "ontology"
+    assert batches.read_bytes() == earlier
+    assert not list(batches.parent.glob("*.tmp"))
 
 
 def stub_corpus_config(tmp_path: Path, count: int, workers: int, linking: dict | None = None) -> Path:

@@ -17,6 +17,7 @@ from pathlib import Path
 import pytest
 
 import textkg
+from textkg.cli import main
 from textkg.pipeline import run_pipeline
 
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -109,3 +110,17 @@ def test_hash_seed_does_not_change_the_bytes(generated):
             env=env | {"PYTHONHASHSEED": seed}, capture_output=True, check=True, timeout=120,
         )
         assert snapshot(directory / f"run_seed{seed}") == runs[1], f"PYTHONHASHSEED={seed}"
+
+
+@pytest.mark.parametrize("generated", ["ontology-repair"], indirect=True)
+def test_cli_extract_in_ontology_mode_writes_the_pipelines_ontologies(generated, tmp_path):
+    workload, directory, expected, runs = generated
+    config = write_config(directory, workload, "cli", workers=2)
+    output = tmp_path / "ontologies"
+    argv = ["extract", "--config", str(config), "--backend", "replay-onto", "--mode", "ontology", "-o", str(output)]
+    assert main(argv) == 0
+    prefix = "ontologies/"
+    ontologies = {name.removeprefix(prefix): data for name, data in runs[1].items() if name.startswith(prefix)}
+    # a report per article and a document per valid one
+    assert len(ontologies) == ARTICLES + expected["ontology"]["valid_documents"]
+    assert {path.name: path.read_bytes() for path in output.iterdir()} == ontologies
