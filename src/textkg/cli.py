@@ -189,7 +189,7 @@ def _cmd_extract(args) -> int:
     # --mode triples refuses a backend that answers in Turtle
     flags = {"on_batch_error": args.on_batch_error} if args.on_batch_error else {}
     config = load_config(args.config, backend_id=args.backend, mode=args.mode, **flags)
-    articles = read_corpus(config, {}, [])
+    articles = read_corpus(config, {})
     if args.mode == "triples":
         _, counts = extract_stage(config, articles, Path(args.output))
         print(

@@ -101,13 +101,13 @@ def _parse_record(record: object, line_number: int) -> Article:
     )
 
 
-def load_corpus(path: str | Path) -> Iterator[Article]:
+def load_corpus(path: str | Path, *, quiet: bool = False) -> Iterator[Article]:
     """The articles of a newline-delimited JSON corpus file, in file order.
 
     One line is read per article yielded, so a bad line raises only when the
     iterator reaches it. Duplicate ids are rejected, blank lines are skipped.
     Articles with an empty body are accepted (chunking will emit no batches
-    for them) but logged as a warning.
+    for them) but logged as a warning, unless quiet.
     """
     seen: set[str] = set()
     with Path(path).open("rb") as handle:
@@ -123,7 +123,7 @@ def load_corpus(path: str | Path) -> Iterator[Article]:
             if article.id in seen:
                 raise DuplicateIdError(article.id)
             seen.add(article.id)
-            if not article.body.strip():
+            if not quiet and not article.body.strip():
                 logger.warning("article %s has an empty body", article.id)
             yield article
 

@@ -403,17 +403,24 @@ def _stage(name: str) -> Iterator[None]:
 # one). run_pipeline drives them; the CLI subcommands call them directly.
 
 
-def read_corpus(config: PipelineConfig, counts: dict, metadata: list[ArticleMeta]) -> Iterator[Article]:
+def read_corpus(
+    config: PipelineConfig, counts: dict | None = None, metadata: list[ArticleMeta] | None = None
+) -> Iterator[Article]:
     """The articles inside the date window, read one at a time in corpus
     order. Each one read is counted into counts and its metadata appended to
-    metadata; a bad line fails the corpus stage when it is reached."""
+    metadata, if given; a bad line fails the corpus stage when it is reached.
+    A read without counts is a check that logs no empty body, so that a run
+    reading its corpus twice logs each one once."""
+    quiet = counts is None
+    counts = {} if quiet else counts
     counts.update(articles=0, empty_bodies=0)
     with _stage("corpus"):
-        corpus = load_corpus(config.resolve(config.corpus))
+        corpus = load_corpus(config.resolve(config.corpus), quiet=quiet)
         for article in filter_by_date(corpus, config.date_from, config.date_to):
             counts["articles"] += 1
             counts["empty_bodies"] += not article.body.strip()
-            metadata.append(ArticleMeta(article.id, article.source_domain, article.published_at))
+            if metadata is not None:
+                metadata.append(ArticleMeta(article.id, article.source_domain, article.published_at))
             yield article
 
 
@@ -562,7 +569,7 @@ def ontology_stage(
     name are refused before any generation, by a first pass over the ids.
     Returns the KB and the chunk and ontology stages' counts."""
     owners: dict[str, str] = {}
-    for article_id in (article.id for article in read_corpus(config, {}, [])):
+    for article_id in (article.id for article in read_corpus(config)):
         name = _safe_name(article_id)
         if owners.setdefault(name, article_id) != article_id:
             raise TextkgError(

@@ -147,7 +147,7 @@ class KeepAliveRecordingHandler(RecordingHandler):
         self.server.requests.append({"method": "CONNECT", "path": self.path, "headers": dict(self.headers)})
         self.send_response(200)
         self.end_headers()
-        self.close_connection = False  # http.client sends CONNECT as HTTP/1.0
+        self.close_connection = False  # the client sends CONNECT as HTTP/1.0
 
 
 @pytest.fixture()
@@ -174,8 +174,11 @@ def other_keepalive_server():
     yield from _serve(KeepAliveRecordingHandler)
 
 
-def _serve(handler):
+def _serve(handler, tls_context=None):
+    """Serve handler on a loopback port, under TLS if tls_context is given."""
     httpd = ThreadingHTTPServer(("127.0.0.1", 0), handler)
+    if tls_context is not None:
+        httpd.socket = tls_context.wrap_socket(httpd.socket, server_side=True)
     httpd.requests = []
     httpd.script = []
     httpd.connections = 0
@@ -183,7 +186,7 @@ def _serve(handler):
     httpd.lock = threading.Lock()
     thread = threading.Thread(target=httpd.serve_forever, kwargs={"poll_interval": 0.05}, daemon=True)
     thread.start()
-    httpd.url = f"http://127.0.0.1:{httpd.server_port}/v1"
+    httpd.url = f"{'https' if tls_context else 'http'}://127.0.0.1:{httpd.server_port}/v1"
     yield httpd
     httpd.shutdown()
     httpd.server_close()

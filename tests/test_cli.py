@@ -903,6 +903,22 @@ def test_replay_run_never_loads_the_network_stack(config_name, data_copy):
     assert result.stdout.splitlines()[-1] == "0 []", result.stderr
 
 
+def test_plain_http_request_loads_no_tls_or_email_module(keepalive_server):
+    # a fresh interpreter with no *_proxy variable, because other tests import these modules
+    modules = ["ssl", "http.client", "email.parser", "urllib.request"]
+    code = (
+        "import sys; from textkg import transport; "
+        f"status = transport.request('GET', {keepalive_server.url!r}, timeout=10).status; "
+        f"print(status, [name for name in {modules!r} if name in sys.modules])"
+    )
+    env = {name: value for name, value in os.environ.items() if not name.lower().endswith("_proxy")}
+    env["PYTHONPATH"] = str(Path(textkg.__file__).parents[1])
+    result = subprocess.run(
+        [sys.executable, "-c", code], env=env, capture_output=True, text=True, check=True, timeout=60
+    )
+    assert result.stdout.splitlines()[-1] == "200 []", result.stderr
+
+
 def test_readme_cli_and_layout_blocks_match_the_code():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
 

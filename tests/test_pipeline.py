@@ -881,8 +881,8 @@ def test_ontology_mode_holds_no_more_articles_than_its_window(data_copy, monkeyp
     alive = []
     load_corpus, generate = pipeline.load_corpus, pipeline.generate
 
-    def tracked_reads(path):
-        for article in load_corpus(path):
+    def tracked_reads(path, **kwargs):
+        for article in load_corpus(path, **kwargs):
             refs.append(weakref.ref(article))
             yield article
 
@@ -987,6 +987,68 @@ def test_a_run_killed_at_any_rename_leaves_no_manifest_and_a_rerun_writes_the_go
         assert_matches_golden(run_dir, GOLDEN_DIR / mode)
 
 
+KILLED_AT_ROW_WRITE = """
+import os, sys
+from textkg import pipeline
+
+open_lines, writes = pipeline._open_lines, []
+
+
+class Killing:
+    def __init__(self, handle, name):
+        self.handle, self.name = handle, name
+
+    def __enter__(self):
+        self.file = self.handle.__enter__()
+        return self
+
+    def __exit__(self, *exc):
+        return self.handle.__exit__(*exc)
+
+    def writelines(self, rows):
+        writes.append(self.name)
+        if writes.count(sys.argv[2]) == int(sys.argv[3]) and self.name == sys.argv[2]:
+            print(self.name, writes.count(self.name), flush=True)
+            os._exit(17)
+        self.file.writelines(rows)
+
+
+pipeline._open_lines = lambda path, *args, **kwargs: Killing(open_lines(path, *args, **kwargs), path.name)
+pipeline.run_pipeline(sys.argv[1])
+"""
+
+
+@pytest.mark.parametrize("mode", sorted(RENAMES))
+def test_a_run_killed_at_a_row_write_leaves_no_manifest_and_a_rerun_writes_the_golden(data_copy, mode):
+    config = data_copy / f"pipeline_{mode}.json"
+    run_dir = data_copy / f"run_{mode}"
+    run_pipeline(config)  # so that each killed run has a manifest to delete
+    env = {**os.environ, "PYTHONPATH": str(Path(textkg.__file__).parents[1])}
+    # each row file takes one write per article, and the bundled corpus has five
+    for name, at in [("triples.jsonl", 1), ("triples.jsonl", 4), ("generations.jsonl", 2), ("generations.jsonl", 5)]:
+        killed = subprocess.run(
+            [sys.executable, "-c", KILLED_AT_ROW_WRITE, str(config), name, str(at)],
+            env=env, capture_output=True, text=True, timeout=60,
+        )
+        assert (killed.returncode, killed.stdout) == (17, f"{name} {at}\n"), killed.stderr
+        assert not (run_dir / "manifest.json").exists()
+        run_pipeline(config)
+        assert_matches_golden(run_dir, GOLDEN_DIR / mode)
+
+
+@pytest.mark.parametrize("mode", ["ontology", "triples"])
+def test_each_empty_body_is_logged_once(data_copy, caplog, mode):
+    # ontology mode reads the corpus twice: a first pass over the ids, then the run
+    corpus = data_copy / "corpus_pipeline.jsonl"
+    lines = corpus.read_text(encoding="utf-8").splitlines(keepends=True)
+    blank = {**json.loads(lines[0]), "id": "blank", "body": " "}
+    corpus.write_text("".join([*lines, json.dumps(blank) + "\n"]), encoding="utf-8")
+    with caplog.at_level("WARNING"):
+        manifest = run_pipeline(data_copy / f"pipeline_{mode}.json")
+    assert manifest["stages"]["corpus"] == {"articles": 6, "empty_bodies": 1}
+    assert [record.getMessage() for record in caplog.records].count("article blank has an empty body") == 1
+
+
 def test_failed_ontology_run_leaves_the_earlier_batches_file_as_it_was(data_copy):
     config = load_config(data_copy / "pipeline_ontology.json")
     run_pipeline(data_copy / "pipeline_ontology.json")
@@ -1067,8 +1129,8 @@ def run_counting_reads_ahead(monkeypatch, config: Path) -> tuple[dict, list[int]
     ahead: list[int] = []
     load_corpus = pipeline.load_corpus
 
-    def counted_reads(path):
-        for article in load_corpus(path):
+    def counted_reads(path, **kwargs):
+        for article in load_corpus(path, **kwargs):
             reads.append(article.id)
             yield article
 

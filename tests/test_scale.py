@@ -124,3 +124,27 @@ def test_cli_extract_in_ontology_mode_writes_the_pipelines_ontologies(generated,
     # a report per article and a document per valid one
     assert len(ontologies) == ARTICLES + expected["ontology"]["valid_documents"]
     assert {path.name: path.read_bytes() for path in output.iterdir()} == ontologies
+
+
+@pytest.mark.parametrize("generated", ["triples-replay"], indirect=True)
+def test_cli_chain_writes_the_pipelines_bytes(generated, tmp_path):
+    workload, directory, _, runs = generated
+    config = write_config(directory, workload, "chain")
+    data = json.loads(config.read_text(encoding="utf-8"))
+    corpus, out = str(directory / "corpus.jsonl"), tmp_path
+    (out / "quality_config.json").write_text(json.dumps(data["quality"]), encoding="utf-8")
+    export = data["export"]
+    chain = [
+        ["chunk", corpus, "--batch-size", str(data["batch_size"]), "-o", str(out / "batches.jsonl")],
+        ["extract", "--config", str(config), "--backend", data["backend_id"], "-o", str(out / "triples.jsonl")],
+        ["link", str(out / "triples.jsonl"), "--config", str(config), "-o", str(out / "kb.json")],
+        ["eval", str(out / "kb.json"), "--corpus", corpus, "--config", str(out / "quality_config.json"),
+         "-o", str(out / "quality.json")],
+        *(["export", str(out / "kb.json"), "--format", name, "--max-nodes", str(export["max_nodes"]),
+           "-o", str(out / f"export.{name}")] for name in export["formats"]),
+    ]
+    for argv in chain:
+        assert main(argv) == 0, argv
+    names = ["batches.jsonl", "triples.jsonl", "kb.json", "quality.json", *(f"export.{n}" for n in export["formats"])]
+    for name in names:
+        assert (out / name).read_bytes() == runs[1][name], name
