@@ -8,7 +8,6 @@ classes and individuals differently. Output ordering is fully deterministic.
 
 from __future__ import annotations
 
-import heapq
 import re
 from collections import Counter
 from dataclasses import dataclass
@@ -58,7 +57,8 @@ def _subgraph(kb: KnowledgeBase, options: ExportOptions) -> tuple[list[tuple[str
     else:  # the most triple endpoints (a self-loop counts twice), ties broken by label
         degree = Counter(subject for subject, _, _ in kb.triples)
         degree.update(obj for _, _, obj in kb.triples)
-        kept = set(heapq.nsmallest(options.max_nodes, kb.entities, key=lambda entity: (-degree[entity], entity)))
+        # by label, then stably by degree: no key tuple per entity
+        kept = set(sorted(sorted(kb.entities), key=degree.__getitem__, reverse=True)[: options.max_nodes])
     typings = [(subject, obj) for subject, predicate, obj in kb.triples if predicate == INSTANCE_OF]
     concepts = {obj for _, obj in typings}
     instances = {subject for subject, _ in typings}

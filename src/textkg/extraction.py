@@ -249,8 +249,11 @@ def parse_chat_triples(text: str, provenance: Provenance | None = None) -> tuple
     """
     report = ParseReport()
     triplets: list[Triplet] = []
-    for raw_line in text.splitlines():
-        line = _LIST_PREFIX.sub("", raw_line).strip()
+    for line in text.splitlines():
+        # only a line opening with a bullet, "(", whitespace or a digit (the regex's \s and \d) can hold a marker
+        if line[:1] in "-*•(" or line[:1].isspace() or line[:1].isdecimal():
+            line = _LIST_PREFIX.sub("", line)
+        line = line.strip()
         if not line:
             continue
         if not line.strip("`"):  # a bare code fence
@@ -264,7 +267,7 @@ def parse_chat_triples(text: str, provenance: Provenance | None = None) -> tuple
         if not all(parts):
             report._skip(line, "empty field")
             continue
-        triplets.append(Triplet(*parts, provenance))
+        triplets.append(tuple.__new__(Triplet, (*parts, provenance)))  # every part was just stripped and checked
         report.triplets_emitted += 1
     return triplets, report
 
@@ -421,9 +424,9 @@ def generate(
     """
     if config.kind == "replay":
         path = _fixture_file(config, input_text)
-        try:
-            with open(path, encoding="utf-8") as handle:
-                return handle.read()
+        try:  # one binary read, decoded with the newlines text mode would translate
+            with open(path, "rb", buffering=0) as handle:
+                return handle.read().decode("utf-8").replace("\r\n", "\n").replace("\r", "\n")
         except (FileNotFoundError, IsADirectoryError) as exc:
             raise MissingFixtureError(Path(path).stem, Path(path)) from exc
         except UnicodeDecodeError as exc:

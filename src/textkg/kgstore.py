@@ -303,9 +303,9 @@ def save_kb(kb: KnowledgeBase, path: str | Path) -> None:
             return
         encode = row_encoder("    ")
         separator = "[\n    "
-        for key, provenance in sorted(kb.triples.items()):
+        for key in sorted(kb.triples):  # keys alone: a str-first tuple compares fast, and no pairs are made
             handle.write(separator)
-            handle.write(encode(key, provenance))
+            handle.write(encode(key, kb.triples[key]))
             separator = ",\n    "
         handle.write("\n  ]\n}\n")
 

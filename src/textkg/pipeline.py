@@ -361,9 +361,9 @@ def _map_articles(config: PipelineConfig, function: Callable, articles: Iterable
     with ThreadPoolExecutor(max_workers=config.workers) as pool:
         try:
             for article in articles:
-                if len(pending) == window:
-                    yield take()
                 pending.append(pool.submit(function, article))
+                if len(pending) == window:  # wait before reading on, so no article beyond the window is alive
+                    yield take()
             while pending:
                 yield take()
         finally:
@@ -590,8 +590,8 @@ def ontology_stage(
         ]
         if doc is None:
             return rows, (), (article.id, doc, attempts, None)
-        article_kb = ontology_to_kb(doc, source_id=article.id, backend_id=config.backend_id)
-        triple_rows = (encode(*item) + "\n" for item in sorted(article_kb.triples.items()))
+        article_kb = ontology_to_kb(doc, source_id=article.id, backend_id=config.backend_id, report=attempts[-1].report)
+        triple_rows = (encode(key, article_kb.triples[key]) + "\n" for key in sorted(article_kb.triples))
         return rows, triple_rows, (article.id, doc, attempts, article_kb)
 
     def fold(article_id: str, doc: OntologyDoc | None, attempts: list, article_kb: KnowledgeBase | None) -> None:

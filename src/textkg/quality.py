@@ -98,11 +98,6 @@ def _ratio(numerator: float, denominator: float) -> float:
     return numerator / denominator if denominator else 0.0
 
 
-def _multiplicity(provenance_list: list) -> int:
-    # hand-built KBs may carry no provenance; count those triples once
-    return max(1, len(provenance_list))
-
-
 def _connectivity(kb: KnowledgeBase) -> tuple[float, float]:
     """The isolated entity ratio and the largest component fraction. The
     adjacency lives only in this call: left alive while the report is built,
@@ -124,18 +119,15 @@ def _compute_metrics(
     kb: KnowledgeBase, corpus_meta: Iterable[Article] | Iterable[ArticleMeta], config: QualityConfig
 ) -> tuple[dict, list[str]]:
     warnings: list[str] = []
-    total_instances = 0
-    violating_fields = 0
-    duplicate_instances = 0
+    # each distinct label is judged once; every triple's labels are among the KB's entities and predicates
+    phrases = {label for label in (*kb.entities, *kb.predicates) if len(label.split()) > config.conciseness_max_tokens}
+    total_instances = violating_fields = 0
     for (subject, predicate, obj), provenance_list in kb.triples.items():
-        multiplicity = _multiplicity(provenance_list)
+        multiplicity = len(provenance_list) or 1  # hand-built KBs may carry no provenance; count those triples once
         total_instances += multiplicity
-        duplicate_instances += multiplicity - 1
-        for fragment in (subject, predicate, obj):
-            if len(fragment.split()) > config.conciseness_max_tokens:
-                violating_fields += multiplicity
+        violating_fields += multiplicity * ((subject in phrases) + (predicate in phrases) + (obj in phrases))
     conciseness_violation_ratio = _ratio(violating_fields, 3 * total_instances)
-    duplicate_ratio = _ratio(duplicate_instances, total_instances)
+    duplicate_ratio = _ratio(total_instances - len(kb.triples), total_instances)
 
     entity_count = len(kb.entities)
     isolated_entity_ratio, largest_component_fraction = _connectivity(kb)
@@ -153,10 +145,7 @@ def _compute_metrics(
     contradiction_count = sum(1 for objects in objects_by_pair.values() if len(objects) > 1)
 
     articles_by_id = {article.id: article for article in corpus_meta}
-    referenced_ids: set[str] = set()
-    for provenance_list in kb.triples.values():
-        for provenance in provenance_list:
-            referenced_ids.add(provenance.article_id)
+    referenced_ids = {p.article_id for provenance_list in kb.triples.values() for p in provenance_list}
     missing = sorted(article_id for article_id in referenced_ids if article_id not in articles_by_id)
     for article_id in missing:
         warnings.append(f"provenance references article {article_id!r} missing from corpus metadata")

@@ -458,7 +458,7 @@ def validate_owl(doc: OntologyDoc) -> ValidationReport:
     referenced = {subject for subject, _, _ in doc.property_assertions}
     referenced.update(obj for _, _, obj in doc.property_assertions if isinstance(obj, str))
     # a local name can be blank only where the IRI is empty or ends in whitespace
-    entities = (*doc.classes, *doc.individuals, *referenced)
+    entities = (*doc.classes, *doc.individuals, *used_classes, *referenced)
     blank = {iri for iri in entities if (not iri or iri[-1].isspace()) and not _entity_label(doc, iri).strip()}
     blank.update(p for p in used_properties if (not p or p[-1].isspace()) and not local_name(p).strip())
     for iri in sorted(blank):
@@ -546,16 +546,19 @@ def repair_until_valid(
 # Conversion
 
 
-def ontology_to_kb(doc: OntologyDoc, *, source_id: str, backend_id: str = "ontology") -> KnowledgeBase:
+def ontology_to_kb(
+    doc: OntologyDoc, *, source_id: str, backend_id: str = "ontology", report: ValidationReport | None = None
+) -> KnowledgeBase:
     """Flatten a valid ontology into KB triples.
 
     Class assertions become (individual, "instanceOf", class) and property
     assertions become (subject, property local name, object). Entity labels
     prefer rdfs:label text and fall back to the IRI's local name; predicates
     always use local names. Distinct assertions whose labels coincide merge
-    under the store's dedup rule.
+    under the store's dedup rule. report, when given, must be validate_owl(doc)
+    (the repair loop's last report), which is then not run again.
     """
-    report = validate_owl(doc)
+    report = validate_owl(doc) if report is None else report
     if report.errors:
         raise InvalidDocError(
             f"document has {len(report.errors)} validation error(s); repair it first"

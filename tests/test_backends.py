@@ -18,6 +18,7 @@ from textkg.corpus import Article
 from textkg.errors import ConfigError
 from textkg.extraction import (
     BackendConfig,
+    BackendError,
     HttpError,
     MissingFixtureError,
     RateLimiter,
@@ -232,6 +233,42 @@ class TestReplayBackend:
         assert str(exc_info.value) == (
             f"no replay fixture for request {exc_info.value.fingerprint} (expected {exc_info.value.path})"
         )
+
+    @given(
+        st.lists(
+            # newlines, a BOM, the UTF-8 of U+2028, and bytes that are invalid alone or start a sequence
+            st.sampled_from(
+                [b"\r", b"\n", b"\r\n", b"A | r | B", b"\xef\xbb\xbf", b"\xe2\x80\xa8", b"\xff", b"\xc3", b"\xa9"]
+            ),
+            max_size=12,
+        ).map(b"".join)
+    )
+    @example(b"A | r | B\r\nC | s | D\r\n")
+    @example(b"A | r | B\rC | s | D\r")
+    @example(b"\xef\xbb\xbfA | r | B\r\n")
+    @example(b"A | r | \xff\n")
+    @example(b"A | r | B\r" + b"x" * 9000 + b"\xc3")  # an error past the first 8 KiB names its offset in the file
+    @settings(max_examples=200, deadline=None)
+    def test_fixture_reads_as_a_text_mode_read_does(self, tmp_path_factory, data):
+        # universal newlines, a BOM kept as U+FEFF, and the same UnicodeDecodeError text
+        config = self.config(tmp_path_factory.mktemp("fixtures"))
+        path = fixture_path(config, "the input")
+        path.write_bytes(data)
+        try:
+            with open(path, encoding="utf-8") as handle:
+                expected = handle.read()
+        except UnicodeDecodeError as exc:
+            with pytest.raises(BackendError) as info:
+                generate(config, "the input")
+            assert str(info.value) == f"replay fixture {path} is not UTF-8: {exc}"
+        else:
+            assert generate(config, "the input") == expected
+
+    def test_fixture_that_is_a_directory_is_missing(self, tmp_path):
+        config = self.config(tmp_path)
+        fixture_path(config, "the input").mkdir()
+        with pytest.raises(MissingFixtureError):
+            generate(config, "the input")
 
     def test_fingerprint_stable_and_float_normalized(self):
         a = request_fingerprint("p", "m", 0)

@@ -47,6 +47,10 @@ BLANK_TERM_DOCS = {
         'ex:P a owl:DatatypeProperty .\nex:a a owl:NamedIndividual ; ex:P "" .\n',
         "ex:a ex:P has a blank literal object",
     ),
+    "asserted-class": (
+        "ex:x a <http://www.w3.org/2002/07/owl# > .\n",
+        "<http://www.w3.org/2002/07/owl# > would have a blank KB label",
+    ),
 }
 
 
@@ -775,6 +779,11 @@ CLI_ERROR_PATHS = {
         lambda t: ["ttl2kb", blank_term_file(t, "empty-literal"), "-o", str(t / "kb.json")],
         1,
         BLANK_TERM_DOCS["empty-literal"][1],
+    ),
+    "ttl2kb-asserted-class": (
+        lambda t: ["ttl2kb", blank_term_file(t, "asserted-class"), "-o", str(t / "kb.json")],
+        1,
+        BLANK_TERM_DOCS["asserted-class"][1],
     ),
     "repair-non-utf8": (
         lambda t: ["repair", non_utf8_file(t), "--config", str(DATA_DIR / "pipeline_ontology.json"),

@@ -5,10 +5,12 @@ import dataclasses
 import pickle
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from textkg.extraction import (
+    _LIST_PREFIX,
+    ParseReport,
     Provenance,
     Triplet,
     parse_chat_triples,
@@ -188,6 +190,47 @@ class TestChatTriplesParser:
         for triplet in triplets:
             assert "|" not in triplet.subject
             assert triplet.subject == triplet.subject.strip()
+
+
+def parse_chat_triples_reference(text: str, provenance: Provenance | None = None):
+    """parse_chat_triples as it reads with its list-marker regex run on every
+    line and every triplet built through the checking Triplet(...)."""
+    report = ParseReport()
+    triplets = []
+    for raw_line in text.splitlines():
+        line = _LIST_PREFIX.sub("", raw_line).strip()
+        if not line or not line.strip("`") or ("|" not in line and line.endswith(":")):
+            continue
+        parts = [part.strip() for part in line.split("|")]
+        if len(parts) != 3:
+            report._skip(line, f"expected 3 pipe-delimited fields, got {len(parts)}")
+        elif not all(parts):
+            report._skip(line, "empty field")
+        else:
+            triplets.append(Triplet(*parts, provenance))
+            report.triplets_emitted += 1
+    return triplets, report
+
+
+# a space, an ideographic space (U+3000), an Arabic-Indic digit three (U+0663), the bullets, numbering and fences
+chat_line_starts = st.sampled_from([" ", "\u3000", "\u0663", "\t", "•", "(", "-", "*", "`", "|", "1", "12", "a", ""])
+chat_line_rests = st.text(alphabet=" \u3000\u0663\u00a0•(-*`|:.)1a", max_size=16)
+chat_texts = st.lists(st.tuples(chat_line_starts, chat_line_rests).map("".join), max_size=10).map("\n".join)
+
+
+@given(chat_texts | st.text(alphabet=" \u3000\u0663•(-*`|:.)1a\n\r\u2028", max_size=200))
+@example("\u3000- A | r | B\n\u0663. A | r | B\n(2) A | r | B\n• | r | B\n`A | r | B`\n| A | r\n\u00a0*  A | r |  ")
+@settings(max_examples=500, deadline=None)
+def test_chat_parser_runs_the_marker_regex_only_where_it_can_match(text):
+    provenance = Provenance("a1", None, "chat")
+    triplets, report = parse_chat_triples(text, provenance)
+    expected, expected_report = parse_chat_triples_reference(text, provenance)
+    assert report == expected_report
+    assert triplets == expected
+    # built without the blank check, each is still the Triplet the checking constructor makes
+    assert [(type(t), t.subject, t.predicate, t.object, t.provenance) for t in triplets] == [
+        (Triplet, *Triplet(*t)) for t in triplets
+    ]
 
 
 class TestTripletValidation:

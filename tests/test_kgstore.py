@@ -253,6 +253,26 @@ def test_save_kb_writes_the_reference_json_bytes(
     assert path.read_bytes() == reference.encode("utf-8")
 
 
+@given(
+    st.lists(
+        st.builds(Triplet, json_text.filter(str.strip), json_text.filter(str.strip), json_text.filter(str.strip),
+                  st.none() | provenance_records),
+        max_size=12,
+    ).flatmap(st.permutations),
+    st.sets(json_text.filter(str.strip), max_size=3),
+)
+@settings(max_examples=200, deadline=None)
+def test_save_kb_of_a_kb_filled_in_shuffled_order_writes_the_reference_json_bytes(tmp_path_factory, triplets, isolated):
+    # save_kb sorts the triple keys alone; the rows must still come out in the order of the sorted (key, row) pairs
+    kb = add_triples(KnowledgeBase(link_config="cfg"), triplets)
+    for label in isolated:
+        kb.add_entity(label)
+    path = tmp_path_factory.mktemp("kb") / "kb.json"
+    save_kb(kb, path)
+    reference = json.dumps(kb.to_dict(), ensure_ascii=False, indent=2, sort_keys=True) + "\n"
+    assert path.read_bytes() == reference.encode("utf-8")
+
+
 triple_keys = st.tuples(json_text, json_text, json_text)
 
 

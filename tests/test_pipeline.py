@@ -26,7 +26,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import textkg
-from textkg import extraction, pipeline
+from textkg import extraction, pipeline, rdf
 from textkg.chunking import TokenBatch
 from textkg.cli import main
 from textkg.corpus import Article, load_corpus
@@ -545,6 +545,42 @@ class TestRunPipeline:
         assert not (ontologies / f"{first.id}.ttl").exists()
         kb = load_kb(data_copy / "run_ontology" / "kb.json")
         assert first.id not in {p.article_id for provenance in kb.triples.values() for p in provenance}
+
+    def test_blank_class_label_is_sent_back_for_repair(self, data_copy):
+        # a standard-namespace class needs no declaration, so only the BlankLabel check catches it
+        config_path = data_copy / "pipeline_ontology.json"
+        config = load_config(config_path)
+        first = next(load_corpus(config.resolve(config.corpus)))
+        first_prompt = fixture_path(config.backend, build_prompt(first.body, "ontology"))
+        valid = first_prompt.read_text(encoding="utf-8")
+        blank = "@prefix ex: <http://e/> .\nex:x a <http://www.w3.org/2002/07/owl# > .\n"
+        first_prompt.write_text(blank, encoding="utf-8")
+        repair_prompt = build_repair_prompt(blank, validate_text(blank)[1])
+        assert "[BlankLabel] at <http://www.w3.org/2002/07/owl# >" in repair_prompt
+        fixture_path(config.backend, repair_prompt).write_text(valid, encoding="utf-8")
+        counts = run_pipeline(config_path)["stages"]["ontology"]
+        manifest = json.loads((GOLDEN_DIR / "ontology" / "manifest.json").read_text(encoding="utf-8"))
+        golden = manifest["stages"]["ontology"]
+        assert counts == {**golden, "repair_attempts": golden["repair_attempts"] + 1}
+        ontologies = data_copy / "run_ontology" / "ontologies"
+        report = json.loads((ontologies / f"{first.id}.report.json").read_text(encoding="utf-8"))
+        assert [error["code"] for error in report["attempts"][0]["errors"]] == ["BlankLabel"]
+        assert report["attempts"][1]["errors"] == []
+        name = f"{first.id}.ttl"
+        assert (ontologies / name).read_bytes() == (GOLDEN_DIR / "ontology" / "ontologies" / name).read_bytes()
+        for name in ("kb.json", "quality.json", "export.json"):
+            assert (data_copy / "run_ontology" / name).read_bytes() == (GOLDEN_DIR / "ontology" / name).read_bytes()
+
+    def test_each_generation_is_validated_once(self, data_copy, monkeypatch):
+        # the pipeline flattens the document the repair loop accepted without checking it again
+        calls = []
+        validate_owl = rdf.validate_owl
+        monkeypatch.setattr(rdf, "validate_owl", lambda doc: calls.append(doc) or validate_owl(doc))
+        manifest = run_pipeline(data_copy / "pipeline_ontology.json")
+        counts = manifest["stages"]["ontology"]
+        generations = (data_copy / "run_ontology" / "generations.jsonl").read_text(encoding="utf-8").splitlines()
+        assert len(generations) == counts["documents"] + counts["repair_attempts"] > counts["valid_documents"]
+        assert len(calls) == len(generations)
 
     def test_empty_body_article_makes_no_request_in_ontology_mode(self, data_copy):
         corpus = data_copy / "corpus_pipeline.jsonl"

@@ -571,6 +571,8 @@ BLANK_TERM_CASES = {
     "blank-predicate": (
         "<> a owl:ObjectProperty .\nex:a a owl:NamedIndividual ; <> ex:a .", [("BlankLabel", "<>")]
     ),
+    # a standard-namespace class needs no declaration, so only its class assertion names it
+    "asserted-class": (f"ex:x a <{OWL_NS} > .", [("BlankLabel", f"<{OWL_NS} >")]),
     "empty-literal": (
         'ex:P a owl:DatatypeProperty .\nex:a a owl:NamedIndividual ; ex:P "" .',
         [("BlankLiteral", "ex:a ex:P")],
@@ -610,6 +612,7 @@ class TestBlankTerms:
                 st.sampled_from(["ex:A", "<>", "< >", f"<{EX} >", f"<{EX}B>"]),
                 st.sampled_from([None, '""', '" "', '"Alpha"']),
                 st.sampled_from([None, '""', '"\\t"', '"x"']),
+                st.sampled_from(["ex:C", "owl:Thing", f"<{OWL_NS} >"]),
             ),
             max_size=4,
         )
@@ -617,11 +620,11 @@ class TestBlankTerms:
     @settings(max_examples=200, deadline=None)
     def test_validate_flags_exactly_the_docs_that_cannot_convert(self, statements):
         text = HEADER + "ex:C a owl:Class .\nex:p a owl:DatatypeProperty .\n" + "".join(
-            f"{term} a ex:C"
+            f"{term} a {cls}"
             + (f" ; rdfs:label {label}" if label else "")
             + (f" ; ex:p {literal}" if literal else "")
             + " .\n"
-            for term, label, literal in statements
+            for term, label, literal, cls in statements
         )
         doc, report = validate_text(text)
         assert {e.code for e in report.errors} <= {"BlankLabel", "BlankLiteral"}
