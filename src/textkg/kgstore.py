@@ -18,7 +18,7 @@ from collections import Counter
 from collections.abc import Callable, Iterable, Iterator
 from contextlib import contextmanager
 from dataclasses import dataclass, field
-from json.encoder import encode_basestring
+from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 from typing import TextIO
 
@@ -41,6 +41,11 @@ class KnowledgeBase:
     triples: dict[Key, ProvenanceSet] = field(default_factory=dict)
     link_config: str | None = None
     entity_links: dict[str, str] = field(default_factory=dict)
+
+    def __post_init__(self):  # a triple's labels are in entities and predicates, as add_triple keeps them
+        for subject, predicate, obj in self.triples:
+            self.entities.update((subject, obj))
+            self.predicates.add(predicate)
 
     def add_entity(self, label: str) -> None:
         if not label:
@@ -204,8 +209,8 @@ def merge(kb1: KnowledgeBase, kb2: KnowledgeBase) -> KnowledgeBase:
 
 
 def _scalar(value: object) -> str:
-    if isinstance(value, str):
-        return encode_basestring(value)
+    if isinstance(value, str):  # the faster C ASCII encoder agrees on ASCII text but DEL, which only it escapes
+        return encode_basestring_ascii(value) if value.isascii() and "\x7f" not in value else encode_basestring(value)
     if type(value) is float and math.isfinite(value):
         return float.__repr__(value)
     return "null" if value is None else int.__repr__(value) if type(value) is int else json.dumps(value)

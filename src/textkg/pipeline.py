@@ -21,7 +21,6 @@ from collections.abc import Callable, Iterable, Iterator
 from concurrent.futures import ThreadPoolExecutor, wait
 from contextlib import closing, contextmanager
 from dataclasses import MISSING, asdict, dataclass, field, fields
-from json.encoder import encode_basestring, encode_basestring_ascii
 from pathlib import Path
 from typing import get_args, get_type_hints
 
@@ -304,17 +303,11 @@ _GENERATION_ROW = '{"article_id": %s, "batch_index": %s, "output": %s}\n'
 _ATTEMPT_ROW = '{"article_id": %s, "attempt": %d, "output": %s}\n'
 
 
-def _json_str(text: str) -> str:
-    """json.dumps(text, ensure_ascii=False), through the faster C ASCII encoder for
-    ASCII text without DEL, the one ASCII character that only that encoder escapes."""
-    return encode_basestring_ascii(text) if text.isascii() and "\x7f" not in text else encode_basestring(text)
-
-
 def _batch_lines(batches: list[TokenBatch]) -> Iterator[str]:
     """json.dumps(vars(batch), ensure_ascii=False, sort_keys=True) plus a
     newline for each batch, filled into one template."""
     for b in batches:
-        yield _BATCH_ROW % (_json_str(b.article_id), b.batch_index, _json_str(b.text), b.token_end, b.token_start)
+        yield _BATCH_ROW % (_scalar(b.article_id), b.batch_index, _scalar(b.text), b.token_end, b.token_start)
 
 
 def _open_lines(path: Path | None, whole: bool = False):
@@ -334,18 +327,18 @@ def _safe_name(article_id: str) -> str:
 _WINDOW_PER_WORKER = 8
 
 
-def _map_articles(config: PipelineConfig, function: Callable, articles: Iterable, on_ready=None) -> Iterator:
+def _map_articles(workers: int, function: Callable, articles: Iterable, on_ready=None) -> Iterator:
     """function over every article, yielded lazily in corpus order. With
-    `workers` threads, at most _WINDOW_PER_WORKER * workers calls are
+    workers threads, at most _WINDOW_PER_WORKER * workers calls are
     submitted and not yet consumed, so finished results cannot pile up, and
     the first exception cancels the calls not yet started. on_ready, if
     given, is called on the consuming thread with each result, in corpus
     order, before it is yielded and once it and every result before it have
     finished."""
-    if config.workers == 1:
+    if workers == 1:
         yield from map(function, articles)
         return
-    window = _WINDOW_PER_WORKER * config.workers
+    window = _WINDOW_PER_WORKER * workers
     pending = deque()
     given = 0  # how many results at the front of pending on_ready has been called with
 
@@ -358,7 +351,7 @@ def _map_articles(config: PipelineConfig, function: Callable, articles: Iterable
         given = max(given - 1, 0)
         return pending.popleft().result()
 
-    with ThreadPoolExecutor(max_workers=config.workers) as pool:
+    with ThreadPoolExecutor(max_workers=workers) as pool:
         try:
             for article in articles:
                 pending.append(pool.submit(function, article))
@@ -474,23 +467,25 @@ class LinkStage:
 
 
 def _article_stage(config: PipelineConfig, articles: Iterable, work: Callable, fold: Callable, paths, on_ready=None):
-    """The per-article loop of both modes. On up to `workers` threads, each
-    article is chunked once and run through work(article, batches), which
-    returns its generation rows, triple rows and fold arguments. As each one
-    completes, in corpus order, its rows are written to paths (triples,
-    generations, batches; an ontology run's batches whole) and fold called."""
+    """The per-article loop of both modes. On up to `workers` threads (on the
+    calling thread for the replay backend), each article is chunked once and
+    run through work(article, batches), which returns its generation rows,
+    triple rows and fold arguments. As each one completes, in corpus order,
+    its rows are written to paths (triples, generations, batches; an ontology
+    run's batches whole) and fold called."""
 
     def one(article: Article) -> tuple:
         batches = chunk(article, batch_size=config.batch_size)
         return batches, *work(article, batches)
 
     triples_path, generations_path, batches_path = paths
+    workers = 1 if config.backend.kind == "replay" else config.workers  # only an HTTP backend waits
     count = 0
     with (
         _open_lines(batches_path, whole=config.mode == "ontology") as batch_rows,
         _open_lines(generations_path) as generations,
         _open_lines(triples_path) as triples,
-        closing(_map_articles(config, one, articles, on_ready)) as results,
+        closing(_map_articles(workers, one, articles, on_ready)) as results,
     ):
         for batches, rows, triple_rows, item in results:
             count += len(batches)
@@ -523,7 +518,7 @@ def extract_stage(
         rows: list[str] = []
 
         def on_generation(batch_index: int | None, output: str) -> None:
-            rows.append(_GENERATION_ROW % (_json_str(article.id), _scalar(batch_index), _json_str(output)))
+            rows.append(_GENERATION_ROW % (_scalar(article.id), _scalar(batch_index), _scalar(output)))
 
         triplets, parse_report = extract_article(
             article,
@@ -585,7 +580,7 @@ def ontology_stage(
             return (), (), (article.id, None, [], None)
         doc, attempts = repair_until_valid(build_prompt(article.body, "ontology"), complete, config.max_repair_attempts)
         rows = [
-            _ATTEMPT_ROW % (_json_str(article.id), attempt_index, _json_str(attempt.output))
+            _ATTEMPT_ROW % (_scalar(article.id), attempt_index, _scalar(attempt.output))
             for attempt_index, attempt in enumerate(attempts)
         ]
         if doc is None:

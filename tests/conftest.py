@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import dataclasses
 import datetime as dt
 import json
 import shutil
@@ -12,6 +13,7 @@ from urllib.parse import parse_qs, urlsplit
 
 import pytest
 
+from textkg import extraction, pipeline
 from textkg.corpus import Article
 from textkg.extraction import BackendConfig, Provenance, Triplet, _fixture_file
 
@@ -62,6 +64,44 @@ def article() -> Article:
 def fixture_path(config: BackendConfig, input_text: str) -> Path:
     """The replay fixture file that answers input_text under config."""
     return Path(_fixture_file(config, input_text))
+
+
+def snapshot_apart_from_hash(run_dir: Path) -> dict[str, bytes]:
+    """Relative path -> bytes of every file under run_dir, with the manifest's
+    config_hash, the one field that names the config file's bytes, left out."""
+    files = {str(p.relative_to(run_dir)): p.read_bytes() for p in sorted(run_dir.rglob("*")) if p.is_file()}
+    manifest = json.loads(files.pop("manifest.json"))
+    del manifest["config_hash"]
+    return files | {"manifest.json": json.dumps(manifest, sort_keys=True).encode()}
+
+
+# the chat backend kind that answers in each replay_mode
+CHAT_KINDS = {"triples": "chat_triples", "ontology": "chat_ontology"}
+
+
+def chat_backends(data: dict) -> dict:
+    """Config data with each replay backend turned into the chat backend of its
+    grammar, which sends HTTP requests and so extracts on `workers` threads.
+    Its endpoint is never contacted: the test stubs what would send them."""
+    for backend in data["backends"]:
+        if backend["kind"] == "replay":
+            backend.update(kind=CHAT_KINDS[backend.pop("replay_mode")], endpoint="http://chat.invalid/v1")
+    return data
+
+
+def answer_from_fixtures(monkeypatch, threads: set | None = None) -> None:
+    """Make generate answer a chat backend's request from the replay fixture
+    that would answer it in the backend's fixtures_dir, and add the thread
+    that asks to threads, if given."""
+    replay = extraction.generate
+
+    def answer(config: BackendConfig, text: str, **kwargs) -> str:
+        if threads is not None:
+            threads.add(threading.current_thread())
+        return replay(dataclasses.replace(config, kind="replay", replay_mode=config.grammar), text, **kwargs)
+
+    monkeypatch.setattr(extraction, "generate", answer)
+    monkeypatch.setattr(pipeline, "generate", answer)
 
 
 def make_triplet(subject: str, predicate: str, obj: str, article_id: str = "a1") -> Triplet:

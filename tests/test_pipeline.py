@@ -32,7 +32,7 @@ from textkg.cli import main
 from textkg.corpus import Article, load_corpus
 from textkg.errors import ConfigError, TextkgError
 from textkg.extraction import BackendConfig, build_prompt
-from textkg.kgstore import KnowledgeBase, load_kb
+from textkg.kgstore import KnowledgeBase, _scalar, load_kb
 from textkg.linking import FileLookupClient, LookupUnavailableError, normalize_surface
 from textkg.quality import QualityConfig
 from textkg.rdf import build_repair_prompt, validate_text
@@ -45,7 +45,14 @@ from textkg.pipeline import (
     run_pipeline,
 )
 
-from .conftest import DATA_DIR, GOLDEN_DIR, fixture_path
+from .conftest import (
+    DATA_DIR,
+    GOLDEN_DIR,
+    answer_from_fixtures,
+    chat_backends,
+    fixture_path,
+    snapshot_apart_from_hash,
+)
 from .test_kgstore import json_text
 
 README = Path(__file__).resolve().parents[1] / "README.md"
@@ -489,8 +496,10 @@ class TestRunPipeline:
         assert (data_copy / "run_triples" / "kb.json").read_bytes() == kb_bytes
         assert first["stages"]["link"] == second["stages"]["link"]
 
-    def test_workers_do_not_change_artifacts(self, data_copy):
-        data = json.loads((data_copy / "pipeline_triples.json").read_text())
+    def test_workers_do_not_change_artifacts(self, data_copy, monkeypatch):
+        # a chat backend answered from the replay fixtures, so that the workers extract on threads
+        answer_from_fixtures(monkeypatch)
+        data = chat_backends(json.loads((data_copy / "pipeline_triples.json").read_text()))
         data["workers"] = 3
         config = write_config(data_copy, data)
         manifest = run_pipeline(config)
@@ -764,7 +773,8 @@ def test_ontology_stage_folds_articles_without_copying_the_kb(data_copy, monkeyp
 
 def test_failed_ontology_write_stops_the_generations(data_copy, monkeypatch):
     # the stage closes its article map, so the pool stops once the consumer raises
-    data = ontology_config_dict()
+    answer_from_fixtures(monkeypatch)
+    data = chat_backends(ontology_config_dict())
     data["workers"] = 2
     repairs = Counter()
     repair_until_valid = pipeline.repair_until_valid
@@ -910,7 +920,8 @@ def test_ontology_mode_holds_no_more_articles_than_its_window(data_copy, monkeyp
         data_copy / "corpus_pipeline.jsonl",
         [{**row, "id": f"{row['id']}-{copy}"} for copy in range(8) for row in rows],
     )
-    data = ontology_config_dict()
+    answer_from_fixtures(monkeypatch)
+    data = chat_backends(ontology_config_dict())
     data["workers"] = workers
     window = 1 if workers == 1 else pipeline._WINDOW_PER_WORKER * workers
     refs = []
@@ -1104,13 +1115,14 @@ def test_failed_ontology_run_leaves_the_earlier_batches_file_as_it_was(data_copy
 
 def stub_corpus_config(tmp_path: Path, count: int, workers: int, linking: dict | None = None) -> Path:
     """A triples config over a corpus of count articles a0, a1, ..., linking
-    through the given section, or with none."""
+    through the given section, or with none, on a chat backend that the test
+    stubs."""
     write_corpus(
         tmp_path / "corpus.jsonl",
         [{"id": f"a{n}", "title": "t", "body": f"Acme recycles {n} cans.", "source_domain": "x.example",
           "published_at": "2023-02-20", "language": "en"} for n in range(count)],
     )
-    data = triples_config_dict()
+    data = chat_backends(triples_config_dict())
     data.update(corpus=str(tmp_path / "corpus.jsonl"), run_dir=str(tmp_path / "run"), workers=workers)
     del data["linking"]
     if linking is not None:
@@ -1313,9 +1325,10 @@ def test_lookup_endpoint_at_any_workers_gives_the_same_bytes(data_copy, monkeypa
         return table.lookup(query)
 
     stub_lookups(monkeypatch, lookup)
+    answer_from_fixtures(monkeypatch)
     runs = []
     for workers in (1, 2):
-        data = triples_config_dict()
+        data = chat_backends(triples_config_dict())
         data.update(workers=workers, run_dir=f"run_{workers}", linking={**STUB_ENDPOINT, "cache_path": None})
         run_pipeline(write_config(data_copy, data))
         runs.append(snapshot(data_copy / f"run_{workers}"))
@@ -1345,6 +1358,53 @@ def test_fixture_file_lookups_run_on_the_linking_thread(data_copy, monkeypatch):
     assert (data_copy / "run_triples" / "kb.json").read_bytes() == golden.read_bytes()
 
 
+@pytest.mark.parametrize("mode", ["triples", "ontology"])
+def test_the_replay_backend_runs_on_the_main_thread_at_any_workers(data_copy, monkeypatch, mode):
+    # the replay backend never waits, so neither the pipeline nor `textkg extract` gives it threads
+    calls = []  # (thread, active thread count) at each extract_article or generate call
+
+    def recorded(function):
+        def call(*args, **kwargs):
+            calls.append((threading.current_thread(), threading.active_count()))
+            return function(*args, **kwargs)
+
+        return call
+
+    for module, name in ((pipeline, "extract_article"), (pipeline, "generate"), (extraction, "generate")):
+        monkeypatch.setattr(module, name, recorded(getattr(module, name)))
+    data = json.loads((data_copy / f"pipeline_{mode}.json").read_text(encoding="utf-8"))
+    data["workers"] = 2
+    config = write_config(data_copy, data)
+    threads_before = threading.active_count()
+    run_pipeline(config)
+    argv = ["extract", "--config", str(config), "--backend", data["backend_id"], "--mode", mode]
+    assert main([*argv, "-o", str(data_copy / "extracted")]) == 0
+    assert len(calls) >= 10
+    assert {thread for thread, _ in calls} == {threading.main_thread()}
+    assert max(count for _, count in calls) == threads_before
+    got = snapshot_apart_from_hash(data_copy / f"run_{mode}")
+    assert got == snapshot_apart_from_hash(GOLDEN_DIR / mode)
+
+
+@pytest.mark.parametrize("mode", ["triples", "ontology"])
+def test_a_chat_backend_extracts_on_worker_threads_and_writes_the_same_bytes(data_copy, monkeypatch, mode):
+    threads = set()
+    answer_from_fixtures(monkeypatch, threads)
+    runs = {}
+    for workers in (1, 2, 3):
+        threads.clear()
+        data = chat_backends(json.loads((data_copy / f"pipeline_{mode}.json").read_text(encoding="utf-8")))
+        data.update(workers=workers, run_dir=f"run_{workers}")
+        run_pipeline(write_config(data_copy, data))
+        runs[workers] = snapshot_apart_from_hash(data_copy / f"run_{workers}")
+        if workers == 1:
+            assert threads == {threading.main_thread()}
+        else:
+            assert threads and threading.main_thread() not in threads and len(threads) <= workers
+    assert runs[1] == snapshot_apart_from_hash(GOLDEN_DIR / mode)
+    assert runs[2] == runs[3] == runs[1]
+
+
 def window_worker(started: list, fail_at: int | None = None):
     lock = threading.Lock()
 
@@ -1363,9 +1423,7 @@ def test_map_articles_yields_in_order_within_its_window():
     window = pipeline._WINDOW_PER_WORKER * 3
     started: list[int] = []
     results = []
-    for position, result in enumerate(
-        pipeline._map_articles(SimpleNamespace(workers=3), window_worker(started), range(100))
-    ):
+    for position, result in enumerate(pipeline._map_articles(3, window_worker(started), range(100))):
         assert max(started) < position + window
         results.append(result)
         time.sleep(0.002)  # a slow consumer: unbounded workers would run far ahead
@@ -1374,7 +1432,7 @@ def test_map_articles_yields_in_order_within_its_window():
 
 def test_map_articles_with_one_worker_is_lazy():
     started: list[int] = []
-    results = pipeline._map_articles(SimpleNamespace(workers=1), window_worker(started), range(10))
+    results = pipeline._map_articles(1, window_worker(started), range(10))
     assert started == []
     assert next(results) == 0
     assert started == [0]
@@ -1385,9 +1443,7 @@ def test_map_articles_stops_submitting_after_a_failure():
     started: list[int] = []
     results = []
     with pytest.raises(ValueError, match="item 5 failed"):
-        for result in pipeline._map_articles(
-            SimpleNamespace(workers=3), window_worker(started, fail_at=5), range(100)
-        ):
+        for result in pipeline._map_articles(3, window_worker(started, fail_at=5), range(100)):
             results.append(result)
             time.sleep(0.01)
     assert results == [item * 10 for item in range(5)]
@@ -1399,7 +1455,7 @@ def test_map_articles_stops_submitting_after_a_failure():
 @settings(max_examples=300, deadline=None)
 def test_attempt_row_writes_the_json_dumps_line(article_id, attempt, output):
     row = {"article_id": article_id, "attempt": attempt, "output": output}
-    filled = pipeline._ATTEMPT_ROW % (pipeline._json_str(article_id), attempt, pipeline._json_str(output))
+    filled = pipeline._ATTEMPT_ROW % (_scalar(article_id), attempt, _scalar(output))
     assert filled == json.dumps(row, ensure_ascii=False, sort_keys=True) + "\n"
 
 
@@ -1409,7 +1465,7 @@ def test_attempt_row_writes_the_json_dumps_line(article_id, attempt, output):
 @example("plain ASCII text, with no escapes")
 @settings(max_examples=500, deadline=None)
 def test_json_str_writes_the_json_dumps_text(text):
-    assert pipeline._json_str(text) == json.dumps(text, ensure_ascii=False)
+    assert _scalar(text) == json.dumps(text, ensure_ascii=False)
 
 
 @given(json_text, st.integers(0, 2**40), st.integers(0, 2**40), st.integers(0, 2**40), json_text)

@@ -10,7 +10,7 @@ from hypothesis import strategies as st
 
 from textkg.corpus import Article
 from textkg.extraction import Provenance, Triplet
-from textkg.kgstore import KnowledgeBase
+from textkg.kgstore import KnowledgeBase, stats
 from textkg.quality import (
     FORMULA_VERSION,
     QualityConfig,
@@ -203,6 +203,18 @@ class TestEdgeCases:
         report = evaluate(kb, [])
         # components: {A}, {B, C}
         assert report.metrics["largest_component_fraction"] == 2 / 3
+
+    def test_a_hand_built_kb_holds_its_triples_labels(self):
+        # 'x' is isolated; six tokens make the subject the one long field of three
+        kb = KnowledgeBase(entities={"x"}, triples={("a b c d e f", "r", "b"): {}})
+        assert kb.entities == {"x", "a b c d e f", "b"}
+        assert kb.predicates == {"r"}
+        metrics = evaluate(kb, []).metrics
+        assert metrics["isolated_entity_ratio"] == 1 / 3
+        assert metrics["largest_component_fraction"] == 2 / 3
+        assert metrics["conciseness_violation_ratio"] == 1 / 3
+        kb_stats = stats(kb)
+        assert (kb_stats.entity_count, kb_stats.isolated_entity_count) == (3, 1)
 
     def test_triples_without_provenance_count_once(self):
         kb = KnowledgeBase()

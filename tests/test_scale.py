@@ -4,8 +4,12 @@ The goldens hold five articles, fewer than the extraction window at
 `workers` 2, so they never fill it. The corpora here come from the
 benchmark's seeded generators (perfbench/workloads.py), which also write
 the replay fixtures and lookup table and count the stages a run must report.
+The replay backend extracts on the calling thread at any `workers`, so the
+runs past one worker use a chat backend answered from those fixtures.
 """
 
+import functools
+import importlib
 import json
 import math
 import os
@@ -20,11 +24,14 @@ import textkg
 from textkg.cli import main
 from textkg.pipeline import run_pipeline
 
+from .conftest import answer_from_fixtures, chat_backends, snapshot_apart_from_hash
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 if str(PERFBENCH) not in sys.path:
     sys.path.insert(0, str(PERFBENCH))
 
 import workloads  # noqa: E402
+from spans import WRAPPED  # noqa: E402
 
 ARTICLES = 80
 WORKERS = (1, 2, 3)
@@ -52,25 +59,19 @@ def generate(workload: str, directory: Path) -> dict:
     return expected["stages"]
 
 
-def write_config(directory: Path, workload: str, name: str, workers: int = 1) -> Path:
+def write_config(directory: Path, workload: str, name: str, workers: int = 1, chat: bool = False) -> Path:
     """A config over the generated inputs whose run directory and link cache
-    are named after it, so runs of different configs share nothing."""
+    are named after it, so runs of different configs share nothing; with
+    chat, on a chat backend in place of the replay one."""
     data = workloads.pipeline_config(workload)
+    if chat:
+        chat_backends(data)
     data.update(workers=workers, run_dir=f"run_{name}")
     if "linking" in data:
         data["linking"]["cache_path"] = f"cache_{name}.json"
     path = directory / f"{name}.json"
     path.write_text(json.dumps(data, indent=2), encoding="utf-8")
     return path
-
-
-def snapshot(run_dir: Path) -> dict[str, bytes]:
-    """Relative path -> bytes of every file under run_dir, with the manifest's
-    config_hash, the one field that names the config file's bytes, left out."""
-    files = {str(p.relative_to(run_dir)): p.read_bytes() for p in sorted(run_dir.rglob("*")) if p.is_file()}
-    manifest = json.loads(files.pop("manifest.json"))
-    del manifest["config_hash"]
-    return files | {"manifest.json": json.dumps(manifest, sort_keys=True).encode()}
 
 
 @pytest.fixture(scope="module", params=sorted(GENERATORS))
@@ -82,9 +83,12 @@ def generated(request, tmp_path_factory):
     expected = generate(workload, directory)
     runs = {}
     for workers in WORKERS:
-        config = write_config(directory, workload, f"w{workers}", workers)
-        run_pipeline(config)
-        runs[workers] = snapshot(directory / f"run_w{workers}")
+        with pytest.MonkeyPatch.context() as monkeypatch:
+            if workers > 1:  # so that the articles are extracted on threads
+                answer_from_fixtures(monkeypatch)
+            config = write_config(directory, workload, f"w{workers}", workers, chat=workers > 1)
+            run_pipeline(config)
+        runs[workers] = snapshot_apart_from_hash(directory / f"run_w{workers}")
     return workload, directory, expected, runs
 
 
@@ -109,7 +113,7 @@ def test_hash_seed_does_not_change_the_bytes(generated):
             [sys.executable, "-m", "textkg.cli", "pipeline", "--config", str(config)],
             env=env | {"PYTHONHASHSEED": seed}, capture_output=True, check=True, timeout=120,
         )
-        assert snapshot(directory / f"run_seed{seed}") == runs[1], f"PYTHONHASHSEED={seed}"
+        assert snapshot_apart_from_hash(directory / f"run_seed{seed}") == runs[1], f"PYTHONHASHSEED={seed}"
 
 
 @pytest.mark.parametrize("generated", ["ontology-repair"], indirect=True)
@@ -148,3 +152,18 @@ def test_cli_chain_writes_the_pipelines_bytes(generated, tmp_path):
     names = ["batches.jsonl", "triples.jsonl", "kb.json", "quality.json", *(f"export.{n}" for n in export["formats"])]
     for name in names:
         assert (out / name).read_bytes() == runs[1][name], name
+
+
+def test_every_traced_seam_resolves():
+    # a seam that does not resolve is only reported as "not traced", and its
+    # per-layer metric reads 0; pipeline.merge is gone since the ontology
+    # stage folds each article in place, and the harness still lists it
+    def resolves(module: str, attribute: str) -> bool:
+        try:
+            functools.reduce(getattr, attribute.split("."), importlib.import_module(module))
+        except AttributeError:
+            return False
+        return True
+
+    missing = {(module, attribute) for module, attribute, _ in WRAPPED if not resolves(module, attribute)}
+    assert missing <= {("textkg.pipeline", "merge")}
