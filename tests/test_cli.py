@@ -22,7 +22,7 @@ from textkg.kgstore import load_kb
 from textkg.pipeline import load_config
 from textkg.rdf import build_repair_prompt, validate_text
 
-from .conftest import DATA_DIR, GOLDEN_DIR, NEWS_PAYLOAD, fixture_path
+from .conftest import DATA_DIR, GOLDEN_DIR, NEWS_PAYLOAD, answer_from_fixtures, chat_backends, fixture_path
 
 
 def run(capsys, *argv: str) -> tuple[int, str, str]:
@@ -372,9 +372,11 @@ class TestExtract:
         for path in golden.iterdir():
             assert (out_dir / path.name).read_bytes() == path.read_bytes(), path.name
 
-    def test_honours_date_window_and_workers(self, capsys, data_copy, tmp_path):
+    def test_honours_date_window_and_workers(self, capsys, data_copy, tmp_path, monkeypatch):
+        # a chat backend answered from the replay fixtures, so that the articles are extracted on threads
+        answer_from_fixtures(monkeypatch)
         config = data_copy / "pipeline_triples.json"
-        data = json.loads(config.read_text())
+        data = chat_backends(json.loads(config.read_text()))
         data.update(date_to="2023-02-25", workers=2)
         config.write_text(json.dumps(data), encoding="utf-8")
         out = tmp_path / "triples.jsonl"

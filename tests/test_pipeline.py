@@ -1210,7 +1210,8 @@ def test_malformed_line_after_the_first_article_fails_the_corpus_stage(data_copy
 
 @pytest.mark.parametrize("workers", [1, 2])
 def test_lookup_abort_fails_the_link_stage_off_the_extraction_workers(data_copy, monkeypatch, workers):
-    data = triples_config_dict()
+    answer_from_fixtures(monkeypatch)
+    data = chat_backends(triples_config_dict())
     data["workers"] = workers
     data["linking"] = {"endpoint": "http://127.0.0.1:9", "on_error": "abort"}
     extracting, looking_up = set(), set()

@@ -117,9 +117,10 @@ def test_hash_seed_does_not_change_the_bytes(generated):
 
 
 @pytest.mark.parametrize("generated", ["ontology-repair"], indirect=True)
-def test_cli_extract_in_ontology_mode_writes_the_pipelines_ontologies(generated, tmp_path):
+def test_cli_extract_in_ontology_mode_writes_the_pipelines_ontologies(generated, tmp_path, monkeypatch):
     workload, directory, expected, runs = generated
-    config = write_config(directory, workload, "cli", workers=2)
+    answer_from_fixtures(monkeypatch)
+    config = write_config(directory, workload, "cli", workers=2, chat=True)
     output = tmp_path / "ontologies"
     argv = ["extract", "--config", str(config), "--backend", "replay-onto", "--mode", "ontology", "-o", str(output)]
     assert main(argv) == 0
